@@ -35,6 +35,8 @@ class ObservedDataset:
         object.__setattr__(self, "xstar", xs)
         if r.shape != xs.shape or r.ndim != 2 or r.shape[1] != len(names):
             raise DataError("indicator and proxy arrays must be (n, K) with K names")
+        if np.isinf(xs).any():
+            raise DataError("proxy contains infinite values")
         if not np.array_equal(np.isnan(xs), r == 0):
             raise DataError("proxy must be missing exactly where the indicator is 0")
 
@@ -45,14 +47,6 @@ class ObservedDataset:
     @property
     def K(self):
         return self.r.shape[1]
-
-    @classmethod
-    def from_full(cls, names, x, r):
-        """Mask a fully observed matrix with indicator matrix ``r``."""
-        x = np.asarray(x, dtype=float)
-        r = np.asarray(r)
-        xs = np.where(r == 1, x, np.nan)
-        return cls(tuple(names), r, xs)
 
     def reorder(self, order):
         """Columns permuted to ``order`` (a permutation of the names)."""
@@ -67,9 +61,6 @@ class ObservedDataset:
 
     def complete_case_proportion(self):
         return float(np.mean(np.all(self.r == 1, axis=1)))
-
-    def take(self, rows):
-        return ObservedDataset(self.names, self.r[rows], self.xstar[rows])
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -90,7 +81,9 @@ def read_csv(path):
     """Parse a data CSV into an ObservedDataset.
 
     Columns with zero missingness are accepted (always-observed variables);
-    a column that is entirely missing is rejected as fully latent.
+    a column that is entirely missing is rejected as fully latent.  Cells
+    that parse to a non-finite number (``inf``, ``-inf``, ``nan``) are
+    rejected: missingness is written only as the ``NA`` token.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -101,7 +94,7 @@ def read_csv(path):
         names = tuple(h.strip() for h in header)
         if len(set(names)) != len(names) or any(not n for n in names):
             raise DataError("header must contain unique, nonempty variable names")
-        r_rows, x_rows = [], []
+        r_rows, x_rows, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -121,10 +114,17 @@ def read_csv(path):
                     r_row.append(1)
             r_rows.append(r_row)
             x_rows.append(x_row)
+            linenos.append(lineno)
     if not r_rows:
         raise DataError("CSV contains no data rows")
     r = np.array(r_rows, dtype=np.int8)
     xs = np.array(x_rows, dtype=float)
+    bad = np.argwhere((r == 1) & ~np.isfinite(xs))
+    if bad.size:
+        i, k = bad[0]
+        raise DataError(f"line {linenos[i]}, column {names[k]}: non-finite "
+                        f"value {float(xs[i, k])} (missing cells are written "
+                        f"{MISSING_TOKEN})")
     dead = np.where(r.sum(axis=0) == 0)[0]
     if dead.size:
         raise DataError(

@@ -11,7 +11,7 @@ observed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class OddsRatioEstimate:
     n_bootstrap: int
     alpha: float
     n_failed_resamples: int = 0
+    n_patterns: int = 0         # distinct (R, X*) rows the fits ran on
+    numerator_cell: int = 0     # rows with R_{-kj} = 1 and R_k = R_j = 0
 
     @property
     def ci_excludes_one(self):
@@ -101,8 +103,8 @@ class OddsRatioEstimate:
 
 def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
     p = fit.predict(design)
-    clipped = int(np.sum(p < PROPENSITY_CLIP) + np.sum(p > 1.0))
-    return np.clip(p, PROPENSITY_CLIP, 1.0), clipped
+    clipped = int(np.sum(p < PROPENSITY_CLIP))
+    return np.maximum(p, PROPENSITY_CLIP), clipped
 
 
 def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
@@ -270,17 +272,6 @@ def weighted_lr_stat(null_fit: PropensityFit, null_design: DesignMatrix,
     return rho, 2.0 * rho, df
 
 
-def step_lr_stat(data: ObservedDataset, step: CascadeStep):
-    """LR statistic of a cascade step, evaluated on its own mask/weights."""
-    null_design, _ = build_features(data, step.null_spec)
-    alt_design, _ = build_features(data, step.alt_spec)
-    m = step.mask
-    return weighted_lr_stat(
-        step.null_fit, DesignMatrix(null_design.names, null_design.values[m]),
-        step.alt_fit, DesignMatrix(alt_design.names, alt_design.values[m]),
-        data.r[m, step.k], step.weights)
-
-
 def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
                      alt_design: DesignMatrix, alt_fit: PropensityFit,
                      outcome, weights):
@@ -357,37 +348,63 @@ def step_test(data: ObservedDataset, step: CascadeStep):
 # Odds-ratio estimator (block-parallel route)
 # ---------------------------------------------------------------------------
 
-def _pairwise_theta_arrays(r, xz, names, k, j, warm=None):
+def _row_patterns(data: ObservedDataset):
+    """Distinct (R, zero-imputed X*) rows of ``data``.
+
+    Returns (pattern id of every row, indicator rows, proxy rows, counts),
+    the last three one entry per pattern.  Columns are factorised one at a
+    time and the running ids re-factorised after each, so ids stay below n
+    and no float row sort is needed.
+    """
+    xz = np.nan_to_num(data.xstar, nan=0.0)
+    ids = np.zeros(data.n, dtype=np.intp)
+    for col in itertools.chain(data.r.T, xz.T):
+        values, codes = np.unique(col, return_inverse=True)
+        _, ids = np.unique(ids * values.size + codes, return_inverse=True)
+    counts = np.bincount(ids)
+    first = np.empty(counts.size, dtype=np.intp)
+    first[ids] = np.arange(data.n)
+    return ids, data.r[first], xz[first], counts.astype(float)
+
+
+def _numerator_cell(r, k, j):
+    """Rows with every indicator but k and j observed and both k, j missing."""
+    others = [i for i in range(r.shape[1]) if i not in (k, j)]
+    return np.all(r[:, others] == 1, axis=1) & (r[:, k] == 0) & (r[:, j] == 0)
+
+
+def _pairwise_theta_arrays(r, xz, counts, names, k, j, warm=None):
     """Closed-form estimating-equation value of OR(R_k=0, R_j=0 | X_{-kj},
-    R_{-kj}=1) on raw arrays.
+    R_{-kj}=1) on distinct rows ``r``, ``xz`` with multiplicities ``counts``.
 
     ``xz`` is the zero-imputed proxy matrix; rows entering each propensity
     fit have the needed variables observed, so the imputation never leaks in.
-    Returns (theta, fitted coefficient dict) so bootstrap refits can warm
-    start from the point-estimate coefficients.
+    The counts enter the fits as frequency weights, and rows with a zero
+    count drop out.  Returns (theta, fitted coefficient dict) so bootstrap
+    refits can warm start from the point-estimate coefficients.
     """
-    n, K = r.shape
-    others = [i for i in range(K) if i not in (k, j)]
-    num = float(np.mean(np.prod(r[:, others], axis=1)
-                        * (1 - r[:, k]) * (1 - r[:, j])))
-    complete = np.all(r == 1, axis=1)
+    K = r.shape[1]
+    n = float(counts.sum())
+    present = counts > 0
+    complete = np.all(r == 1, axis=1) & present
 
-    ratio = np.ones(int(complete.sum()))
+    ratio = counts[complete]
     coefs = {}
     for target in (k, j):
         rest = [i for i in range(K) if i != target]
-        cond = np.all(r[:, rest] == 1, axis=1)
+        cond = np.all(r[:, rest] == 1, axis=1) & present
         y = r[cond, target]
         if y.size == 0 or y.min() == y.max():
             raise EstimationError(
                 f"no variation in {names[target]} among rows with all "
                 "other indicators observed")
+        w = counts[cond]
         design = DesignMatrix(
             ("intercept",) + tuple(f"X[{names[i]}]" for i in rest),
-            np.column_stack([np.ones(int(cond.sum())), xz[cond][:, rest]]))
+            np.column_stack([np.ones(y.size), xz[cond][:, rest]]))
         fit = fit_weighted_logistic(
-            design, y, start=None if warm is None else warm[target],
-            tol=None if warm is None else 1e-5 * max(1.0, float(y.size)))
+            design, y, w, start=None if warm is None else warm[target],
+            tol=None if warm is None else 1e-5 * max(1.0, float(w.sum())))
         if not fit.converged:
             raise EstimationError(
                 f"propensity fit for {names[target]} failed: {fit.message}")
@@ -400,32 +417,41 @@ def _pairwise_theta_arrays(r, xz, names, k, j, warm=None):
     den = float(ratio.sum()) / n
     if den <= 0:
         raise EstimationError("zero denominator: no complete cases contribute")
+    num = float(counts @ _numerator_cell(r, k, j)) / n
     return num / den, coefs
 
 
 def _pairwise_theta(data: ObservedDataset, k, j):
     """Point estimate of the pairwise conditional odds ratio."""
-    xz = np.nan_to_num(data.xstar, nan=0.0)
-    theta, _ = _pairwise_theta_arrays(data.r, xz, data.names, k, j)
+    _, r, xz, counts = _row_patterns(data)
+    theta, _ = _pairwise_theta_arrays(r, xz, counts, data.names, k, j)
     return theta
 
 
 def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
                         n_bootstrap=200, rng=None) -> OddsRatioEstimate:
     """Point estimate and percentile-bootstrap CI of the pairwise conditional
-    odds ratio between two missingness indicators."""
+    odds ratio between two missingness indicators.
+
+    The estimating equation sees a row only through its (R, X*) pattern, so
+    the data are compressed once to distinct rows with counts.  Each
+    resample draws n row indices and is applied as the counts of their
+    patterns: the random stream and the estimate are those of refitting on
+    the drawn rows, at the cost of fitting on the distinct rows only.
+    """
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
-    xz = np.nan_to_num(data.xstar, nan=0.0)
-    theta, coefs = _pairwise_theta_arrays(data.r, xz, data.names, k, j)
+    ids, r, xz, counts = _row_patterns(data)
+    theta, coefs = _pairwise_theta_arrays(r, xz, counts, data.names, k, j)
     draws = []
     failed = 0
     for _ in range(n_bootstrap):
         rows = rng.integers(0, data.n, size=data.n)
+        resample = np.bincount(ids[rows], minlength=counts.size).astype(float)
         try:
-            draw, _ = _pairwise_theta_arrays(data.r[rows], xz[rows],
-                                             data.names, k, j, warm=coefs)
+            draw, _ = _pairwise_theta_arrays(r, xz, resample, data.names, k, j,
+                                             warm=coefs)
             draws.append(draw)
         except EstimationError:
             failed += 1
@@ -434,7 +460,8 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
             f"bootstrap collapsed: only {len(draws)}/{n_bootstrap} resamples usable")
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
     return OddsRatioEstimate(theta, (k, j), (float(lo), float(hi)),
-                             n_bootstrap, alpha, failed)
+                             n_bootstrap, alpha, failed, counts.size,
+                             int(counts @ _numerator_cell(r, k, j)))
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,9 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
             steps.append(StepRecord(label, est.theta_hat, None, None, decision,
                                     {"ci": list(est.bootstrap_ci),
                                      "n_bootstrap": est.n_bootstrap,
-                                     "failed_resamples": est.n_failed_resamples}))
+                                     "failed_resamples": est.n_failed_resamples,
+                                     "n_patterns": est.n_patterns,
+                                     "numerator_cell": est.numerator_cell}))
     if any_reject:
         verdict = REJECTED
     elif any_inconclusive:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SEQ_MAR = "sequential-MAR"
 SEQ_MNAR = "sequential-MNAR"

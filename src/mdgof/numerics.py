@@ -8,7 +8,7 @@ comes from scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
@@ -32,13 +32,6 @@ def expit(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def bernoulli(p, rng):
-    """Draw a single Bernoulli(p) variate from ``rng``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    return int(rng.random() < p)
 
 
 def chisq_sf(x, df):
@@ -201,15 +194,19 @@ def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, score, rcond=None)[0]
         # Step halving: never accept a move that lowers the weighted loglik.
+        # An accepted candidate keeps its loglik; when every halving fails,
+        # the move is the once-more-halved step and its loglik is computed.
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
             ll_cand = weighted_bernoulli_loglik(cand, x, y, w)
             if ll_cand >= ll - 1e-12:
+                beta, ll = cand, ll_cand
                 break
             scale *= 0.5
-        beta = beta + scale * step
-        ll = weighted_bernoulli_loglik(beta, x, y, w)
+        else:
+            beta = beta + scale * step
+            ll = weighted_bernoulli_loglik(beta, x, y, w)
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             return PropensityFit(beta, False, it, ll, n_eff, design.names,
                                  "complete separation suspected (coefficients diverging)")

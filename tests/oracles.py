@@ -2,7 +2,8 @@
 
 Everything here is deliberately written by a different route than the code
 under test: d-separation via exhaustive path enumeration, logistic fits via
-nested grid search, chi-square tails via numerical quadrature.
+nested grid search, chi-square tails via numerical quadrature, and the
+odds-ratio bootstrap by gathering the resampled rows and refitting on them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from mdgof.numerics import weighted_bernoulli_loglik
+from mdgof.estimation import (PROPENSITY_CLIP, EstimationError,
+                              OddsRatioEstimate)
+from mdgof.numerics import (DesignMatrix, fit_weighted_logistic,
+                            weighted_bernoulli_loglik)
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +206,69 @@ def direct_or_functional(law, K, pair):
         if p11 > 0:
             den += joint(0, 1, x) * joint(1, 0, x) / p11
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# odds-ratio bootstrap by row gathering
+# ---------------------------------------------------------------------------
+
+def _row_gather_theta(r, xz, names, k, j, warm=None):
+    """Estimating-equation value of the pairwise odds ratio, one row per
+    observation (no pattern compression)."""
+    n, K = r.shape
+    others = [i for i in range(K) if i not in (k, j)]
+    num = float(np.mean(np.prod(r[:, others], axis=1)
+                        * (1 - r[:, k]) * (1 - r[:, j])))
+    complete = np.all(r == 1, axis=1)
+
+    ratio = np.ones(int(complete.sum()))
+    coefs = {}
+    for target in (k, j):
+        rest = [i for i in range(K) if i != target]
+        cond = np.all(r[:, rest] == 1, axis=1)
+        y = r[cond, target]
+        if y.size == 0 or y.min() == y.max():
+            raise EstimationError("no variation")
+        design = DesignMatrix(
+            ("intercept",) + tuple(f"X[{names[i]}]" for i in rest),
+            np.column_stack([np.ones(int(cond.sum())), xz[cond][:, rest]]))
+        fit = fit_weighted_logistic(
+            design, y, start=None if warm is None else warm[target],
+            tol=None if warm is None else 1e-5 * max(1.0, float(y.size)))
+        if not fit.converged:
+            raise EstimationError(fit.message)
+        coefs[target] = fit.coefficients
+        cc_design = DesignMatrix(
+            design.names,
+            np.column_stack([np.ones(ratio.size), xz[complete][:, rest]]))
+        p = np.clip(fit.predict(cc_design), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+        ratio *= (1.0 - p) / p
+    den = float(ratio.sum()) / n
+    if den <= 0:
+        raise EstimationError("zero denominator")
+    return num / den, coefs
+
+
+def row_gather_odds_ratio(data, pair, alpha=0.05, n_bootstrap=200, rng=None):
+    """Percentile-bootstrap odds-ratio estimate that refits every resample
+    on its gathered rows ``r[rows]``, ``xz[rows]``."""
+    k, j = pair
+    if rng is None:
+        rng = np.random.default_rng(0)
+    xz = np.nan_to_num(data.xstar, nan=0.0)
+    theta, coefs = _row_gather_theta(data.r, xz, data.names, k, j)
+    draws = []
+    failed = 0
+    for _ in range(n_bootstrap):
+        rows = rng.integers(0, data.n, size=data.n)
+        try:
+            draw, _ = _row_gather_theta(data.r[rows], xz[rows], data.names,
+                                        k, j, warm=coefs)
+            draws.append(draw)
+        except EstimationError:
+            failed += 1
+    if len(draws) < max(10, n_bootstrap // 2):
+        raise EstimationError("bootstrap collapsed")
+    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return OddsRatioEstimate(theta, (k, j), (float(lo), float(hi)),
+                             n_bootstrap, alpha, failed)

@@ -53,6 +53,17 @@ class TestExitCodes:
         assert main(["test", "--input", str(path), "--order", "X1,X2",
                      "--model", "sequential-mar"]) == 65
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_data_error_on_non_finite_cell(self, tmp_path, capsys, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"X1,X2\n1.0,NA\n2.0,3.0\nNA,4.0\n\n0.5,{token}\n")
+        for model in ("sequential-mar", "block-parallel"):
+            assert main(["test", "--input", str(path), "--order", "X1,X2",
+                         "--model", model]) == 65
+            err = capsys.readouterr().err
+            assert "line 6, column X2" in err
+            assert "non-finite" in err
+
     def test_bad_alpha_is_usage_error(self, tmp_path):
         path = emit_dataset(tmp_path, "mar-null", 1)
         assert main(["test", "--input", path, "--order", "X1,X2,X3",

@@ -16,7 +16,8 @@ from mdgof.numerics import (DesignMatrix, chisq_sf, child_rng, expit,
 from mdgof.simulate import (ScenarioConfig, generate_full_data,
                             generate_missingness)
 
-from oracles import direct_or_functional, homogeneous_or_law
+from oracles import (direct_or_functional, homogeneous_or_law,
+                     row_gather_odds_ratio)
 
 
 def scenario_dataset(scenario, n, seed, dist="binary", K=4, rng_out=False,
@@ -229,6 +230,42 @@ class TestOddsRatio:
                                 rng=np.random.default_rng(3))
         assert a.theta_hat == b.theta_hat
         assert a.bootstrap_ci == b.bootstrap_ci
+
+    @pytest.mark.parametrize("scenario, dist, n, K, seed", [
+        ("bp-alt", "binary", 3000, 4, 2),
+        ("bp-null", "gaussian", 1500, 4, 2),
+        # Small samples where some resamples lose variation or separate.
+        ("bp-null", "binary", 60, 3, 3),
+        ("bp-null", "gaussian", 60, 3, 4),
+    ])
+    def test_matches_row_gather_reference(self, scenario, dist, n, K, seed):
+        data = scenario_dataset(scenario, n, seed, dist=dist, K=K)
+        got = estimate_odds_ratio(data, (0, 1), n_bootstrap=60,
+                                  rng=np.random.default_rng(seed))
+        want = row_gather_odds_ratio(data, (0, 1), n_bootstrap=60,
+                                     rng=np.random.default_rng(seed))
+        assert got.theta_hat == pytest.approx(want.theta_hat, rel=1e-10)
+        assert got.bootstrap_ci == pytest.approx(want.bootstrap_ci, rel=1e-9)
+        assert got.n_failed_resamples == want.n_failed_resamples
+        if n < 100:
+            assert got.n_failed_resamples > 0
+
+    def test_duplicated_rows_leave_theta_unchanged(self):
+        data = scenario_dataset("bp-alt", 2000, 6)
+        doubled = ObservedDataset(data.names, np.vstack([data.r, data.r]),
+                                  np.vstack([data.xstar, data.xstar]))
+        assert _pairwise_theta(doubled, 0, 1) == pytest.approx(
+            _pairwise_theta(data, 0, 1), rel=1e-12)
+
+    def test_pattern_diagnostics(self):
+        data = scenario_dataset("bp-null", 2000, 7)
+        est = estimate_odds_ratio(data, (0, 2), n_bootstrap=20)
+        patterns = {tuple(row) for row in
+                    np.column_stack([data.r, np.nan_to_num(data.xstar)])}
+        assert est.n_patterns == len(patterns)
+        cell = (data.r[:, 1] == 1) & (data.r[:, 3] == 1) \
+            & (data.r[:, 0] == 0) & (data.r[:, 2] == 0)
+        assert est.numerator_cell == int(cell.sum())
 
     def test_degenerate_indicator_rejected(self):
         r = np.ones((50, 3), dtype=np.int8)

@@ -130,6 +130,25 @@ class TestBlockParallel:
         assert len(report.steps) == 6
         assert any(s.decision == "reject" for s in report.steps)
 
+    def test_steps_report_patterns_and_numerator_cell(self):
+        data = scenario_dataset("bp-alt", 3000, 3)
+        report = run_block_parallel(data, seed=0, n_bootstrap=40)
+        for step in report.steps:
+            assert step.diagnostics["n_patterns"] <= 3 ** data.K
+            assert step.diagnostics["numerator_cell"] >= 0
+        first = report.steps[0]  # X1~X2
+        cell = (data.r[:, 2] == 1) & (data.r[:, 3] == 1) \
+            & (data.r[:, 0] == 0) & (data.r[:, 1] == 0)
+        assert first.label == "X1~X2"
+        assert first.diagnostics["numerator_cell"] == int(cell.sum())
+
+    def test_empty_dataset_inconclusive(self):
+        data = ObservedDataset(("X1", "X2", "X3"), np.zeros((0, 3)),
+                               np.zeros((0, 3)))
+        report = run_block_parallel(data, seed=0, n_bootstrap=10)
+        assert report.verdict == INCONCLUSIVE
+        assert all("error" in s.diagnostics for s in report.steps)
+
     def test_seed_determinism(self):
         data = scenario_dataset("bp-null", 3000, 2)
         a = run_block_parallel(data, seed=5, n_bootstrap=60).to_json()

@@ -128,6 +128,15 @@ class TestWeightedLogistic:
         score = x.T @ (w * (y - expit(x @ fit.coefficients)))
         assert np.max(np.abs(score)) < 1e-8 * w.sum()
 
+    def test_reported_loglik_is_at_returned_coefficients(self):
+        rng = np.random.default_rng(3)
+        x, y = _logistic_data(rng, 400, np.array([-0.3, 1.1]))
+        w = rng.uniform(0.2, 2.0, size=400)
+        fit = fit_weighted_logistic(DesignMatrix(("c", "a"), x), y, w)
+        assert fit.converged
+        assert fit.weighted_loglik == weighted_bernoulli_loglik(
+            fit.coefficients, x, y, w)
+
     def test_one_class_outcome_flagged(self):
         x = np.column_stack([np.ones(20), np.arange(20.0)])
         fit = fit_weighted_logistic(DesignMatrix(("c", "a"), x), np.ones(20))
