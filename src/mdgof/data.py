@@ -49,9 +49,12 @@ class ObservedDataset:
         return self.r.shape[1]
 
     def reorder(self, order):
-        """Columns permuted to ``order`` (a permutation of the names)."""
+        """Columns permuted to ``order`` (a permutation of the names).  The
+        dataset is immutable, so an order it already has returns it as is."""
         if set(order) != set(self.names):
             raise DataError("order must be a permutation of the dataset variables")
+        if tuple(order) == self.names:
+            return self
         idx = [self.names.index(v) for v in order]
         return ObservedDataset(tuple(order), self.r[:, idx], self.xstar[:, idx])
 

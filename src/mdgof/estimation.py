@@ -66,13 +66,21 @@ def build_features(data: ObservedDataset, spec: FeatureSpec):
     return DesignMatrix(tuple(names), np.column_stack(cols)), mask
 
 
+def _masked_features(data: ObservedDataset, spec: FeatureSpec):
+    """(design restricted to the rows of its mask, mask).  The full-row
+    design is dropped at once: a cascade keeps every step's masked designs
+    for its test, and holding both would raise its peak memory."""
+    design, mask = build_features(data, spec)
+    return DesignMatrix(design.names, design.values[mask]), mask
+
+
 @dataclass(frozen=True)
 class CascadeStep:
     k: int                      # 0-based index into the ordering
     null_fit: PropensityFit
     alt_fit: PropensityFit | None
-    null_spec: FeatureSpec
-    alt_spec: FeatureSpec | None
+    null_design: DesignMatrix | None  # designs the likelihood-ratio fits ran
+    alt_design: DesignMatrix | None   # on, masked rows; None with no alt_fit
     weights: np.ndarray         # inverse-propensity weights on masked rows
     mask: np.ndarray
     clip_events: int = 0
@@ -142,7 +150,7 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
             # Fully observed column: its restriction is vacuous and its
             # propensity is identically one (no contribution to any weight).
             null_probs[k] = np.ones(data.n)
-            steps.append(CascadeStep(k, fit, None, null_spec, None,
+            steps.append(CascadeStep(k, fit, None, None, None,
                                      np.ones(data.n), np.ones(data.n, dtype=bool)))
             continue
         if not fit.converged:
@@ -152,14 +160,14 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
         null_probs[k] = p
 
         if k == K - 1:
-            steps.append(CascadeStep(k, fit, None, null_spec, None,
+            steps.append(CascadeStep(k, fit, None, None, None,
                                      np.ones(data.n), np.ones(data.n, dtype=bool)))
             continue
 
         alt_spec = FeatureSpec(indicators=tuple(range(k)),
                                proxy_products=tuple(range(k)),
                                counterfactuals=tuple(range(k + 1, K)))
-        alt_design, mask = build_features(data, alt_spec)
+        masked_alt, mask = _masked_features(data, alt_spec)
         weights = np.ones(data.n)
         clip_events = 0
         for j in range(k + 1, K):
@@ -169,19 +177,16 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
         stab_fit = fit_weighted_logistic(design, mask.astype(np.int8))
         if stab_fit.converged:
             weights *= stab_fit.predict(design)
-        weights = np.where(mask, weights, 0.0)
-        null_masked_fit = fit_weighted_logistic(
-            DesignMatrix(design.names, design.values[mask]),
-            data.r[mask, k], weights[mask])
-        alt_fit = fit_weighted_logistic(
-            DesignMatrix(alt_design.names, alt_design.values[mask]),
-            data.r[mask, k], weights[mask])
+        weights = weights[mask]
+        masked_null = DesignMatrix(design.names, design.values[mask])
+        null_masked_fit = fit_weighted_logistic(masked_null, data.r[mask, k], weights)
+        alt_fit = fit_weighted_logistic(masked_alt, data.r[mask, k], weights)
         if not null_masked_fit.converged or not alt_fit.converged:
             bad = null_masked_fit if not null_masked_fit.converged else alt_fit
             raise EstimationError(
                 f"propensity fit for {order[k]} failed: {bad.message}")
-        steps.append(CascadeStep(k, null_masked_fit, alt_fit, null_spec, alt_spec,
-                                 weights[mask], mask, clip_events))
+        steps.append(CascadeStep(k, null_masked_fit, alt_fit, masked_null, masked_alt,
+                                 weights, mask, clip_events))
     return PropensityCascade(tuple(order), tuple(steps))
 
 
@@ -209,12 +214,11 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
         null_spec = FeatureSpec(indicators=tuple(range(k)),
                                 counterfactuals=tuple(range(k + 1, K)))
         alt_spec = null_spec.with_proxy_products(tuple(range(k)))
-        null_design, mask = build_features(data, null_spec)
-        alt_design, alt_mask = build_features(data, alt_spec)
+        masked_null, mask = _masked_features(data, null_spec)
+        masked_alt, alt_mask = _masked_features(data, alt_spec)
         assert np.array_equal(mask, alt_mask)
         if not np.any(omega[mask] > 0):
             raise EstimationError(f"all weights vanished before index {order[k]}")
-        masked_null = DesignMatrix(null_design.names, null_design.values[mask])
 
         # The likelihood-ratio fits use stabilized weights: omega times the
         # fitted mask probability given the past indicators (the only null
@@ -227,14 +231,13 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
             w *= stab_fit.predict(stab_design)
         w = w[mask]
         null_fit = fit_weighted_logistic(masked_null, data.r[mask, k], w)
-        alt_fit = fit_weighted_logistic(
-            DesignMatrix(alt_design.names, alt_design.values[mask]),
-            data.r[mask, k], w)
+        alt_fit = fit_weighted_logistic(masked_alt, data.r[mask, k], w)
         if not null_fit.converged or not alt_fit.converged:
             bad = null_fit if not null_fit.converged else alt_fit
             raise EstimationError(
                 f"propensity fit for {order[k]} failed: {bad.message}")
-        steps.append(CascadeStep(k, null_fit, alt_fit, null_spec, alt_spec, w, mask))
+        steps.append(CascadeStep(k, null_fit, alt_fit, masked_null, masked_alt,
+                                 w, mask))
 
         # Weight update from the accepted null, fit under the raw running
         # weights: divide by its fitted propensity and zero out rows where
@@ -331,16 +334,12 @@ def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
 
 def step_test(data: ObservedDataset, step: CascadeStep):
     """(rho, 2*rho, df, p_value) of a cascade step with the robust
-    reference distribution."""
-    null_design, _ = build_features(data, step.null_spec)
-    alt_design, _ = build_features(data, step.alt_spec)
-    m = step.mask
-    nd = DesignMatrix(null_design.names, null_design.values[m])
-    ad = DesignMatrix(alt_design.names, alt_design.values[m])
+    reference distribution, on the masked designs its fits ran on."""
+    nd, ad = step.null_design, step.alt_design
+    y = data.r[step.mask, step.k]
     rho, two_rho, df = weighted_lr_stat(step.null_fit, nd, step.alt_fit, ad,
-                                        data.r[m, step.k], step.weights)
-    p = robust_lr_pvalue(max(two_rho, 0.0), nd, ad, step.alt_fit,
-                         data.r[m, step.k], step.weights)
+                                        y, step.weights)
+    p = robust_lr_pvalue(max(two_rho, 0.0), nd, ad, step.alt_fit, y, step.weights)
     return rho, two_rho, df, p
 
 
@@ -373,58 +372,70 @@ def _numerator_cell(r, k, j):
     return np.all(r[:, others] == 1, axis=1) & (r[:, k] == 0) & (r[:, j] == 0)
 
 
-def _pairwise_theta_arrays(r, xz, counts, names, k, j, warm=None):
-    """Closed-form estimating-equation value of OR(R_k=0, R_j=0 | X_{-kj},
-    R_{-kj}=1) on distinct rows ``r``, ``xz`` with multiplicities ``counts``.
+class _PairEquation:
+    """Estimating equation of OR(R_k=0, R_j=0 | X_{-kj}, R_{-kj}=1) on fixed
+    distinct rows ``r``, ``xz``, evaluated for any vector of their counts.
 
     ``xz`` is the zero-imputed proxy matrix; rows entering each propensity
     fit have the needed variables observed, so the imputation never leaks in.
-    The counts enter the fits as frequency weights, and rows with a zero
-    count drop out.  Returns (theta, fitted coefficient dict) so bootstrap
-    refits can warm start from the point-estimate coefficients.
+    What depends only on the rows -- the row masks, both propensity designs
+    and their complete-case designs -- is built once; a bootstrap resample
+    changes only the counts, which enter the fits as frequency weights.  A
+    row with a zero count stays in each fit at weight 0: on continuous data
+    about a third of the rows are absent from a resample, yet gathering the
+    present rows for every fit measured slower than carrying them.
     """
-    K = r.shape[1]
-    n = float(counts.sum())
-    present = counts > 0
-    complete = np.all(r == 1, axis=1) & present
 
-    ratio = counts[complete]
-    coefs = {}
-    for target in (k, j):
-        rest = [i for i in range(K) if i != target]
-        cond = np.all(r[:, rest] == 1, axis=1) & present
-        y = r[cond, target]
-        if y.size == 0 or y.min() == y.max():
-            raise EstimationError(
-                f"no variation in {names[target]} among rows with all "
-                "other indicators observed")
-        w = counts[cond]
-        design = DesignMatrix(
-            ("intercept",) + tuple(f"X[{names[i]}]" for i in rest),
-            np.column_stack([np.ones(y.size), xz[cond][:, rest]]))
-        fit = fit_weighted_logistic(
-            design, y, w, start=None if warm is None else warm[target],
-            tol=None if warm is None else 1e-5 * max(1.0, float(w.sum())))
-        if not fit.converged:
-            raise EstimationError(
-                f"propensity fit for {names[target]} failed: {fit.message}")
-        coefs[target] = fit.coefficients
-        cc_design = DesignMatrix(
-            design.names,
-            np.column_stack([np.ones(ratio.size), xz[complete][:, rest]]))
-        p = np.clip(fit.predict(cc_design), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
-        ratio *= (1.0 - p) / p
-    den = float(ratio.sum()) / n
-    if den <= 0:
-        raise EstimationError("zero denominator: no complete cases contribute")
-    num = float(counts @ _numerator_cell(r, k, j)) / n
-    return num / den, coefs
+    def __init__(self, r, xz, names, k, j):
+        K = r.shape[1]
+        self.names = names
+        self.complete = np.all(r == 1, axis=1)
+        self.numerator = _numerator_cell(r, k, j)
+        self.targets = []
+        for target in (k, j):
+            rest = [i for i in range(K) if i != target]
+            cond = np.all(r[:, rest] == 1, axis=1)
+            columns = ("intercept",) + tuple(f"X[{names[i]}]" for i in rest)
+            design = DesignMatrix(
+                columns, np.column_stack([np.ones(int(cond.sum())), xz[cond][:, rest]]))
+            cc_design = DesignMatrix(
+                columns, np.column_stack([np.ones(int(self.complete.sum())),
+                                          xz[self.complete][:, rest]]))
+            self.targets.append((target, cond, r[cond, target], design, cc_design))
+
+    def theta(self, counts, warm=None):
+        """(theta, fitted coefficient dict) at row multiplicities ``counts``;
+        bootstrap refits warm start from the point-estimate coefficients."""
+        n = float(counts.sum())
+        ratio = counts[self.complete]
+        coefs = {}
+        for target, cond, y, design, cc_design in self.targets:
+            w = counts[cond]
+            seen = y[w > 0]
+            if seen.size == 0 or seen.min() == seen.max():
+                raise EstimationError(
+                    f"no variation in {self.names[target]} among rows with all "
+                    "other indicators observed")
+            fit = fit_weighted_logistic(
+                design, y, w, start=None if warm is None else warm[target],
+                tol=None if warm is None else 1e-5 * max(1.0, float(w.sum())))
+            if not fit.converged:
+                raise EstimationError(
+                    f"propensity fit for {self.names[target]} failed: {fit.message}")
+            coefs[target] = fit.coefficients
+            p = np.clip(fit.predict(cc_design), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+            ratio *= (1.0 - p) / p
+        den = float(ratio.sum()) / n
+        if den <= 0:
+            raise EstimationError("zero denominator: no complete cases contribute")
+        num = float(counts @ self.numerator) / n
+        return num / den, coefs
 
 
 def _pairwise_theta(data: ObservedDataset, k, j):
     """Point estimate of the pairwise conditional odds ratio."""
     _, r, xz, counts = _row_patterns(data)
-    theta, _ = _pairwise_theta_arrays(r, xz, counts, data.names, k, j)
+    theta, _ = _PairEquation(r, xz, data.names, k, j).theta(counts)
     return theta
 
 
@@ -438,20 +449,29 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     resample draws n row indices and is applied as the counts of their
     patterns: the random stream and the estimate are those of refitting on
     the drawn rows, at the cost of fitting on the distinct rows only.
+
+    An empty numerator cell (no rows with R_k = R_j = 0 and every other
+    indicator observed) raises: the estimate would be 0 with a degenerate
+    CI (0, 0), which says nothing about the odds ratio.
     """
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
     ids, r, xz, counts = _row_patterns(data)
-    theta, coefs = _pairwise_theta_arrays(r, xz, counts, data.names, k, j)
+    equation = _PairEquation(r, xz, data.names, k, j)
+    numerator_cell = int(counts @ equation.numerator)
+    if numerator_cell == 0:
+        raise EstimationError(
+            f"empty numerator cell: no rows with {data.names[k]} and "
+            f"{data.names[j]} both missing and every other variable observed")
+    theta, coefs = equation.theta(counts)
     draws = []
     failed = 0
     for _ in range(n_bootstrap):
         rows = rng.integers(0, data.n, size=data.n)
         resample = np.bincount(ids[rows], minlength=counts.size).astype(float)
         try:
-            draw, _ = _pairwise_theta_arrays(r, xz, resample, data.names, k, j,
-                                             warm=coefs)
+            draw, _ = equation.theta(resample, warm=coefs)
             draws.append(draw)
         except EstimationError:
             failed += 1
@@ -461,7 +481,7 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
     return OddsRatioEstimate(theta, (k, j), (float(lo), float(hi)),
                              n_bootstrap, alpha, failed, counts.size,
-                             int(counts @ _numerator_cell(r, k, j)))
+                             numerator_cell)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,31 @@ MAX_ITER = 100
 SEPARATION_BOUND = 30.0
 
 
+def _logistic(eta, e):
+    """expit(eta) from eta and e = exp(-|eta|), with no masked copies."""
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+
+def _bernoulli_loglik(eta, y):
+    """Per-row Bernoulli log-likelihood at linear predictor ``eta``, and
+    e = exp(-|eta|) for :func:`_logistic`.  softplus(eta) = log(1 + exp(eta))
+    is evaluated as max(eta, 0) + log1p(e), so no exponential overflows."""
+    e = np.exp(-np.abs(eta))
+    return y * eta - (np.maximum(eta, 0.0) + np.log1p(e)), e
+
+
+def _weighted_loglik(eta, y, w):
+    """(weighted Bernoulli log-likelihood, e = exp(-|eta|)) at ``eta``.  The
+    sum stays elementwise: as two dot products it loses precision to
+    cancellation, enough to fail the step-halving test near convergence."""
+    terms, e = _bernoulli_loglik(eta, y)
+    return float(np.sum(w * terms)), e
+
+
 def expit(x):
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _logistic(x, np.exp(-np.abs(x)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -136,13 +153,11 @@ class PropensityFit:
     def log_density(self, design: DesignMatrix, outcome):
         """Per-row Bernoulli log-likelihood of ``outcome`` under the fit."""
         eta = design.values @ self.coefficients
-        y = np.asarray(outcome, dtype=float)
-        return y * eta - np.logaddexp(0.0, eta)
+        return _bernoulli_loglik(eta, np.asarray(outcome, dtype=float))[0]
 
 
 def weighted_bernoulli_loglik(beta, x, y, w):
-    eta = x @ beta
-    return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
+    return _weighted_loglik(x @ beta, y, w)[0]
 
 
 def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
@@ -180,9 +195,12 @@ def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
 
     if tol is None:
         tol = SCORE_TOL * max(1.0, n_eff)
-    ll = weighted_bernoulli_loglik(beta, x, y, w)
+    # eta = x @ beta and e = exp(-|eta|) are computed once per candidate
+    # step; the accepted candidate's pair gives the next iteration's mu.
+    eta = x @ beta
+    ll, e = _weighted_loglik(eta, y, w)
     for it in range(1, MAX_ITER + 1):
-        mu = expit(x @ beta)
+        mu = _logistic(eta, e)
         resid = w * (y - mu)
         score = x.T @ resid
         if np.max(np.abs(score)) < tol:
@@ -194,19 +212,20 @@ def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, score, rcond=None)[0]
         # Step halving: never accept a move that lowers the weighted loglik.
-        # An accepted candidate keeps its loglik; when every halving fails,
-        # the move is the once-more-halved step and its loglik is computed.
+        # When every halving fails, the move is the once-more-halved step.
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
-            ll_cand = weighted_bernoulli_loglik(cand, x, y, w)
+            eta = x @ cand
+            ll_cand, e = _weighted_loglik(eta, y, w)
             if ll_cand >= ll - 1e-12:
                 beta, ll = cand, ll_cand
                 break
             scale *= 0.5
         else:
             beta = beta + scale * step
-            ll = weighted_bernoulli_loglik(beta, x, y, w)
+            eta = x @ beta
+            ll, e = _weighted_loglik(eta, y, w)
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             return PropensityFit(beta, False, it, ll, n_eff, design.names,
                                  "complete separation suspected (coefficients diverging)")

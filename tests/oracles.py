@@ -4,6 +4,9 @@ Everything here is deliberately written by a different route than the code
 under test: d-separation via exhaustive path enumeration, logistic fits via
 nested grid search, chi-square tails via numerical quadrature, and the
 odds-ratio bootstrap by gathering the resampled rows and refitting on them.
+The Newton kernel is also kept in its earlier form (a masked logistic, a
+``logaddexp`` loglik and a second linear predictor per iteration), as the
+reference the fused kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from scipy.integrate import quad
 
 from mdgof.estimation import (PROPENSITY_CLIP, EstimationError,
                               OddsRatioEstimate)
-from mdgof.numerics import (DesignMatrix, fit_weighted_logistic,
+from mdgof.numerics import (MAX_ITER, SCORE_TOL, SEPARATION_BOUND,
+                            DesignMatrix, PropensityFit, fit_weighted_logistic,
                             weighted_bernoulli_loglik)
 
 
@@ -126,6 +130,87 @@ def grid_search_logistic(x, y, w, span=6.0, points=41, rounds=6):
         center = best
         half *= 2.0 / (points - 1)
     return best
+
+
+# ---------------------------------------------------------------------------
+# weighted logistic fit by the unfused Newton kernel
+# ---------------------------------------------------------------------------
+
+def masked_expit(x):
+    """Logistic function evaluated separately on the two signs of ``x``."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def logaddexp_loglik(beta, x, y, w):
+    eta = x @ beta
+    return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
+
+
+def reference_fit_weighted_logistic(design, outcome, weights=None, start=None,
+                                    tol=None):
+    """Newton with step halving, recomputing x @ beta for mu after every
+    accepted step; the solver the fused kernel replaced."""
+    x = design.values
+    y = np.asarray(outcome, dtype=float)
+    if weights is None:
+        w = np.ones_like(y)
+    else:
+        w = np.asarray(weights, dtype=float)
+    if len(y) != x.shape[0] or len(w) != x.shape[0]:
+        raise ValueError("design, outcome, and weights lengths disagree")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("outcome must be binary")
+
+    n_eff = float(w.sum())
+    p = x.shape[1]
+    beta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
+
+    if w[y == 1].sum() == 0 or w[y == 0].sum() == 0:
+        ll = logaddexp_loglik(beta, x, y, w)
+        return PropensityFit(beta, False, 0, ll, n_eff, design.names,
+                             "degenerate outcome: one class has zero total weight")
+
+    if tol is None:
+        tol = SCORE_TOL * max(1.0, n_eff)
+    ll = logaddexp_loglik(beta, x, y, w)
+    for it in range(1, MAX_ITER + 1):
+        mu = masked_expit(x @ beta)
+        resid = w * (y - mu)
+        score = x.T @ resid
+        if np.max(np.abs(score)) < tol:
+            return PropensityFit(beta, True, it - 1, ll, n_eff, design.names)
+        wvar = w * mu * (1.0 - mu)
+        hess = x.T @ (wvar[:, None] * x)
+        try:
+            step = np.linalg.solve(hess, score)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, score, rcond=None)[0]
+        scale = 1.0
+        for _ in range(30):
+            cand = beta + scale * step
+            ll_cand = logaddexp_loglik(cand, x, y, w)
+            if ll_cand >= ll - 1e-12:
+                beta, ll = cand, ll_cand
+                break
+            scale *= 0.5
+        else:
+            beta = beta + scale * step
+            ll = logaddexp_loglik(beta, x, y, w)
+        if np.max(np.abs(beta)) > SEPARATION_BOUND:
+            return PropensityFit(beta, False, it, ll, n_eff, design.names,
+                                 "complete separation suspected (coefficients diverging)")
+    return PropensityFit(beta, False, MAX_ITER, ll, n_eff, design.names,
+                         "maximum iterations reached")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,31 @@ class TestMarCascade:
         vac = [s for s in cascade.steps if s.k == 2]
         assert vac[0].alt_fit is None
 
+    def test_step_test_uses_the_cascade_designs(self, monkeypatch):
+        data = scenario_dataset("mar-null", 3000, 1)
+        cascade = fit_cascade_mar(data, data.names)
+        tested = [s for s in cascade.steps if s.alt_fit is not None]
+        K = data.K
+        for step in tested:
+            k = step.k
+            null_spec = FeatureSpec(indicators=tuple(range(k)),
+                                    proxy_products=tuple(range(k)))
+            alt_spec = FeatureSpec(indicators=tuple(range(k)),
+                                   proxy_products=tuple(range(k)),
+                                   counterfactuals=tuple(range(k + 1, K)))
+            for spec, design in ((null_spec, step.null_design),
+                                 (alt_spec, step.alt_design)):
+                full, _ = build_features(data, spec)
+                assert design.names == full.names
+                assert np.array_equal(design.values, full.values[step.mask])
+
+        def no_rebuild(*args):
+            raise AssertionError("step_test rebuilt a design")
+
+        monkeypatch.setattr("mdgof.estimation.build_features", no_rebuild)
+        for step in tested:
+            step_test(data, step)
+
     def test_nonnegative_statistic(self):
         for seed in (0, 1, 2, 3, 4):
             data = scenario_dataset("mar-null", 3000, seed)
@@ -267,6 +292,13 @@ class TestOddsRatio:
             & (data.r[:, 0] == 0) & (data.r[:, 2] == 0)
         assert est.numerator_cell == int(cell.sum())
 
+    def test_empty_numerator_cell_raises(self):
+        # bp-null at n = 80, K = 3: no row has X1 and X2 both missing with
+        # X3 observed, so theta-hat would be 0 with a CI of (0, 0).
+        data = scenario_dataset("bp-null", 80, 0, K=3)
+        with pytest.raises(EstimationError, match="empty numerator cell"):
+            estimate_odds_ratio(data, (0, 1), n_bootstrap=20)
+
     def test_degenerate_indicator_rejected(self):
         r = np.ones((50, 3), dtype=np.int8)
         x = np.random.default_rng(0).normal(size=(50, 3))
@@ -330,9 +362,7 @@ def test_cascade_weight_scale_invariance(seed, scale):
         # property only concerns cascades that fit at all.
         assume(False)
     step = next(s for s in cascade.steps if s.alt_fit is not None)
-    alt_design, _ = build_features(data, step.alt_spec)
-    masked = DesignMatrix(alt_design.names, alt_design.values[step.mask])
     y = data.r[step.mask, step.k]
-    refit = fit_weighted_logistic(masked, y, scale * step.weights)
+    refit = fit_weighted_logistic(step.alt_design, y, scale * step.weights)
     assert refit.converged
     assert np.allclose(refit.coefficients, step.alt_fit.coefficients, atol=1e-4)

@@ -142,6 +142,18 @@ class TestBlockParallel:
         assert first.label == "X1~X2"
         assert first.diagnostics["numerator_cell"] == int(cell.sum())
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_empty_numerator_cell_inconclusive(self, seed):
+        # bp-null (the restrictions hold) at n = 80, K = 3: the X1~X2
+        # numerator cell is empty, which once gave CI (0, 0) and a rejection.
+        data = scenario_dataset("bp-null", 80, seed, K=3)
+        report = run_block_parallel(data, seed=0, n_bootstrap=50)
+        first = report.steps[0]
+        assert first.label == "X1~X2"
+        assert first.decision == INCONCLUSIVE
+        assert "empty numerator cell" in first.diagnostics["error"]
+        assert report.verdict == INCONCLUSIVE
+
     def test_empty_dataset_inconclusive(self):
         data = ObservedDataset(("X1", "X2", "X3"), np.zeros((0, 3)),
                                np.zeros((0, 3)))

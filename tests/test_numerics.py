@@ -10,7 +10,9 @@ from mdgof.numerics import (DesignMatrix, chisq_sf, chisq_sf_real, child_rng,
                             expit, fit_weighted_logistic, sample_mvn,
                             weighted_bernoulli_loglik)
 
-from oracles import chisq_sf_quadrature, grid_search_logistic
+import oracles
+from oracles import (chisq_sf_quadrature, grid_search_logistic, masked_expit,
+                     reference_fit_weighted_logistic)
 
 
 class TestExpit:
@@ -28,6 +30,19 @@ class TestExpit:
     def test_extreme_arguments_finite(self):
         assert expit(-1000.0) == 0.0
         assert expit(1000.0) == 1.0
+
+    def test_bitwise_equal_to_masked_reference(self):
+        x = np.concatenate([
+            np.random.default_rng(0).standard_normal(100_000),
+            [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 36.0, -36.0,
+             745.0, -745.0, 1000.0, -1000.0, np.inf, -np.inf]])
+        assert np.array_equal(expit(x), masked_expit(x))
+
+    def test_scalar_input_returns_float(self):
+        for v in (0.0, -0.0, 2.5, -2.5, 700.0, -700.0):
+            got = expit(v)
+            assert type(got) is float
+            assert got == masked_expit(v)
 
 
 class TestChisqTail:
@@ -99,6 +114,82 @@ def _logistic_data(rng, n, beta):
     x = np.column_stack([np.ones(n), rng.normal(size=(n, len(beta) - 1))])
     y = (rng.random(n) < expit(x @ beta)).astype(float)
     return x, y
+
+
+def _kernel_cases():
+    """(name, design, outcome, weights, start, tol) covering every exit of
+    the Newton kernel."""
+    rng = np.random.default_rng(17)
+    x, y = _logistic_data(rng, 500, np.array([0.3, -0.6, 0.9]))
+    design = DesignMatrix(("c", "a", "b"), x)
+    ipw = rng.uniform(0.2, 5.0, size=500)
+    zeroed = np.where(rng.random(500) < 0.2, 0.0, ipw)
+    counts = rng.poisson(1.0, size=500).astype(float)
+    cases = [("unit", design, y, None, None, None),
+             ("ipw", design, y, ipw, None, None),
+             ("ipw with zeros", design, y, zeroed, None, None),
+             ("resample counts", design, y, counts, None, None),
+             ("zero tolerance", design, y, ipw, None, 0.0)]
+    cold = fit_weighted_logistic(design, y, counts)
+    for name, w in (("warm counts", counts), ("warm ipw", zeroed)):
+        cases.append((name, design, y, w, cold.coefficients,
+                      1e-5 * max(1.0, float(w.sum()))))
+    # Far starting points overshoot and force step halving.
+    xh, yh = _logistic_data(np.random.default_rng(1), 200, np.array([0.2, 1.0]))
+    halving = DesignMatrix(("c", "a"), xh)
+    cases.append(("halving", halving, yh, None, np.array([6.0, 0.0]), None))
+    cases.append(("halving far", halving, yh, None, np.array([10.0, -10.0]), None))
+    # Binary columns, as in the pattern-compressed odds-ratio fits.
+    xb = np.column_stack([np.ones(300), rng.integers(0, 2, size=(300, 2))])
+    yb = (rng.random(300) < expit(xb @ np.array([0.5, -1.0, 0.7]))).astype(float)
+    cases.append(("binary columns", DesignMatrix(("c", "a", "b"), xb), yb,
+                  rng.integers(0, 4, size=300).astype(float), None, None))
+    xs = np.column_stack([np.ones(40), np.linspace(-2, 2, 40)])
+    cases.append(("separation", DesignMatrix(("c", "a"), xs),
+                  (xs[:, 1] > 0).astype(float), None, None, None))
+    cases.append(("one class", DesignMatrix(("c", "a"), xs), np.ones(40),
+                  None, None, None))
+    w_one = (xs[:, 1] <= 0).astype(float)
+    cases.append(("one class under weight", DesignMatrix(("c", "a"), xs),
+                  (xs[:, 1] > 0).astype(float), w_one, None, None))
+    return cases
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+def test_kernel_matches_unfused_reference(case):
+    """The fused Newton kernel takes the same path as the kernel that
+    recomputed x @ beta for mu: bit-identical coefficients, iteration
+    counts, flags and messages."""
+    _, design, y, w, start, tol = case
+    got = fit_weighted_logistic(design, y, w, start=start, tol=tol)
+    want = reference_fit_weighted_logistic(design, y, w, start=start, tol=tol)
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert (got.iterations, got.converged, got.message) == (
+        want.iterations, want.converged, want.message)
+    assert got.weighted_loglik == pytest.approx(want.weighted_loglik, rel=1e-12)
+
+
+def test_kernel_cases_reach_every_exit(monkeypatch):
+    """The reference grid above converges, halves steps, separates, runs out
+    of iterations and stops on a one-class outcome."""
+    calls = []
+    original = oracles.logaddexp_loglik
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(oracles, "logaddexp_loglik", counting)
+    exits = set()
+    halved = False
+    for name, design, y, w, start, tol in _kernel_cases():
+        calls.clear()
+        fit = reference_fit_weighted_logistic(design, y, w, start=start, tol=tol)
+        exits.add(fit.message.split(" ")[0] if fit.message else "converged")
+        # One loglik up front and one per iteration unless a step halves.
+        halved |= len(calls) > 1 + fit.iterations
+    assert halved
+    assert exits == {"converged", "complete", "maximum", "degenerate"}
 
 
 class TestWeightedLogistic:

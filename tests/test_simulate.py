@@ -163,6 +163,15 @@ class TestHarness:
         assert len(res.thetas) == len(res.theta_cis)
         assert len(res.thetas) + res.inconclusive == 6
 
+    def test_bp_empty_numerator_cell_inconclusive(self):
+        # Replications 0-2 of bp-null at n = 80, K = 3 (seeds 0-2) have no
+        # row with X1 and X2 both missing and X3 observed.
+        for seed in (0, 1, 2):
+            config = self.small("bp-null", n=80, reps=1, seed=seed)
+            verdict, _, _, theta, ci = _replicate(config, 0)
+            assert verdict == "inconclusive"
+            assert theta is None and ci is None
+
     def test_acceptance_rate_over_conclusive_only(self):
         res = run_study(self.small("mar-null"))
         conclusive = [v for v in res.verdicts if v != "inconclusive"]
