@@ -14,16 +14,14 @@ import sys
 import numpy as np
 
 from . import counterexample
-from .data import DataError, ObservedDataset, read_csv
+from .data import DataError, read_csv
 from .gof import (ACCEPTED, INCONCLUSIVE, REJECTED, test_block_parallel,
                   test_sequential_mar, test_sequential_mnar)
 from .graph import (GraphError, IndependenceQuery, classify_model,
                     count_parameters, d_separated, detect_structures,
                     load_graph_json, testability_verdict)
-from .numerics import child_rng
-from .simulate import (COEF_RANGES, SCENARIOS, ScenarioConfig,
-                       generate_full_data, generate_missingness, run_study,
-                       sweep_curve)
+from .simulate import (COEF_RANGES, SCENARIOS, ScenarioConfig, run_study,
+                       simulate_dataset, sweep_curve)
 
 EXIT_ACCEPTED = 0
 EXIT_REJECTED = 1
@@ -141,11 +139,7 @@ def cmd_simulate(args):
                             n_bootstrap=args.bootstrap)
     if args.emit_data:
         # One replication's dataset (replication 0 of the configured stream).
-        rng = child_rng(config.seed, 0)
-        x = generate_full_data(config, rng)
-        r, xstar = generate_missingness(x, config, rng)
-        names = tuple(f"X{k + 1}" for k in range(config.K))
-        ObservedDataset(names, r, xstar).to_csv(args.emit_data)
+        simulate_dataset(config, 0)[0].to_csv(args.emit_data)
         return EXIT_ACCEPTED
     out = open(args.output, "w") if args.output else sys.stdout
     try:

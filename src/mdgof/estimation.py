@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import ObservedDataset
 from .graph import MDag, detect_structures
-from .numerics import (DesignMatrix, PropensityFit, chisq_sf_real,
+from .numerics import (DesignMatrix, PropensityFit, chisq_sf,
                        fit_weighted_logistic)
 
 PROPENSITY_CLIP = 1e-6
@@ -110,9 +110,7 @@ class OddsRatioEstimate:
 
 
 def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
-    p = fit.predict(design)
-    clipped = int(np.sum(p < PROPENSITY_CLIP))
-    return np.maximum(p, PROPENSITY_CLIP), clipped
+    return np.maximum(fit.predict(design), PROPENSITY_CLIP)
 
 
 def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
@@ -146,20 +144,18 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
                                 proxy_products=tuple(range(k)))
         design, _ = build_features(data, null_spec)
         fit = fit_weighted_logistic(design, data.r[:, k])
-        if np.all(data.r[:, k] == 1):
-            # Fully observed column: its restriction is vacuous and its
-            # propensity is identically one (no contribution to any weight).
+        fully_observed = np.all(data.r[:, k] == 1)
+        if fully_observed:
+            # Its restriction is vacuous and its propensity is identically
+            # one (no contribution to any weight).
             null_probs[k] = np.ones(data.n)
-            steps.append(CascadeStep(k, fit, None, None, None,
-                                     np.ones(data.n), np.ones(data.n, dtype=bool)))
-            continue
-        if not fit.converged:
+        elif not fit.converged:
             raise EstimationError(
                 f"null propensity fit for {order[k]} failed: {fit.message}")
-        p, _ = _clipped_probs(fit, design)
-        null_probs[k] = p
-
-        if k == K - 1:
+        else:
+            null_probs[k] = _clipped_probs(fit, design)
+        if fully_observed or k == K - 1:
+            # Nothing to test: a vacuous restriction, or no later index.
             steps.append(CascadeStep(k, fit, None, None, None,
                                      np.ones(data.n), np.ones(data.n, dtype=bool)))
             continue
@@ -207,6 +203,7 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
     data = data.reorder(order)
     K = data.K
     omega = np.ones(data.n)  # running I(R_succ = 1) / prod of accepted nulls
+    clipped = np.zeros(data.n, dtype=int)  # clipped propensities in omega
     steps = []
     for k in range(K - 1, 0, -1):
         if np.all(data.r[:, k] == 1):
@@ -237,7 +234,7 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
             raise EstimationError(
                 f"propensity fit for {order[k]} failed: {bad.message}")
         steps.append(CascadeStep(k, null_fit, alt_fit, masked_null, masked_alt,
-                                 w, mask))
+                                 w, mask, int(clipped[mask].sum())))
 
         # Weight update from the accepted null, fit under the raw running
         # weights: divide by its fitted propensity and zero out rows where
@@ -247,10 +244,9 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
         if not update_fit.converged:
             raise EstimationError(
                 f"weight-update fit for {order[k]} failed: {update_fit.message}")
-        p_full = np.empty(data.n)
-        p_masked, _ = _clipped_probs(update_fit, masked_null)
-        p_full[mask] = p_masked
-        p_full[~mask] = 1.0  # irrelevant: those rows get zero weight below
+        p_full = np.ones(data.n)  # rows off the mask get zero weight below
+        p_full[mask] = _clipped_probs(update_fit, masked_null)
+        clipped += p_full <= PROPENSITY_CLIP
         omega = np.where((data.r[:, k] == 1) & mask, omega / p_full, 0.0)
     return PropensityCascade(tuple(order), tuple(steps))
 
@@ -301,7 +297,7 @@ def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
         raise EstimationError("alternative must strictly nest the null")
     x = alt_design.values
     mu = alt_fit.predict(alt_design)
-    fallback = chisq_sf_real(two_rho, df)
+    fallback = chisq_sf(two_rho, df)
     try:
         a_mat = x.T @ (x * (w * mu * (1.0 - mu))[:, None])
         scores = (w * (y - mu))[:, None] * x
@@ -322,9 +318,8 @@ def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
             if lam.size == 0:
                 continue
             mean, sumsq = lam.sum(), float(np.sum(lam ** 2))
-            pvals.append(chisq_sf_real(two_rho * mean / sumsq,
-                                       mean * mean / sumsq))
-            pvals.append(chisq_sf_real(two_rho / float(lam.max()), df))
+            pvals.append(chisq_sf(two_rho * mean / sumsq, mean * mean / sumsq))
+            pvals.append(chisq_sf(two_rho / float(lam.max()), df))
         if not pvals:
             return fallback
         return max(pvals + [fallback])

@@ -58,31 +58,7 @@ def _check_alpha(alpha):
 def test_sequential_mar(data: ObservedDataset, order, alpha=0.05) -> TestReport:
     """Backward sequence of weighted likelihood-ratio tests of the
     sequential-MAR restrictions; early exit on the first rejection."""
-    _check_alpha(alpha)
-    order = tuple(order)
-    if len(order) <= 1:
-        return TestReport("sequential-MAR", order, alpha, (), ACCEPTED)
-    ordered = data.reorder(order)
-    try:
-        cascade = fit_cascade_mar(ordered, order)
-    except EstimationError as exc:
-        step = StepRecord("cascade", None, None, None, INCONCLUSIVE,
-                         {"error": str(exc)})
-        return TestReport("sequential-MAR", order, alpha, (step,), INCONCLUSIVE)
-
-    steps = []
-    verdict = ACCEPTED
-    for step in cascade.steps:
-        if step.alt_fit is None:
-            continue  # the last index carries no restriction
-        rho, two_rho, df, p = step_test(ordered, step)
-        decision = "reject" if p < alpha else "accept"
-        steps.append(StepRecord(order[step.k], two_rho, df, p, decision,
-                                _step_diag(step)))
-        if decision == "reject":
-            verdict = REJECTED
-            break
-    return TestReport("sequential-MAR", order, alpha, tuple(steps), verdict)
+    return _sequential_test("sequential-MAR", fit_cascade_mar, data, order, alpha)
 
 
 def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
@@ -90,21 +66,33 @@ def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
     """Backward sequence of weighted likelihood-ratio tests of the
     sequential-MNAR restrictions.  A declared graph with a colluder or
     criss-cross is refused (the cascade is not identified there)."""
+    return _sequential_test(
+        "sequential-MNAR",
+        lambda ordered, order: fit_cascade_mnar(ordered, order, graph=graph),
+        data, order, alpha)
+
+
+def _sequential_test(model, fit_cascade, data, order, alpha):
+    """Fit the model's propensity cascade and test its steps backward,
+    stopping at the first rejection.  Steps without an alternative fit (a
+    fully observed column, MAR's last index) carry no restriction."""
     _check_alpha(alpha)
     order = tuple(order)
     if len(order) <= 1:
-        return TestReport("sequential-MNAR", order, alpha, (), ACCEPTED)
+        return TestReport(model, order, alpha, (), ACCEPTED)
     ordered = data.reorder(order)
     try:
-        cascade = fit_cascade_mnar(ordered, order, graph=graph)
+        cascade = fit_cascade(ordered, order)
     except EstimationError as exc:
         step = StepRecord("cascade", None, None, None, INCONCLUSIVE,
                          {"error": str(exc)})
-        return TestReport("sequential-MNAR", order, alpha, (step,), INCONCLUSIVE)
+        return TestReport(model, order, alpha, (step,), INCONCLUSIVE)
 
     steps = []
     verdict = ACCEPTED
     for step in cascade.steps:
+        if step.alt_fit is None:
+            continue
         rho, two_rho, df, p = step_test(ordered, step)
         decision = "reject" if p < alpha else "accept"
         steps.append(StepRecord(order[step.k], two_rho, df, p, decision,
@@ -112,7 +100,7 @@ def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
         if decision == "reject":
             verdict = REJECTED
             break
-    return TestReport("sequential-MNAR", order, alpha, tuple(steps), verdict)
+    return TestReport(model, order, alpha, tuple(steps), verdict)
 
 
 def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,

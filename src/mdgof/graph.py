@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 SEQ_MAR = "sequential-MAR"
@@ -477,12 +478,9 @@ def _colluding_paths(graph: MDag, start, end):
             heads.pop()
 
     walk([start], [False])
-    # Deduplicate (an edge pair could be walked twice via parallel mixed edges).
-    uniq = []
-    for p in found:
-        if p not in uniq:
-            uniq.append(p)
-    return uniq
+    # Deduplicate in order (an edge pair could be walked twice via parallel
+    # mixed edges).
+    return list(dict.fromkeys(found))
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +574,14 @@ def count_parameters(graph: MDag, cardinalities):
         pa = sorted(graph.parents(v))
         full += (card_of(v) - 1) * _valid_parent_configs(graph, pa, cards)
 
-    # Saturated observed law: one free parameter per valid (R, X*) cell, less
-    # one for normalization.
-    cells = 0
-    for r_bits in itertools.product((0, 1), repeat=len(graph.substantive)):
-        size = 1
-        for v, bit in zip(graph.substantive, r_bits):
-            if bit:
-                size *= cards[v]
-        cells += size
-    return full, cells - 1
+    return full, _saturated_observed_count(cards[v] for v in graph.substantive)
+
+
+def _saturated_observed_count(cards):
+    """Free parameters of the saturated observed law: one per valid (R, X*)
+    cell, less one for normalization.  Summed over the 2^K indicator
+    patterns, the cells number prod(1 + c_k)."""
+    return math.prod(1 + c for c in cards) - 1
 
 
 def _valid_parent_configs(graph: MDag, parent_list, cards):
@@ -630,29 +626,14 @@ def count_parameters_no_self_censoring(cardinalities):
     Interaction (odds-ratio) terms are counted as functions of the
     indicators alone, which is exact for two variables.
     """
-    names = list(cardinalities)
-    cards = [cardinalities[v] for v in names]
-    K = len(names)
-    target = 1
-    for c in cards:
-        target *= c
-    full = target - 1
+    cards = list(cardinalities.values())
+    K = len(cards)
+    full = math.prod(cards) - 1
     for k in range(K):
-        configs = 1
-        for j in range(K):
-            if j != k:
-                configs *= cards[j]
-        full += configs  # p(R_k = 1 | R_{-k} = 1, X_{-k})
+        # p(R_k = 1 | R_{-k} = 1, X_{-k})
+        full += math.prod(cards[:k] + cards[k + 1:])
     full += 2 ** K - K - 1  # odds-ratio interactions among the indicators
-
-    cells = 0
-    for r_bits in itertools.product((0, 1), repeat=K):
-        size = 1
-        for c, bit in zip(cards, r_bits):
-            if bit:
-                size *= c
-        cells += size
-    return full, cells - 1
+    return full, _saturated_observed_count(cards)
 
 
 # ---------------------------------------------------------------------------

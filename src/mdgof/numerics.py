@@ -1,4 +1,4 @@
-"""Numerical kernel: weighted logistic regression, chi-square tails, sampling.
+"""Numerical kernel: weighted logistic regression, the chi-square tail, sampling.
 
 Everything here is deliberately small and self-contained so the estimation
 layer can be audited without chasing library internals.  The one exception is
@@ -52,17 +52,8 @@ def expit(x):
 
 
 def chisq_sf(x, df):
-    """Upper-tail probability P(chi2_df > x)."""
-    if df < 1 or int(df) != df:
-        raise ValueError(f"df must be a positive integer, got {df}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def chisq_sf_real(x, df):
-    """Chi-square upper tail with fractional degrees of freedom (used by
-    moment-matched reference distributions)."""
+    """Upper-tail probability P(chi2_df > x) for any real df > 0 (fractional
+    df arise from moment-matched reference distributions)."""
     if df <= 0:
         raise ValueError(f"df must be positive, got {df}")
     if x < 0:

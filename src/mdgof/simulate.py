@@ -137,12 +137,18 @@ def generate_missingness(x, config: ScenarioConfig, rng):
     return r, xstar
 
 
-def _replicate(config: ScenarioConfig, rep):
+def simulate_dataset(config: ScenarioConfig, rep):
+    """(dataset of replication ``rep``, its generator).  The generator has
+    drawn the data and continues into the replication's bootstrap."""
     rng = child_rng(config.seed, rep)
     x = generate_full_data(config, rng)
     r, xstar = generate_missingness(x, config, rng)
     names = tuple(f"X{k + 1}" for k in range(config.K))
-    data = ObservedDataset(names, r, xstar)
+    return ObservedDataset(names, r, xstar), rng
+
+
+def _replicate(config: ScenarioConfig, rep):
+    data, rng = simulate_dataset(config, rep)
     cc = data.complete_case_proportion()
 
     if config.scenario.startswith("bp"):
@@ -155,9 +161,9 @@ def _replicate(config: ScenarioConfig, rep):
         return verdict, cc, {}, est.theta_hat, est.bootstrap_ci
 
     if config.scenario.startswith("mar"):
-        report = test_sequential_mar(data, names, config.alpha)
+        report = test_sequential_mar(data, data.names, config.alpha)
     else:
-        report = test_sequential_mnar(data, names, config.alpha)
+        report = test_sequential_mnar(data, data.names, config.alpha)
     rejections = {s.label: 1 for s in report.steps if s.decision == "reject"}
     return report.verdict, cc, rejections, None, None
 

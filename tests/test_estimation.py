@@ -11,10 +11,9 @@ from mdgof.estimation import (EstimationError, FeatureSpec, _pairwise_theta,
                               population_odds_ratio, robust_lr_pvalue,
                               step_test, weighted_lr_stat)
 from mdgof.graph import MDag
-from mdgof.numerics import (DesignMatrix, chisq_sf, child_rng, expit,
+from mdgof.numerics import (DesignMatrix, chisq_sf, expit,
                             fit_weighted_logistic)
-from mdgof.simulate import (ScenarioConfig, generate_full_data,
-                            generate_missingness)
+from mdgof.simulate import ScenarioConfig, simulate_dataset
 
 from oracles import (direct_or_functional, homogeneous_or_law,
                      row_gather_odds_ratio)
@@ -24,10 +23,7 @@ def scenario_dataset(scenario, n, seed, dist="binary", K=4, rng_out=False,
                      param_range=(0.0, 2.0)):
     config = ScenarioConfig(scenario=scenario, dist=dist, K=K, n=n,
                             param_range=param_range, seed=seed)
-    rng = child_rng(seed, 0)
-    x = generate_full_data(config, rng)
-    r, xstar = generate_missingness(x, config, rng)
-    data = ObservedDataset(tuple(f"X{k + 1}" for k in range(K)), r, xstar)
+    data, rng = simulate_dataset(config, 0)
     return (data, rng) if rng_out else data
 
 
@@ -159,6 +155,15 @@ class TestMnarCascade:
             # The alternative adds one proxy product per earlier variable.
             assert df == step.k
             assert two_rho >= -1e-6
+
+    def test_clip_events_counted(self, monkeypatch):
+        # A high clip floor clips many weight-update propensities; each later
+        # step counts the clipped ones over its masked rows, as MAR does.
+        monkeypatch.setattr("mdgof.estimation.PROPENSITY_CLIP", 0.9)
+        data = scenario_dataset("mnar-null", 5000, 2)
+        steps = fit_cascade_mnar(data, data.names).steps
+        assert steps[0].clip_events == 0  # no weight update precedes it
+        assert all(s.clip_events > 0 for s in steps[1:])
 
     def test_crisscross_graph_refused(self):
         data = scenario_dataset("mnar-null", 1000, 0, K=2)

@@ -11,19 +11,14 @@ from mdgof.gof import test_block_parallel as run_block_parallel
 from mdgof.gof import test_sequential_mar as run_sequential_mar
 from mdgof.gof import test_sequential_mnar as run_sequential_mnar
 from mdgof.graph import MDag
-from mdgof.numerics import child_rng
-from mdgof.simulate import (ScenarioConfig, generate_full_data,
-                            generate_missingness)
+from mdgof.simulate import ScenarioConfig, simulate_dataset
 
 
 def scenario_dataset(scenario, n, seed, dist="binary", K=4,
                      param_range=(0.0, 2.0)):
     config = ScenarioConfig(scenario=scenario, dist=dist, K=K, n=n,
                             param_range=param_range, seed=seed)
-    rng = child_rng(seed, 0)
-    x = generate_full_data(config, rng)
-    r, xstar = generate_missingness(x, config, rng)
-    return ObservedDataset(tuple(f"X{k + 1}" for k in range(K)), r, xstar)
+    return simulate_dataset(config, 0)[0]
 
 
 class TestSequentialMar:

@@ -233,6 +233,12 @@ class TestParameterCounting:
         a = count_parameters(mar_graph(), {"X1": 3, "X2": 2})[1]
         b = count_parameters(permutation_graph(), {"X1": 3, "X2": 2})[1]
         assert a == b == (1 + 3 + 2 + 6) - 1
+        # Mixed cardinalities: prod(1 + c_k) - 1 = 3 * 4 * 5 - 1.
+        cards = {"X1": 2, "X2": 3, "X3": 4}
+        chain = MDag.create(("X1", "X2", "X3"),
+                            edges=[("X1", "X2"), ("X2", "X3"), ("X1*", "R2")])
+        assert count_parameters(chain, cards)[1] == 59
+        assert count_parameters_no_self_censoring(cards)[1] == 59
 
     def test_bidirected_rejected(self):
         g = MDag.create(("X1", "X2"), bidirected=[("X1", "X2")])
