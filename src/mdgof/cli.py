@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import counterexample
-from .data import DataError, read_csv
+from .data import DataError, permutation_defects, read_csv
 from .gof import (ACCEPTED, INCONCLUSIVE, REJECTED, test_block_parallel,
                   test_sequential_mar, test_sequential_mnar)
 from .graph import (GraphError, IndependenceQuery, classify_model,
@@ -107,8 +107,9 @@ def cmd_test(args):
         # The ordering is analyst knowledge (e.g. time order); never guess it.
         raise UsageError(f"--order is required for {args.model}")
     order = _parse_names(args.order) if args.order else data.names
-    if set(order) != set(data.names):
-        raise UsageError("--order must be a permutation of the CSV columns")
+    defects = permutation_defects(order, data.names)
+    if defects:
+        raise UsageError(f"--order must be a permutation of the CSV columns: {defects}")
 
     if model == "sequential-MAR":
         report = test_sequential_mar(data, order, alpha=args.alpha)

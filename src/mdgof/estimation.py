@@ -84,6 +84,7 @@ class CascadeStep:
     weights: np.ndarray         # inverse-propensity weights on masked rows
     mask: np.ndarray
     clip_events: int = 0
+    stabilized: bool = False    # see _stabilize
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,17 @@ class OddsRatioEstimate:
 
 def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
     return np.maximum(fit.predict(design), PROPENSITY_CLIP)
+
+
+def _stabilize(weights, design, mask):
+    """Multiply ``weights`` in place by the fitted probability of the row
+    mask given ``design``; return whether the weights are stabilized.  They
+    are not when that fit did not converge.  A mask that keeps every row has
+    probability 1, so its degenerate fit leaves nothing out."""
+    fit = fit_weighted_logistic(design, mask.astype(np.int8))
+    if fit.converged:
+        weights *= fit.predict(design)
+    return fit.converged or bool(mask.all())
 
 
 def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
@@ -170,9 +182,7 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
             clipped = np.sum(null_probs[j][mask] <= PROPENSITY_CLIP)
             clip_events += int(clipped)
             weights /= null_probs[j]
-        stab_fit = fit_weighted_logistic(design, mask.astype(np.int8))
-        if stab_fit.converged:
-            weights *= stab_fit.predict(design)
+        stabilized = _stabilize(weights, design, mask)
         weights = weights[mask]
         masked_null = DesignMatrix(design.names, design.values[mask])
         null_masked_fit = fit_weighted_logistic(masked_null, data.r[mask, k], weights)
@@ -182,7 +192,7 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
             raise EstimationError(
                 f"propensity fit for {order[k]} failed: {bad.message}")
         steps.append(CascadeStep(k, null_masked_fit, alt_fit, masked_null, masked_alt,
-                                 weights, mask, clip_events))
+                                 weights, mask, clip_events, stabilized))
     return PropensityCascade(tuple(order), tuple(steps))
 
 
@@ -223,9 +233,7 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
         w = omega.copy()
         stab_design, _ = build_features(
             data, FeatureSpec(indicators=tuple(range(k))))
-        stab_fit = fit_weighted_logistic(stab_design, mask.astype(np.int8))
-        if stab_fit.converged:
-            w *= stab_fit.predict(stab_design)
+        stabilized = _stabilize(w, stab_design, mask)
         w = w[mask]
         null_fit = fit_weighted_logistic(masked_null, data.r[mask, k], w)
         alt_fit = fit_weighted_logistic(masked_alt, data.r[mask, k], w)
@@ -234,7 +242,7 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
             raise EstimationError(
                 f"propensity fit for {order[k]} failed: {bad.message}")
         steps.append(CascadeStep(k, null_fit, alt_fit, masked_null, masked_alt,
-                                 w, mask, int(clipped[mask].sum())))
+                                 w, mask, int(clipped[mask].sum()), stabilized))
 
         # Weight update from the accepted null, fit under the raw running
         # weights: divide by its fitted propensity and zero out rows where

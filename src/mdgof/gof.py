@@ -78,9 +78,9 @@ def _sequential_test(model, fit_cascade, data, order, alpha):
     fully observed column, MAR's last index) carry no restriction."""
     _check_alpha(alpha)
     order = tuple(order)
+    ordered = data.reorder(order)
     if len(order) <= 1:
         return TestReport(model, order, alpha, (), ACCEPTED)
-    ordered = data.reorder(order)
     try:
         cascade = fit_cascade(ordered, order)
     except EstimationError as exc:
@@ -150,4 +150,5 @@ def _step_diag(step):
         "n_masked": int(step.mask.sum()),
         "max_weight": float(w.max()) if w.size else 0.0,
         "clip_events": int(step.clip_events),
+        "stabilized": bool(step.stabilized),
     }

@@ -6,17 +6,21 @@ nested grid search, chi-square tails via numerical quadrature, and the
 odds-ratio bootstrap by gathering the resampled rows and refitting on them.
 The Newton kernel is also kept in its earlier form (a masked logistic, a
 ``logaddexp`` loglik and a second linear predictor per iteration), as the
-reference the fused kernel must reproduce bit for bit.
+reference the fused kernel must reproduce bit for bit, and CSV read and
+write in their cell-by-cell form, which the blocked versions must match
+byte for byte and error for error.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
+from mdgof.data import MISSING_TOKEN, DataError, ObservedDataset
 from mdgof.estimation import (PROPENSITY_CLIP, EstimationError,
                               OddsRatioEstimate)
 from mdgof.numerics import (MAX_ITER, SCORE_TOL, SEPARATION_BOUND,
@@ -357,3 +361,75 @@ def row_gather_odds_ratio(data, pair, alpha=0.05, n_bootstrap=200, rng=None):
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
     return OddsRatioEstimate(theta, (k, j), (float(lo), float(hi)),
                              n_bootstrap, alpha, failed)
+
+
+# ---------------------------------------------------------------------------
+# CSV read and write, one cell at a time
+# ---------------------------------------------------------------------------
+
+def cellwise_to_csv(data, path):
+    """``ObservedDataset.to_csv`` as a row-by-row ``csv.writer`` loop that
+    formats each cell on its own."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.names)
+        for i in range(data.n):
+            row = []
+            for k in range(data.K):
+                if data.r[i, k]:
+                    v = data.xstar[i, k]
+                    row.append(repr(int(v)) if float(v).is_integer() else repr(float(v)))
+                else:
+                    row.append(MISSING_TOKEN)
+            writer.writerow(row)
+
+
+def cellwise_read_csv(path):
+    """``read_csv`` as a loop over records and cells that stops at the
+    first malformed one."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty CSV")
+        names = tuple(h.strip() for h in header)
+        if len(set(names)) != len(names) or any(not n for n in names):
+            raise DataError("header must contain unique, nonempty variable names")
+        r_rows, x_rows, linenos = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise DataError(f"line {lineno}: expected {len(names)} cells, got {len(row)}")
+            r_row, x_row = [], []
+            for cell in row:
+                cell = cell.strip()
+                if cell == MISSING_TOKEN:
+                    r_row.append(0)
+                    x_row.append(np.nan)
+                else:
+                    try:
+                        x_row.append(float(cell))
+                    except ValueError:
+                        raise DataError(f"line {lineno}: cannot parse {cell!r}")
+                    r_row.append(1)
+            r_rows.append(r_row)
+            x_rows.append(x_row)
+            linenos.append(lineno)
+    if not r_rows:
+        raise DataError("CSV contains no data rows")
+    r = np.array(r_rows, dtype=np.int8)
+    xs = np.array(x_rows, dtype=float)
+    bad = np.argwhere((r == 1) & ~np.isfinite(xs))
+    if bad.size:
+        i, k = bad[0]
+        raise DataError(f"line {linenos[i]}, column {names[k]}: non-finite "
+                        f"value {float(xs[i, k])} (missing cells are written "
+                        f"{MISSING_TOKEN})")
+    dead = np.where(r.sum(axis=0) == 0)[0]
+    if dead.size:
+        raise DataError(
+            "fully latent column(s) with no observed values: "
+            + ", ".join(names[j] for j in dead))
+    return ObservedDataset(names, r, xs)

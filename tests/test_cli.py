@@ -64,6 +64,22 @@ class TestExitCodes:
             assert "line 6, column X2" in err
             assert "non-finite" in err
 
+    def test_repeated_order_entry_is_usage_error(self, tmp_path, capsys):
+        path = emit_dataset(tmp_path, "mar-null", 1, n=500)
+        for model in ("sequential-mar", "sequential-mnar", "block-parallel"):
+            assert main(["test", "--input", path, "--order", "X1,X1,X2,X3",
+                         "--model", model]) == 64
+            assert capsys.readouterr().err.endswith(
+                "--order must be a permutation of the CSV columns: repeated X1\n")
+
+    @pytest.mark.parametrize("body", [b"1.0,\xff\n", b"1.0," + b"2" * 200_000 + b"\n"],
+                             ids=["not-utf8", "over-field-limit"])
+    def test_data_error_on_unreadable_file(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"X1,X2\n" + body)
+        assert main(["test", "--input", str(path), "--model", "block-parallel"]) == 65
+        assert "mdgof: error: unreadable CSV: " in capsys.readouterr().err
+
     def test_bad_alpha_is_usage_error(self, tmp_path):
         path = emit_dataset(tmp_path, "mar-null", 1)
         assert main(["test", "--input", path, "--order", "X1,X2,X3",

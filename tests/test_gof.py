@@ -1,11 +1,13 @@
 """End-to-end goodness-of-fit procedures and their reports."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mdgof.data import ObservedDataset
+from mdgof import estimation
+from mdgof.data import DataError, ObservedDataset
 from mdgof.gof import ACCEPTED, INCONCLUSIVE, REJECTED
 from mdgof.gof import test_block_parallel as run_block_parallel
 from mdgof.gof import test_sequential_mar as run_sequential_mar
@@ -104,6 +106,41 @@ class TestSequentialMnar:
     def test_single_variable_vacuous(self):
         data = scenario_dataset("mnar-null", 500, 0, K=1)
         assert run_sequential_mnar(data, ("X1",)).verdict == ACCEPTED
+
+
+@pytest.mark.parametrize("run, scenario", [(run_sequential_mar, "mar-null"),
+                                           (run_sequential_mnar, "mnar-null")])
+class TestSequentialReports:
+    def test_order_must_be_a_permutation(self, run, scenario):
+        data = scenario_dataset(scenario, 500, 0)
+        with pytest.raises(DataError, match="repeated X1$"):
+            run(data, ("X1", "X1", "X2", "X3", "X4"))
+        with pytest.raises(DataError, match="missing X2, X3, X4$"):
+            run(data, ("X1",))
+
+    def test_unconverged_stabilizer_reported(self, run, scenario, monkeypatch):
+        data = scenario_dataset(scenario, 3000, 1)
+        assert all(s.diagnostics["stabilized"] for s in run(data, data.names).steps)
+        real = estimation.fit_weighted_logistic
+        forced = []
+
+        def fit(design, outcome, weights=None, **kw):
+            result = real(design, outcome, weights, **kw)
+            # The stabilizer is the one unweighted fit whose outcome is the
+            # row mask rather than one of the dataset's indicator columns.
+            if weights is None and not np.shares_memory(outcome, data.r):
+                forced.append(design.p)
+                return dataclasses.replace(result, converged=False,
+                                           message="forced")
+            return result
+
+        monkeypatch.setattr(estimation, "fit_weighted_logistic", fit)
+        report = run(data, data.names)
+        assert len(forced) == len(report.steps) == 3
+        # MNAR's first step keeps every row, so it needs no stabilizer.
+        assert [s.diagnostics["stabilized"] for s in report.steps] == [
+            s.diagnostics["n_masked"] == data.n for s in report.steps]
+        assert not all(s.diagnostics["stabilized"] for s in report.steps)
 
 
 class TestBlockParallel:
