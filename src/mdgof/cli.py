@@ -101,11 +101,11 @@ def _parse_grid(text):
 # ---------------------------------------------------------------------------
 
 def cmd_test(args):
-    data = read_csv(args.input)
     model = MODELS[args.model]
     if model != "block-parallel" and not args.order:
         # The ordering is analyst knowledge (e.g. time order); never guess it.
         raise UsageError(f"--order is required for {args.model}")
+    data = read_csv(args.input)
     order = _parse_names(args.order) if args.order else data.names
     defects = permutation_defects(order, data.names)
     if defects:

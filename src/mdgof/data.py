@@ -63,10 +63,6 @@ class ObservedDataset:
         idx = [self.names.index(v) for v in order]
         return ObservedDataset(tuple(order), self.r[:, idx], self.xstar[:, idx])
 
-    def column(self, k):
-        """Zero-imputed proxy column k (exact inside R*X* products)."""
-        return np.nan_to_num(self.xstar[:, k], nan=0.0)
-
     def complete_case_proportion(self):
         return float(np.mean(np.all(self.r == 1, axis=1)))
 

@@ -1,11 +1,14 @@
 """Estimation primitives shared by all three goodness-of-fit procedures.
 
-Propensity models are logistic in the features produced by
-:func:`build_features`: past indicators enter as main effects, past proxies
-as indicator-times-proxy products (zero-imputed, which is exact since the
-product vanishes where the proxy is missing), and future counterfactual
-variables as raw columns with the row mask restricted to where they are
-observed.
+Each step k of a sequential cascade compares two logistic propensity models
+for R_k: a null, and an alternative that adds one block of proxies.  Both
+are fit on the one design :func:`build_features` returns for the step: the
+intercept, R_j for j < k, then the zero-imputed proxies X*_j of the other
+variables, the null's first and the tested block last, so the null (and any
+smaller model the step needs) is the design's leading columns.  One column
+serves every role of a proxy: the product R_j X*_j is the zero-imputed
+proxy, and so is the counterfactual X_j on the rows where R_j = 1, which is
+why a step's row mask keeps the rows where every later proxy is observed.
 """
 
 from __future__ import annotations
@@ -27,51 +30,34 @@ class EstimationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Which blocks of regressors enter a propensity model.
+def build_features(data: ObservedDataset, k, null_proxies, tested_proxies):
+    """(design on every row, row mask) of cascade step ``k``.
 
-    indicators      -> R_j columns
-    proxy_products  -> R_j * X*_j columns (zero-imputed)
-    counterfactuals -> raw X_j columns; the row mask drops rows with R_j = 0
+    Columns: intercept, R_j for j < k, then the zero-imputed proxies of
+    ``null_proxies`` and of ``tested_proxies``, in that order.  An earlier
+    proxy is named as the product R*Xs it equals, a later one as the
+    counterfactual X it equals on the masked rows.
     """
-
-    indicators: tuple = ()
-    proxy_products: tuple = ()
-    counterfactuals: tuple = ()
-
-    def with_proxy_products(self, js):
-        return FeatureSpec(self.indicators, tuple(js), self.counterfactuals)
-
-
-def build_features(data: ObservedDataset, spec: FeatureSpec):
-    """Assemble (DesignMatrix, row mask) for one propensity model."""
-    n = data.n
-    cols = [np.ones(n)]
-    names = ["intercept"]
-    for j in spec.indicators:
-        cols.append(data.r[:, j].astype(float))
-        names.append(f"R[{data.names[j]}]")
-    for j in spec.proxy_products:
-        cols.append(data.r[:, j] * data.column(j))
-        names.append(f"R*Xs[{data.names[j]}]")
-    mask = np.ones(n, dtype=bool)
-    for j in spec.counterfactuals:
-        mask &= data.r[:, j] == 1
-        cols.append(data.column(j))
-        names.append(f"X[{data.names[j]}]")
+    proxies = [*null_proxies, *tested_proxies]
+    mask = np.all(data.r[:, [j for j in proxies if j > k]] == 1, axis=1)
     if not mask.any():
         raise EstimationError(
             "no rows left after restricting to observed counterfactual columns")
-    return DesignMatrix(tuple(names), np.column_stack(cols)), mask
+    values = np.empty((data.n, 1 + k + len(proxies)))
+    values[:, 0] = 1.0
+    values[:, 1:k + 1] = data.r[:, :k]
+    values[:, k + 1:] = np.nan_to_num(data.xstar[:, proxies], nan=0.0, copy=False)
+    names = (("intercept",) + tuple(f"R[{data.names[j]}]" for j in range(k))
+             + tuple(f"R*Xs[{data.names[j]}]" if j < k else f"X[{data.names[j]}]"
+                     for j in proxies))
+    return DesignMatrix(names, values), mask
 
 
-def _masked_features(data: ObservedDataset, spec: FeatureSpec):
-    """(design restricted to the rows of its mask, mask).  The full-row
-    design is dropped at once: a cascade keeps every step's masked designs
-    for its test, and holding both would raise its peak memory."""
-    design, mask = build_features(data, spec)
-    return DesignMatrix(design.names, design.values[mask]), mask
+def _leading(design: DesignMatrix, p, rows=slice(None)):
+    """The first ``p`` columns of ``design`` on ``rows``, C-contiguous for
+    the Newton kernel (a copy unless they already are)."""
+    return DesignMatrix(design.names[:p],
+                        np.ascontiguousarray(design.values[rows, :p]))
 
 
 @dataclass(frozen=True)
@@ -114,15 +100,18 @@ def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
     return np.maximum(fit.predict(design), PROPENSITY_CLIP)
 
 
-def _stabilize(weights, design, mask):
+def _stabilize(weights, design, p, mask):
     """Multiply ``weights`` in place by the fitted probability of the row
-    mask given ``design``; return whether the weights are stabilized.  They
-    are not when that fit did not converge.  A mask that keeps every row has
-    probability 1, so its degenerate fit leaves nothing out."""
-    fit = fit_weighted_logistic(design, mask.astype(np.int8))
+    mask given the first ``p`` columns of ``design``; return whether the
+    weights are stabilized.  They are not when that fit did not converge.  A
+    mask that keeps every row has probability 1: nothing is built or fit."""
+    if mask.all():
+        return True
+    stab = _leading(design, p)
+    fit = fit_weighted_logistic(stab, mask.astype(np.int8))
     if fit.converged:
-        weights *= fit.predict(design)
-    return fit.converged or bool(mask.all())
+        weights *= fit.predict(stab)
+    return fit.converged
 
 
 def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
@@ -131,7 +120,8 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
     The last index gets only a null fit (there is nothing after it to test
     against); each earlier index gets the observed-data null and the
     inverse-weighted alternative, with weights built from the already-fitted
-    full-sample nulls of all later indices.
+    full-sample nulls of all later indices.  The null is the earlier
+    indicators and proxies; the alternative adds the later proxies.
 
     Two departures from the naive construction keep the test calibrated:
 
@@ -152,39 +142,39 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
     null_probs = {}
     steps = []
     for k in range(K - 1, -1, -1):
-        null_spec = FeatureSpec(indicators=tuple(range(k)),
-                                proxy_products=tuple(range(k)))
-        design, _ = build_features(data, null_spec)
-        fit = fit_weighted_logistic(design, data.r[:, k])
+        # A fully observed index has a vacuous restriction and a propensity
+        # identically one (no contribution to any weight).
         fully_observed = np.all(data.r[:, k] == 1)
+        tested = () if fully_observed else range(k + 1, K)
+        design, mask = build_features(data, k, range(k), tested)
+        null = _leading(design, 1 + 2 * k)
+        masked_alt = _leading(design, design.p, mask) if tested else None
+        # A cascade keeps every step's masked designs for its test; holding
+        # the full-row design as well would raise its peak memory.
+        del design
+        fit = fit_weighted_logistic(null, data.r[:, k])
         if fully_observed:
-            # Its restriction is vacuous and its propensity is identically
-            # one (no contribution to any weight).
             null_probs[k] = np.ones(data.n)
         elif not fit.converged:
             raise EstimationError(
                 f"null propensity fit for {order[k]} failed: {fit.message}")
         else:
-            null_probs[k] = _clipped_probs(fit, design)
-        if fully_observed or k == K - 1:
+            null_probs[k] = _clipped_probs(fit, null)
+        if not tested:
             # Nothing to test: a vacuous restriction, or no later index.
             steps.append(CascadeStep(k, fit, None, None, None,
                                      np.ones(data.n), np.ones(data.n, dtype=bool)))
             continue
 
-        alt_spec = FeatureSpec(indicators=tuple(range(k)),
-                               proxy_products=tuple(range(k)),
-                               counterfactuals=tuple(range(k + 1, K)))
-        masked_alt, mask = _masked_features(data, alt_spec)
         weights = np.ones(data.n)
         clip_events = 0
         for j in range(k + 1, K):
             clipped = np.sum(null_probs[j][mask] <= PROPENSITY_CLIP)
             clip_events += int(clipped)
             weights /= null_probs[j]
-        stabilized = _stabilize(weights, design, mask)
+        stabilized = _stabilize(weights, null, null.p, mask)
         weights = weights[mask]
-        masked_null = DesignMatrix(design.names, design.values[mask])
+        masked_null = _leading(masked_alt, null.p)
         null_masked_fit = fit_weighted_logistic(masked_null, data.r[mask, k], weights)
         alt_fit = fit_weighted_logistic(masked_alt, data.r[mask, k], weights)
         if not null_masked_fit.converged or not alt_fit.converged:
@@ -218,12 +208,7 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
     for k in range(K - 1, 0, -1):
         if np.all(data.r[:, k] == 1):
             continue  # fully observed: vacuous restriction, weights unchanged
-        null_spec = FeatureSpec(indicators=tuple(range(k)),
-                                counterfactuals=tuple(range(k + 1, K)))
-        alt_spec = null_spec.with_proxy_products(tuple(range(k)))
-        masked_null, mask = _masked_features(data, null_spec)
-        masked_alt, alt_mask = _masked_features(data, alt_spec)
-        assert np.array_equal(mask, alt_mask)
+        design, mask = build_features(data, k, range(k + 1, K), range(k))
         if not np.any(omega[mask] > 0):
             raise EstimationError(f"all weights vanished before index {order[k]}")
 
@@ -231,10 +216,11 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
         # fitted mask probability given the past indicators (the only null
         # features available on every row).  See fit_cascade_mar.
         w = omega.copy()
-        stab_design, _ = build_features(
-            data, FeatureSpec(indicators=tuple(range(k))))
-        stabilized = _stabilize(w, stab_design, mask)
+        stabilized = _stabilize(w, design, 1 + k, mask)
         w = w[mask]
+        masked_alt = _leading(design, design.p, mask)
+        del design  # see fit_cascade_mar
+        masked_null = _leading(masked_alt, K)
         null_fit = fit_weighted_logistic(masked_null, data.r[mask, k], w)
         alt_fit = fit_weighted_logistic(masked_alt, data.r[mask, k], w)
         if not null_fit.converged or not alt_fit.converged:
@@ -259,19 +245,27 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
     return PropensityCascade(tuple(order), tuple(steps))
 
 
+def _nested_df(null_design: DesignMatrix, alt_design: DesignMatrix):
+    """Degrees of freedom of a nested likelihood-ratio test.  The
+    alternative's columns must be the null's, in order, then at least one
+    more: the tested block is the alternative's trailing columns."""
+    df = alt_design.p - null_design.p
+    if df <= 0 or alt_design.names[:null_design.p] != null_design.names:
+        raise EstimationError("alternative must strictly nest the null")
+    return df
+
+
 def weighted_lr_stat(null_fit: PropensityFit, null_design: DesignMatrix,
                      alt_fit: PropensityFit, alt_design: DesignMatrix,
                      outcome, weights):
     """Inverse-weighted log-likelihood-ratio statistic over the masked rows.
 
     Returns (rho, 2*rho, df) with df the column-count difference between the
-    alternative and the null.
+    alternative and the null, whose columns must lead the alternative's.
     """
     if not (null_fit.converged and alt_fit.converged):
         raise EstimationError("both fits must have converged")
-    df = alt_design.p - null_design.p
-    if df <= 0:
-        raise EstimationError("alternative must strictly nest the null")
+    df = _nested_df(null_design, alt_design)
     w = np.asarray(weights, dtype=float)
     log_alt = alt_fit.log_density(alt_design, outcome)
     log_null = null_fit.log_density(null_design, outcome)
@@ -296,13 +290,13 @@ def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
     the classical chi-square(df) p-value is kept; every candidate is a valid
     reference asymptotically, and with unit weights all of them collapse to
     the classical chi-square p-value.  Falls back to the classical reference
-    if the linear algebra degenerates.
+    if the linear algebra degenerates.  The tested block is the
+    alternative's columns after the null's, which must lead them.
     """
+    df = _nested_df(null_design, alt_design)
+    p0 = null_design.p
     y = np.asarray(outcome, dtype=float)
     w = np.asarray(weights, dtype=float)
-    df = alt_design.p - null_design.p
-    if df <= 0:
-        raise EstimationError("alternative must strictly nest the null")
     x = alt_design.values
     mu = alt_fit.predict(alt_design)
     fallback = chisq_sf(two_rho, df)
@@ -311,16 +305,11 @@ def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
         scores = (w * (y - mu))[:, None] * x
         b_emp = scores.T @ scores
         b_rb = x.T @ (x * (w ** 2 * mu * (1.0 - mu))[:, None])
-        null_idx = [alt_design.names.index(nm) for nm in null_design.names]
-        perm = null_idx + [i for i in range(alt_design.p) if i not in null_idx]
-        p0 = len(null_idx)
-        ap = a_mat[np.ix_(perm, perm)]
-        schur = ap[p0:, p0:] - ap[p0:, :p0] @ np.linalg.solve(
-            ap[:p0, :p0], ap[:p0, p0:])
+        schur = a_mat[p0:, p0:] - a_mat[p0:, :p0] @ np.linalg.solve(
+            a_mat[:p0, :p0], a_mat[:p0, p0:])
         pvals = []
         for b_mat in (b_emp, b_rb):
-            bp = b_mat[np.ix_(perm, perm)]
-            sandwich = np.linalg.solve(ap, np.linalg.solve(ap, bp).T).T
+            sandwich = np.linalg.solve(a_mat, np.linalg.solve(a_mat, b_mat).T).T
             lam = np.linalg.eigvals(schur @ sandwich[p0:, p0:]).real
             lam = lam[lam > 1e-12]
             if lam.size == 0:

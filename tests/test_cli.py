@@ -42,6 +42,9 @@ class TestExitCodes:
         path = emit_dataset(tmp_path, "mar-null", 1)
         assert main(["test", "--input", path,
                      "--model", "sequential-mar"]) == 64
+        # The order is checked before the file is read.
+        assert main(["test", "--input", "/nonexistent.csv",
+                     "--model", "sequential-mar"]) == 64
 
     def test_data_error_on_missing_file(self):
         assert main(["test", "--input", "/nonexistent.csv",

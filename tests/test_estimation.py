@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mdgof.data import ObservedDataset
-from mdgof.estimation import (EstimationError, FeatureSpec, _pairwise_theta,
+from mdgof.estimation import (EstimationError, _pairwise_theta,
                               build_features, estimate_odds_ratio,
                               fit_cascade_mar, fit_cascade_mnar,
                               population_odds_ratio, robust_lr_pvalue,
@@ -39,14 +39,13 @@ class TestBuildFeatures:
         return ObservedDataset(("X1", "X2"), FIXTURE_R, FIXTURE_X)
 
     def test_intercept_only(self):
-        design, mask = build_features(self.fixture(), FeatureSpec())
+        design, mask = build_features(self.fixture(), 0, (), ())
         assert design.names == ("intercept",)
         assert np.all(design.values == 1.0)
         assert mask.all()
 
     def test_indicator_and_product_columns(self):
-        spec = FeatureSpec(indicators=(0,), proxy_products=(0,))
-        design, mask = build_features(self.fixture(), spec)
+        design, mask = build_features(self.fixture(), 1, (0,), ())
         assert design.names == ("intercept", "R[X1]", "R*Xs[X1]")
         assert np.array_equal(design.values[:, 1], [1, 1, 0, 1, 0, 1])
         # The product is zero exactly where X1 is unobserved.
@@ -54,22 +53,26 @@ class TestBuildFeatures:
         assert mask.all()
 
     def test_counterfactual_mask(self):
-        spec = FeatureSpec(counterfactuals=(1,))
-        design, mask = build_features(self.fixture(), spec)
-        assert design.names == ("intercept", "X[X2]")
-        assert np.array_equal(mask, [True, False, True, True, False, True])
+        # The mask keeps the rows where every later proxy is observed,
+        # whether it enters the null (MNAR) or the tested block (MAR).
+        for null, tested in (((), (1,)), ((1,), ())):
+            design, mask = build_features(self.fixture(), 0, null, tested)
+            assert design.names == ("intercept", "X[X2]")
+            assert np.array_equal(mask, [True, False, True, True, False, True])
+
+    def test_null_columns_lead(self):
+        data = scenario_dataset("mnar-null", 200, 0)
+        design, _ = build_features(data, 2, (3,), (0, 1))
+        assert design.names == ("intercept", "R[X1]", "R[X2]", "X[X4]",
+                                "R*Xs[X1]", "R*Xs[X2]")
+        assert design.values.flags.c_contiguous
 
     def test_empty_mask_rejected(self):
-        r = np.zeros((3, 1), dtype=np.int8)
-        x = np.full((3, 1), np.nan)
-        data = ObservedDataset(("X1",), r, x)
-        with pytest.raises(EstimationError):
-            build_features(data, FeatureSpec(counterfactuals=(0,)))
-
-    def test_with_proxy_products(self):
-        spec = FeatureSpec(indicators=(0, 1)).with_proxy_products((0,))
-        assert spec.proxy_products == (0,)
-        assert spec.indicators == (0, 1)
+        r = np.array([[1, 0], [0, 0], [1, 0]], dtype=np.int8)
+        x = np.where(r == 1, 1.0, np.nan)
+        data = ObservedDataset(("X1", "X2"), r, x)
+        with pytest.raises(EstimationError, match="no rows left"):
+            build_features(data, 0, (1,), ())
 
 
 class TestMarCascade:
@@ -106,31 +109,6 @@ class TestMarCascade:
         cascade = fit_cascade_mar(full, full.names)
         vac = [s for s in cascade.steps if s.k == 2]
         assert vac[0].alt_fit is None
-
-    def test_step_test_uses_the_cascade_designs(self, monkeypatch):
-        data = scenario_dataset("mar-null", 3000, 1)
-        cascade = fit_cascade_mar(data, data.names)
-        tested = [s for s in cascade.steps if s.alt_fit is not None]
-        K = data.K
-        for step in tested:
-            k = step.k
-            null_spec = FeatureSpec(indicators=tuple(range(k)),
-                                    proxy_products=tuple(range(k)))
-            alt_spec = FeatureSpec(indicators=tuple(range(k)),
-                                   proxy_products=tuple(range(k)),
-                                   counterfactuals=tuple(range(k + 1, K)))
-            for spec, design in ((null_spec, step.null_design),
-                                 (alt_spec, step.alt_design)):
-                full, _ = build_features(data, spec)
-                assert design.names == full.names
-                assert np.array_equal(design.values, full.values[step.mask])
-
-        def no_rebuild(*args):
-            raise AssertionError("step_test rebuilt a design")
-
-        monkeypatch.setattr("mdgof.estimation.build_features", no_rebuild)
-        for step in tested:
-            step_test(data, step)
 
     def test_nonnegative_statistic(self):
         for seed in (0, 1, 2, 3, 4):
@@ -186,6 +164,37 @@ class TestMnarCascade:
         assert len(cascade.steps) == 1
 
 
+@pytest.mark.parametrize("fit_cascade, scenario, proxies", [
+    (fit_cascade_mar, "mar-null", lambda k, K: (range(k), range(k + 1, K))),
+    (fit_cascade_mnar, "mnar-null", lambda k, K: (range(k + 1, K), range(k))),
+], ids=["mar", "mnar"])
+def test_step_test_uses_the_cascade_designs(fit_cascade, scenario, proxies,
+                                            monkeypatch):
+    # Each tested step's designs are the builder's one design on the step
+    # mask, the null its leading columns; step_test builds nothing.
+    data = scenario_dataset(scenario, 3000, 1)
+    cascade = fit_cascade(data, data.names)
+    tested = [s for s in cascade.steps if s.alt_fit is not None]
+    assert tested
+    for step in tested:
+        full, mask = build_features(data, step.k, *proxies(step.k, data.K))
+        assert np.array_equal(mask, step.mask)
+        assert step.alt_design.names == full.names
+        assert np.array_equal(step.alt_design.values, full.values[mask])
+        p0 = step.null_design.p
+        assert step.null_design.names == full.names[:p0]
+        assert np.array_equal(step.null_design.values, full.values[mask, :p0])
+        for design in (step.null_design, step.alt_design):
+            assert design.values.flags.c_contiguous
+
+    def no_rebuild(*args):
+        raise AssertionError("step_test rebuilt a design")
+
+    monkeypatch.setattr("mdgof.estimation.build_features", no_rebuild)
+    for step in tested:
+        step_test(data, step)
+
+
 class TestLrStatistic:
     def _fits(self, seed, weights=None):
         rng = np.random.default_rng(seed)
@@ -232,6 +241,17 @@ class TestLrStatistic:
         nd, ad, nf, af, y, w = self._fits(3)
         with pytest.raises(EstimationError):
             weighted_lr_stat(af, ad, nf, nd, y, w)
+
+    def test_null_columns_must_lead(self):
+        # The tested block is the alternative's trailing columns, so a null
+        # whose columns are the alternative's in another place is refused.
+        nd, ad, nf, af, y, w = self._fits(5)
+        moved = DesignMatrix(("c", "b"), ad.values[:, [0, 2]])
+        moved_fit = fit_weighted_logistic(moved, y, w)
+        with pytest.raises(EstimationError, match="strictly nest"):
+            robust_lr_pvalue(1.0, moved, ad, af, y, w)
+        with pytest.raises(EstimationError, match="strictly nest"):
+            weighted_lr_stat(moved_fit, moved, af, ad, y, w)
 
 
 class TestOddsRatio:

@@ -1,10 +1,12 @@
 """End-to-end goodness-of-fit procedures and their reports."""
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdgof import estimation
 from mdgof.data import DataError, ObservedDataset
@@ -136,11 +138,41 @@ class TestSequentialReports:
 
         monkeypatch.setattr(estimation, "fit_weighted_logistic", fit)
         report = run(data, data.names)
-        assert len(forced) == len(report.steps) == 3
-        # MNAR's first step keeps every row, so it needs no stabilizer.
+        assert len(report.steps) == 3
+        # A mask that keeps every row (MNAR's first step) needs no
+        # stabilizer, so no fit is made for it.
+        assert len(forced) == sum(s.diagnostics["n_masked"] < data.n
+                                  for s in report.steps)
         assert [s.diagnostics["stabilized"] for s in report.steps] == [
             s.diagnostics["n_masked"] == data.n for s in report.steps]
         assert not all(s.diagnostics["stabilized"] for s in report.steps)
+
+
+@functools.cache
+def _natural_order_report(run, scenario):
+    data = scenario_dataset(scenario, 2000, 4, dist="gaussian")
+    return data, run(data, data.names).to_dict()
+
+
+@pytest.mark.parametrize("run, scenario", [(run_sequential_mar, "mar-null"),
+                                           (run_sequential_mnar, "mnar-null")])
+@settings(max_examples=15, deadline=None)
+@given(perm=st.permutations(range(4)),
+       names=st.lists(st.text(min_size=1, max_size=6), min_size=4, max_size=4,
+                      unique=True))
+def test_report_invariant_to_column_names_and_positions(run, scenario, perm, names):
+    # Moving the columns and renaming the variables, with the order mapped
+    # alike, must leave the report exactly as it was apart from its labels.
+    data, want = _natural_order_report(run, scenario)
+    rename = dict(zip(data.names, names))
+    moved = ObservedDataset(tuple(names[i] for i in perm),
+                            data.r[:, perm], data.xstar[:, perm])
+    got = run(moved, [rename[v] for v in data.names]).to_dict()
+    back = {new: old for old, new in rename.items()}
+    got["order"] = [back[v] for v in got["order"]]
+    for step in got["steps"]:
+        step["k"] = back[step["k"]]
+    assert got == want
 
 
 class TestBlockParallel:
