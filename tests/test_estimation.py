@@ -74,6 +74,20 @@ class TestBuildFeatures:
         with pytest.raises(EstimationError, match="no rows left"):
             build_features(data, 0, (1,), ())
 
+    @pytest.mark.parametrize("fit_cascade", [fit_cascade_mar, fit_cascade_mnar])
+    def test_cascade_fails_before_an_empty_mask(self, fit_cascade):
+        # X2 and X3 are never observed together, so step X1's mask is empty;
+        # but step X2 sees no observed X2 on its mask (X3 observed) and its
+        # fit fails first, so a cascade never reaches an empty mask.
+        rng = np.random.default_rng(0)
+        r = (rng.random((400, 3)) < 0.6).astype(np.int8)
+        r[:, 2] &= 1 - r[:, 1]
+        data = ObservedDataset(("X1", "X2", "X3"), r,
+                               np.where(r == 1, rng.normal(size=r.shape), np.nan))
+        with pytest.raises(EstimationError,
+                           match="fit for X2 failed: degenerate outcome"):
+            fit_cascade(data, data.names)
+
 
 class TestMarCascade:
     def test_alt_coefficients_vanish_under_null(self):
@@ -164,26 +178,34 @@ class TestMnarCascade:
         assert len(cascade.steps) == 1
 
 
-@pytest.mark.parametrize("fit_cascade, scenario, proxies", [
-    (fit_cascade_mar, "mar-null", lambda k, K: (range(k), range(k + 1, K))),
-    (fit_cascade_mnar, "mnar-null", lambda k, K: (range(k + 1, K), range(k))),
-], ids=["mar", "mnar"])
-def test_step_test_uses_the_cascade_designs(fit_cascade, scenario, proxies,
-                                            monkeypatch):
+@pytest.mark.parametrize("fit_cascade, scenario", [
+    (fit_cascade_mar, "mar-null"), (fit_cascade_mnar, "mnar-null")],
+    ids=["mar", "mnar"])
+def test_step_test_uses_the_cascade_designs(fit_cascade, scenario, monkeypatch):
     # Each tested step's designs are the builder's one design on the step
-    # mask, the null its leading columns; step_test builds nothing.
+    # mask, the null its leading columns, and the columns are the ones the
+    # test names here: MAR's null takes the earlier proxies and tests the
+    # later ones, MNAR's the reverse.  step_test builds nothing.
     data = scenario_dataset(scenario, 3000, 1)
     cascade = fit_cascade(data, data.names)
     tested = [s for s in cascade.steps if s.alt_fit is not None]
     assert tested
+    mar = fit_cascade is fit_cascade_mar
     for step in tested:
-        full, mask = build_features(data, step.k, *proxies(step.k, data.K))
+        k, v = step.k, data.names
+        base = ("intercept",) + tuple(f"R[{x}]" for x in v[:k])
+        earlier = tuple(f"R*Xs[{x}]" for x in v[:k])
+        later = tuple(f"X[{x}]" for x in v[k + 1:])
+        null, block = (base + earlier, later) if mar else (base + later, earlier)
+        proxies = ((range(k), range(k + 1, data.K)) if mar
+                   else (range(k + 1, data.K), range(k)))
+        full, mask = build_features(data, k, *proxies)
         assert np.array_equal(mask, step.mask)
-        assert step.alt_design.names == full.names
+        assert step.null_design.names == null
+        assert step.alt_design.names == full.names == null + block
         assert np.array_equal(step.alt_design.values, full.values[mask])
-        p0 = step.null_design.p
-        assert step.null_design.names == full.names[:p0]
-        assert np.array_equal(step.null_design.values, full.values[mask, :p0])
+        assert np.array_equal(step.null_design.values,
+                              full.values[mask, :len(null)])
         for design in (step.null_design, step.alt_design):
             assert design.values.flags.c_contiguous
 
