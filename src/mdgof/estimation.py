@@ -14,16 +14,25 @@ why a step's row mask keeps the rows where every later proxy is observed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import ObservedDataset
 from .graph import MDag, detect_structures
-from .numerics import (DesignMatrix, PropensityFit, chisq_sf,
-                       fit_weighted_logistic)
+from .numerics import (DEGENERATE, DesignMatrix, PropensityFit, chisq_sf, expit,
+                       fit_weighted_logistic, fit_weighted_logistic_batch)
 
 PROPENSITY_CLIP = 1e-6
+# The odds-ratio bootstrap needs at least this many usable resamples.
+MIN_BOOTSTRAP = 10
+# Cells (resamples x distinct rows) of one batch of bootstrap fits: binary
+# data (at most 3^K rows) fit every resample in one batch, while continuous
+# data at large n fit one resample at a time and never hold B x n arrays.
+BOOTSTRAP_CHUNK_CELLS = 1 << 16
+# Why a resample gave no estimate, in the order the equation checks them.
+NO_VARIATION, NOT_CONVERGED, ZERO_DENOMINATOR = FAILURE_REASONS = (
+    "no variation", "fit not converged", "zero denominator")
 
 
 class EstimationError(ValueError):
@@ -63,7 +72,7 @@ def _leading(design: DesignMatrix, p, rows=slice(None)):
 @dataclass(frozen=True)
 class CascadeStep:
     k: int                      # 0-based index into the ordering
-    null_fit: PropensityFit
+    null_fit: PropensityFit | None  # None at a fully observed index
     alt_fit: PropensityFit | None
     null_design: DesignMatrix | None  # designs the likelihood-ratio fits ran
     alt_design: DesignMatrix | None   # on, masked rows; None with no alt_fit
@@ -89,6 +98,7 @@ class OddsRatioEstimate:
     n_failed_resamples: int = 0
     n_patterns: int = 0         # distinct (R, X*) rows the fits ran on
     numerator_cell: int = 0     # rows with R_{-kj} = 1 and R_k = R_j = 0
+    failed_by_reason: dict = field(default_factory=dict)  # FAILURE_REASONS
 
     @property
     def ci_excludes_one(self):
@@ -142,10 +152,15 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
     null_probs = {}
     steps = []
     for k in range(K - 1, -1, -1):
-        # A fully observed index has a vacuous restriction and a propensity
-        # identically one (no contribution to any weight).
-        fully_observed = np.all(data.r[:, k] == 1)
-        tested = () if fully_observed else range(k + 1, K)
+        if np.all(data.r[:, k] == 1):
+            # A fully observed index has a vacuous restriction and a
+            # propensity identically one (no contribution to any weight):
+            # nothing is built or fit.
+            null_probs[k] = np.ones(data.n)
+            steps.append(CascadeStep(k, None, None, None, None,
+                                     np.ones(data.n), np.ones(data.n, dtype=bool)))
+            continue
+        tested = range(k + 1, K)
         design, mask = build_features(data, k, range(k), tested)
         null = _leading(design, 1 + 2 * k)
         masked_alt = _leading(design, design.p, mask) if tested else None
@@ -153,15 +168,12 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
         # the full-row design as well would raise its peak memory.
         del design
         fit = fit_weighted_logistic(null, data.r[:, k])
-        if fully_observed:
-            null_probs[k] = np.ones(data.n)
-        elif not fit.converged:
+        if not fit.converged:
             raise EstimationError(
                 f"null propensity fit for {order[k]} failed: {fit.message}")
-        else:
-            null_probs[k] = _clipped_probs(fit, null)
+        null_probs[k] = _clipped_probs(fit, null)
         if not tested:
-            # Nothing to test: a vacuous restriction, or no later index.
+            # Nothing to test after the last index.
             steps.append(CascadeStep(k, fit, None, None, None,
                                      np.ones(data.n), np.ones(data.n, dtype=bool)))
             continue
@@ -366,13 +378,14 @@ def _numerator_cell(r, k, j):
 
 class _PairEquation:
     """Estimating equation of OR(R_k=0, R_j=0 | X_{-kj}, R_{-kj}=1) on fixed
-    distinct rows ``r``, ``xz``, evaluated for any vector of their counts.
+    distinct rows ``r``, ``xz``, evaluated for a matrix of their counts.
 
     ``xz`` is the zero-imputed proxy matrix; rows entering each propensity
     fit have the needed variables observed, so the imputation never leaks in.
-    What depends only on the rows -- the row masks, both propensity designs
-    and their complete-case designs -- is built once; a bootstrap resample
-    changes only the counts, which enter the fits as frequency weights.  A
+    What depends only on the rows -- the row subsets, both propensity
+    designs and their complete-case designs -- is built once; a bootstrap
+    resample changes only the counts, which enter the fits as frequency
+    weights, and every row of counts is fit in one batched Newton solve.  A
     row with a zero count stays in each fit at weight 0: on continuous data
     about a third of the rows are absent from a resample, yet gathering the
     present rows for every fit measured slower than carrying them.
@@ -381,54 +394,82 @@ class _PairEquation:
     def __init__(self, r, xz, names, k, j):
         K = r.shape[1]
         self.names = names
-        self.complete = np.all(r == 1, axis=1)
+        # Row subsets are index arrays: np.take of columns is the cheapest
+        # gather from a matrix of counts.
+        self.complete = np.flatnonzero(np.all(r == 1, axis=1))
         self.numerator = _numerator_cell(r, k, j)
         self.targets = []
         for target in (k, j):
             rest = [i for i in range(K) if i != target]
-            cond = np.all(r[:, rest] == 1, axis=1)
+            cond = np.flatnonzero(np.all(r[:, rest] == 1, axis=1))
             columns = ("intercept",) + tuple(f"X[{names[i]}]" for i in rest)
             design = DesignMatrix(
-                columns, np.column_stack([np.ones(int(cond.sum())), xz[cond][:, rest]]))
-            cc_design = DesignMatrix(
-                columns, np.column_stack([np.ones(int(self.complete.sum())),
-                                          xz[self.complete][:, rest]]))
-            self.targets.append((target, cond, r[cond, target], design, cc_design))
+                columns, np.column_stack([np.ones(cond.size), xz[cond][:, rest]]))
+            cc_x = np.column_stack([np.ones(self.complete.size),
+                                    xz[self.complete][:, rest]])
+            self.targets.append((target, cond, r[cond, target], design, cc_x))
 
     def theta(self, counts, warm=None):
-        """(theta, fitted coefficient dict) at row multiplicities ``counts``;
-        bootstrap refits warm start from the point-estimate coefficients."""
-        n = float(counts.sum())
-        ratio = counts[self.complete]
+        """(theta, failure, coefficients) of every row of the counts
+        ``counts`` (B, m).  ``failure[b]`` is None or (reason, message), the
+        first of: no variation in k, k's fit, no variation in j, j's fit,
+        zero denominator; theta[b] is then NaN.  ``coefficients`` maps each
+        target to its (B, p) fits.  Bootstrap refits warm start from the
+        point-estimate coefficients ``warm`` at a looser tolerance."""
+        failure = [None] * counts.shape[0]
+        ratio = np.take(counts, self.complete, axis=1)
         coefs = {}
-        for target, cond, y, design, cc_design in self.targets:
-            w = counts[cond]
-            seen = y[w > 0]
-            if seen.size == 0 or seen.min() == seen.max():
-                raise EstimationError(
-                    f"no variation in {self.names[target]} among rows with all "
-                    "other indicators observed")
-            fit = fit_weighted_logistic(
-                design, y, w, start=None if warm is None else warm[target],
-                tol=None if warm is None else 1e-5 * max(1.0, float(w.sum())))
-            if not fit.converged:
-                raise EstimationError(
-                    f"propensity fit for {self.names[target]} failed: {fit.message}")
+        for target, cond, y, design, cc_x in self.targets:
+            w = np.take(counts, cond, axis=1)
+            name = self.names[target]
+            tol = None if warm is None else 1e-5 * np.maximum(1.0, w.sum(axis=1))
+            fit = fit_weighted_logistic_batch(
+                design, y, w, start=None if warm is None else warm[target], tol=tol)
+            for b in np.flatnonzero(~fit.converged):
+                # A one-class outcome is exactly a resample without variation.
+                if failure[b] is None:
+                    failure[b] = (
+                        (NO_VARIATION, f"no variation in {name} among rows with "
+                                       "all other indicators observed")
+                        if fit.messages[b] == DEGENERATE else
+                        (NOT_CONVERGED, f"propensity fit for {name} failed: "
+                                        f"{fit.messages[b]}"))
             coefs[target] = fit.coefficients
-            p = np.clip(fit.predict(cc_design), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+            p = np.clip(expit(fit.coefficients @ cc_x.T),
+                        PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
             ratio *= (1.0 - p) / p
-        den = float(ratio.sum()) / n
-        if den <= 0:
-            raise EstimationError("zero denominator: no complete cases contribute")
-        num = float(counts @ self.numerator) / n
-        return num / den, coefs
+        n = counts.sum(axis=1)
+        den = ratio.sum(axis=1) / n
+        for b in np.flatnonzero(den <= 0):
+            if failure[b] is None:
+                failure[b] = (ZERO_DENOMINATOR,
+                              "zero denominator: no complete cases contribute")
+        ok = np.array([f is None for f in failure], dtype=bool)
+        theta = np.full(counts.shape[0], np.nan)
+        theta[ok] = ((counts @ self.numerator)[ok] / n[ok]) / den[ok]
+        return theta, failure, coefs
+
+    def point_estimate(self, counts):
+        """(theta, coefficient per target) at the counts vector ``counts``;
+        raises the failure of the estimating equation."""
+        theta, failure, coefs = self.theta(counts[None, :])
+        if failure[0] is not None:
+            raise EstimationError(failure[0][1])
+        return float(theta[0]), {t: c[0] for t, c in coefs.items()}
 
 
 def _pairwise_theta(data: ObservedDataset, k, j):
     """Point estimate of the pairwise conditional odds ratio."""
     _, r, xz, counts = _row_patterns(data)
-    theta, _ = _PairEquation(r, xz, data.names, k, j).theta(counts)
-    return theta
+    return _PairEquation(r, xz, data.names, k, j).point_estimate(counts)[0]
+
+
+def check_n_bootstrap(n_bootstrap):
+    """A percentile CI needs max(MIN_BOOTSTRAP, B // 2) usable resamples, so
+    fewer than MIN_BOOTSTRAP resamples can never give one."""
+    if n_bootstrap < MIN_BOOTSTRAP:
+        raise ValueError(
+            f"n_bootstrap must be at least {MIN_BOOTSTRAP}, got {n_bootstrap}")
 
 
 def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
@@ -440,12 +481,15 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     the data are compressed once to distinct rows with counts.  Each
     resample draws n row indices and is applied as the counts of their
     patterns: the random stream and the estimate are those of refitting on
-    the drawn rows, at the cost of fitting on the distinct rows only.
+    the drawn rows, at the cost of fitting on the distinct rows only.  The
+    resamples' counts fill the rows of a matrix of at most
+    BOOTSTRAP_CHUNK_CELLS cells, whose fits run as one batch.
 
     An empty numerator cell (no rows with R_k = R_j = 0 and every other
     indicator observed) raises: the estimate would be 0 with a degenerate
     CI (0, 0), which says nothing about the odds ratio.
     """
+    check_n_bootstrap(n_bootstrap)
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
@@ -456,24 +500,27 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
         raise EstimationError(
             f"empty numerator cell: no rows with {data.names[k]} and "
             f"{data.names[j]} both missing and every other variable observed")
-    theta, coefs = equation.theta(counts)
+    theta, coefs = equation.point_estimate(counts)
     draws = []
-    failed = 0
-    for _ in range(n_bootstrap):
-        rows = rng.integers(0, data.n, size=data.n)
-        resample = np.bincount(ids[rows], minlength=counts.size).astype(float)
-        try:
-            draw, _ = equation.theta(resample, warm=coefs)
-            draws.append(draw)
-        except EstimationError:
-            failed += 1
-    if len(draws) < max(10, n_bootstrap // 2):
+    failed = dict.fromkeys(FAILURE_REASONS, 0)
+    chunk = max(1, BOOTSTRAP_CHUNK_CELLS // counts.size)
+    for first in range(0, n_bootstrap, chunk):
+        resamples = np.empty((min(chunk, n_bootstrap - first), counts.size))
+        for row in resamples:
+            rows = rng.integers(0, data.n, size=data.n)
+            row[:] = np.bincount(ids[rows], minlength=counts.size)
+        thetas, failure, _ = equation.theta(resamples, warm=coefs)
+        draws.extend(thetas[~np.isnan(thetas)])
+        for f in failure:
+            if f is not None:
+                failed[f[0]] += 1
+    if len(draws) < max(MIN_BOOTSTRAP, n_bootstrap // 2):
         raise EstimationError(
             f"bootstrap collapsed: only {len(draws)}/{n_bootstrap} resamples usable")
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
     return OddsRatioEstimate(theta, (k, j), (float(lo), float(hi)),
-                             n_bootstrap, alpha, failed, counts.size,
-                             numerator_cell)
+                             n_bootstrap, alpha, sum(failed.values()),
+                             counts.size, numerator_cell, failed)
 
 
 # ---------------------------------------------------------------------------

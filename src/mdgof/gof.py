@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ObservedDataset
-from .estimation import (EstimationError, estimate_odds_ratio,
+from .estimation import (EstimationError, check_n_bootstrap, estimate_odds_ratio,
                          fit_cascade_mar, fit_cascade_mnar, step_test)
 from .graph import MDag
 
@@ -111,6 +111,7 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
     failing pair; a pair rejects when its bootstrap CI excludes 1.
     """
     _check_alpha(alpha)
+    check_n_bootstrap(n_bootstrap)
     steps = []
     any_reject = False
     any_inconclusive = False
@@ -133,6 +134,7 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
                                     {"ci": list(est.bootstrap_ci),
                                      "n_bootstrap": est.n_bootstrap,
                                      "failed_resamples": est.n_failed_resamples,
+                                     "failed_resamples_by_reason": est.failed_by_reason,
                                      "n_patterns": est.n_patterns,
                                      "numerator_cell": est.numerator_cell}))
     if any_reject:

@@ -35,11 +35,12 @@ def _bernoulli_loglik(eta, y):
 
 
 def _weighted_loglik(eta, y, w):
-    """(weighted Bernoulli log-likelihood, e = exp(-|eta|)) at ``eta``.  The
-    sum stays elementwise: as two dot products it loses precision to
-    cancellation, enough to fail the step-halving test near convergence."""
+    """(weighted Bernoulli log-likelihood along the last axis, e =
+    exp(-|eta|)) at ``eta``.  The sum stays elementwise: as two dot products
+    it loses precision to cancellation, enough to fail the step-halving test
+    near convergence."""
     terms, e = _bernoulli_loglik(eta, y)
-    return float(np.sum(w * terms)), e
+    return (w * terms).sum(axis=-1), e
 
 
 def expit(x):
@@ -148,7 +149,156 @@ class PropensityFit:
 
 
 def weighted_bernoulli_loglik(beta, x, y, w):
-    return _weighted_loglik(x @ beta, y, w)[0]
+    return float(_weighted_loglik(x @ beta, y, w)[0])
+
+
+DEGENERATE = "degenerate outcome: one class has zero total weight"
+_SEPARATED = "complete separation suspected (coefficients diverging)"
+_EXHAUSTED = "maximum iterations reached"
+
+
+def _solve(hess, score):
+    """Newton steps of a stack of fits; a singular Hessian takes the
+    least-squares step, fit by fit."""
+    try:
+        return np.linalg.solve(hess, score[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(score)
+        for i, (h, s) in enumerate(zip(hess, score)):
+            try:
+                step[i] = np.linalg.solve(h, s)
+            except np.linalg.LinAlgError:
+                step[i] = np.linalg.lstsq(h, s, rcond=None)[0]
+        return step
+
+
+def _newton(x, y, w, beta, tol):
+    """Newton with step halving for every row of the weight matrix ``w``
+    (B, m) at once: fit b maximises sum_i w[b, i] l_i(beta_b) from
+    ``beta[b]`` until its max-norm score is below ``tol[b]``.
+
+    Each fit keeps its own step, halving, convergence and exit.  A fit that
+    exits leaves the active set, whose arrays are compacted only then, so a
+    batch where every fit is active and takes its full step does no gather.
+    Returns (coefficients (B, p), converged, iterations, loglik, messages).
+    """
+    B = w.shape[0]
+    coef = np.empty_like(beta)
+    loglik = np.empty(B)
+    converged = np.zeros(B, dtype=bool)
+    iterations = np.zeros(B, dtype=np.intp)
+    messages = [""] * B
+    idx = np.arange(B)
+
+    def retire(done, it, message, *arrays):
+        """Record the fits flagged ``done`` as exiting after ``it``
+        iterations with ``message``; return the other fits' rows of
+        ``arrays``, or None when no fit is left."""
+        rows = idx[done]
+        coef[rows], loglik[rows], iterations[rows] = beta[done], ll[done], it
+        converged[rows] = not message
+        for i in rows:
+            messages[i] = message
+        keep = ~done
+        return [a[keep] for a in arrays] if keep.any() else None
+
+    # eta = beta x' and e = exp(-|eta|) are computed once per candidate
+    # step; the accepted candidate's pair gives the next iteration's mu.
+    eta = beta @ x.T
+    ll, e = _weighted_loglik(eta, y, w)
+    # One-class outcome under positive weight: the MLE runs off to infinity.
+    done = (w @ y == 0) | (w @ (1.0 - y) == 0)
+    if done.any():
+        rest = retire(done, 0, DEGENERATE, idx, w, tol, beta, ll, eta, e)
+        if rest is None:
+            return coef, converged, iterations, loglik, tuple(messages)
+        idx, w, tol, beta, ll, eta, e = rest
+    for it in range(1, MAX_ITER + 1):
+        mu = _logistic(eta, e)
+        score = (w * (y - mu)) @ x
+        done = np.abs(score).max(axis=1) < tol
+        if done.any():
+            rest = retire(done, it - 1, "", idx, w, tol, beta, ll, eta, e, mu, score)
+            if rest is None:
+                break
+            idx, w, tol, beta, ll, eta, e, mu, score = rest
+        wvar = w * mu * (1.0 - mu)
+        step = _solve(x.T @ (wvar[..., None] * x), score)
+        # Step halving: never accept a move that lowers the weighted loglik.
+        # When every halving fails, the move is the once-more-halved step.
+        # Fits still halving share one scale: they all started at 1.
+        cand = beta + step
+        eta = cand @ x.T
+        ll_cand, e = _weighted_loglik(eta, y, w)
+        accept = ll_cand >= ll - 1e-12
+        if not accept.all():
+            pending = np.flatnonzero(~accept)
+            scale = 1.0
+            for _ in range(29):
+                scale *= 0.5
+                c = beta[pending] + scale * step[pending]
+                ce = c @ x.T
+                cl, cexp = _weighted_loglik(ce, y, w[pending])
+                ok = cl >= ll[pending] - 1e-12
+                rows = pending[ok]
+                cand[rows], eta[rows] = c[ok], ce[ok]
+                ll_cand[rows], e[rows] = cl[ok], cexp[ok]
+                pending = pending[~ok]
+                if not pending.size:
+                    break
+            else:
+                scale *= 0.5
+                cand[pending] = beta[pending] + scale * step[pending]
+                eta[pending] = cand[pending] @ x.T
+                ll_cand[pending], e[pending] = _weighted_loglik(
+                    eta[pending], y, w[pending])
+        beta, ll = cand, ll_cand
+        done = np.abs(beta).max(axis=1) > SEPARATION_BOUND
+        if done.any():
+            rest = retire(done, it, _SEPARATED, idx, w, tol, beta, ll, eta, e)
+            if rest is None:
+                break
+            idx, w, tol, beta, ll, eta, e = rest
+    else:
+        retire(np.ones(idx.size, dtype=bool), MAX_ITER, _EXHAUSTED)
+    return coef, converged, iterations, loglik, tuple(messages)
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """Results of :func:`fit_weighted_logistic_batch`, one entry per fit."""
+
+    coefficients: np.ndarray    # (B, p)
+    converged: np.ndarray       # (B,) bool
+    iterations: np.ndarray      # (B,) int
+    weighted_loglik: np.ndarray  # (B,)
+    messages: tuple             # (B,) str, "" when converged
+
+
+def fit_weighted_logistic_batch(design: DesignMatrix, outcome, weights,
+                                start=None, tol=None) -> BatchFit:
+    """One weighted logistic fit per row of ``weights`` (B, m), all on
+    ``design`` and ``outcome``, in one Newton solve.
+
+    Fit b is :func:`fit_weighted_logistic` with weights ``weights[b]``:
+    ``start`` (p,) or (B, p) warm-starts it and ``tol`` (scalar or (B,))
+    is its score tolerance, by default SCORE_TOL times its total weight.
+    """
+    x = design.values
+    y = np.asarray(outcome, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or len(y) != x.shape[0] or w.shape[1] != x.shape[0]:
+        raise ValueError("design, outcome, and weights lengths disagree")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("outcome must be binary")
+    beta = np.zeros((w.shape[0], x.shape[1]))
+    if start is not None:
+        beta[:] = start
+    tol = (SCORE_TOL * np.maximum(1.0, w.sum(axis=1)) if tol is None
+           else np.full(w.shape[0], tol, dtype=float))
+    return BatchFit(*_newton(x, y, w, beta, tol))
 
 
 def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
@@ -157,68 +307,13 @@ def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
 
     The returned coefficients satisfy sum_i w_i (y_i - expit(x_i' b)) x_i = 0
     to within ``tol`` (default SCORE_TOL times the total weight) in max-norm
-    when ``converged`` is True.  Complete separation and one-class outcomes are flagged, never
-    raised.  ``start`` warm-starts the iteration (useful for bootstrap
-    refits, which can also pass a looser ``tol``).
+    when ``converged`` is True.  Complete separation and one-class outcomes
+    are flagged, never raised.  ``start`` warm-starts the iteration.  This
+    is :func:`fit_weighted_logistic_batch` with one row of weights.
     """
-    x = design.values
     y = np.asarray(outcome, dtype=float)
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=float)
-    if len(y) != x.shape[0] or len(w) != x.shape[0]:
-        raise ValueError("design, outcome, and weights lengths disagree")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("outcome must be binary")
-
-    n_eff = float(w.sum())
-    p = x.shape[1]
-    beta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
-
-    # One-class outcome under positive weight: the MLE runs off to infinity.
-    if w[y == 1].sum() == 0 or w[y == 0].sum() == 0:
-        ll = weighted_bernoulli_loglik(beta, x, y, w)
-        return PropensityFit(beta, False, 0, ll, n_eff, design.names,
-                             "degenerate outcome: one class has zero total weight")
-
-    if tol is None:
-        tol = SCORE_TOL * max(1.0, n_eff)
-    # eta = x @ beta and e = exp(-|eta|) are computed once per candidate
-    # step; the accepted candidate's pair gives the next iteration's mu.
-    eta = x @ beta
-    ll, e = _weighted_loglik(eta, y, w)
-    for it in range(1, MAX_ITER + 1):
-        mu = _logistic(eta, e)
-        resid = w * (y - mu)
-        score = x.T @ resid
-        if np.max(np.abs(score)) < tol:
-            return PropensityFit(beta, True, it - 1, ll, n_eff, design.names)
-        wvar = w * mu * (1.0 - mu)
-        hess = x.T @ (wvar[:, None] * x)
-        try:
-            step = np.linalg.solve(hess, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, score, rcond=None)[0]
-        # Step halving: never accept a move that lowers the weighted loglik.
-        # When every halving fails, the move is the once-more-halved step.
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            eta = x @ cand
-            ll_cand, e = _weighted_loglik(eta, y, w)
-            if ll_cand >= ll - 1e-12:
-                beta, ll = cand, ll_cand
-                break
-            scale *= 0.5
-        else:
-            beta = beta + scale * step
-            eta = x @ beta
-            ll, e = _weighted_loglik(eta, y, w)
-        if np.max(np.abs(beta)) > SEPARATION_BOUND:
-            return PropensityFit(beta, False, it, ll, n_eff, design.names,
-                                 "complete separation suspected (coefficients diverging)")
-    return PropensityFit(beta, False, MAX_ITER, ll, n_eff, design.names,
-                         "maximum iterations reached")
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    fit = fit_weighted_logistic_batch(design, y, w[None, :], start, tol)
+    return PropensityFit(fit.coefficients[0], bool(fit.converged[0]),
+                         int(fit.iterations[0]), float(fit.weighted_loglik[0]),
+                         float(w.sum()), design.names, fit.messages[0])

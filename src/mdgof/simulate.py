@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ObservedDataset
-from .estimation import EstimationError, estimate_odds_ratio
+from .estimation import EstimationError, check_n_bootstrap, estimate_odds_ratio
 from .gof import (ACCEPTED, INCONCLUSIVE, REJECTED,
                   test_sequential_mar, test_sequential_mnar)
 from .numerics import child_rng, expit, sample_mvn
@@ -54,6 +54,8 @@ class ScenarioConfig:
             raise ValueError("param_range must be (lo, hi) with lo < hi")
         if self.n < 1 or self.reps < 1 or self.K < 1:
             raise ValueError("n, reps, and K must be positive")
+        if self.scenario.startswith("bp"):
+            check_n_bootstrap(self.n_bootstrap)
 
 
 @dataclass(frozen=True)

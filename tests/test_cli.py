@@ -93,6 +93,16 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", "mar-null", "--n", "200",
                      "--reps", "1", "--seed", "0"]) == 64
 
+    @pytest.mark.parametrize("count", ["9", "5", "-3"])
+    def test_bootstrap_below_minimum_is_usage_error(self, tmp_path, capsys, count):
+        path = emit_dataset(tmp_path, "bp-null", 1, n=500)
+        assert main(["test", "--input", path, "--model", "block-parallel",
+                     "--seed", "0", "--bootstrap", count]) == 64
+        assert "at least 10" in capsys.readouterr().err
+        assert main(["simulate", "--scenario", "bp-null", "--n", "500",
+                     "--reps", "1", "--seed", "0", "--bootstrap", count]) == 64
+        assert "at least 10" in capsys.readouterr().err
+
     def test_verdict_exit_codes_match_library(self, tmp_path):
         for scenario, seed in (("mar-null", 1), ("mar-alt", 0)):
             path = emit_dataset(tmp_path, scenario, seed, n=8000)

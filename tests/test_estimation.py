@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mdgof import estimation
 from mdgof.data import ObservedDataset
-from mdgof.estimation import (EstimationError, _pairwise_theta,
+from mdgof.estimation import (FAILURE_REASONS, EstimationError, _pairwise_theta,
                               build_features, estimate_odds_ratio,
                               fit_cascade_mar, fit_cascade_mnar,
                               population_odds_ratio, robust_lr_pvalue,
@@ -123,6 +124,28 @@ class TestMarCascade:
         cascade = fit_cascade_mar(full, full.names)
         vac = [s for s in cascade.steps if s.k == 2]
         assert vac[0].alt_fit is None
+
+    def test_fully_observed_column_is_not_fit(self, monkeypatch):
+        # K = 4 with X3 fully observed: X4 gets its null fit; X3 none; X2
+        # and X1 each a null, a stabilizer, a masked null and an
+        # alternative.  A null fit for X3 would have an all-ones outcome.
+        data = scenario_dataset("mar-null", 4000, 5)
+        r = data.r.copy()
+        r[:, 2] = 1
+        x = np.where(r == 1, np.nan_to_num(data.xstar, nan=0.33), np.nan)
+        full = ObservedDataset(data.names, r, x)
+        fits = []
+
+        def counting(*args, **kwargs):
+            fits.append(fit_weighted_logistic(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(estimation, "fit_weighted_logistic", counting)
+        cascade = fit_cascade_mar(full, full.names)
+        assert len(fits) == 9
+        assert all(fit.converged for fit in fits)
+        vac = [s for s in cascade.steps if s.k == 2]
+        assert vac[0].null_fit is None and vac[0].alt_fit is None
 
     def test_nonnegative_statistic(self):
         for seed in (0, 1, 2, 3, 4):
@@ -321,6 +344,59 @@ class TestOddsRatio:
         assert got.n_failed_resamples == want.n_failed_resamples
         if n < 100:
             assert got.n_failed_resamples > 0
+
+    @pytest.mark.parametrize("scenario, dist, n, K, seed", [
+        ("bp-alt", "binary", 3000, 4, 2),
+        ("bp-null", "gaussian", 300, 4, 2),
+        ("bp-null", "binary", 60, 3, 3),
+        ("bp-null", "gaussian", 60, 3, 4),
+    ])
+    def test_chunking_leaves_estimate_unchanged(self, monkeypatch, scenario,
+                                                dist, n, K, seed):
+        """60 resamples fit in batches of 1, 7 and 60 give one estimate."""
+        data = scenario_dataset(scenario, n, seed, dist=dist, K=K)
+        m = estimation._row_patterns(data)[3].size
+        got = []
+        for rows in (1, 7, 60):
+            monkeypatch.setattr(estimation, "BOOTSTRAP_CHUNK_CELLS", rows * m)
+            got.append(estimate_odds_ratio(data, (0, 1), n_bootstrap=60,
+                                           rng=np.random.default_rng(seed)))
+        for est in got[1:]:
+            assert est.theta_hat == got[0].theta_hat
+            assert est.bootstrap_ci == pytest.approx(got[0].bootstrap_ci, rel=1e-12)
+            assert est.n_failed_resamples == got[0].n_failed_resamples
+            assert est.failed_by_reason == got[0].failed_by_reason
+
+    def test_failed_resamples_by_reason(self):
+        # n = 60: some resamples lose the variation of an indicator.
+        data = scenario_dataset("bp-null", 60, 3, K=3)
+        est = estimate_odds_ratio(data, (0, 1), n_bootstrap=60,
+                                  rng=np.random.default_rng(3))
+        assert tuple(est.failed_by_reason) == FAILURE_REASONS
+        assert sum(est.failed_by_reason.values()) == est.n_failed_resamples > 0
+        assert est.failed_by_reason["no variation"] > 0
+
+    def test_resample_failures_in_checking_order(self):
+        """Batched, the first failing check names a resample's failure."""
+        data = scenario_dataset("bp-null", 400, 1, K=3)
+        ids, r, xz, counts = estimation._row_patterns(data)
+        equation = estimation._PairEquation(r, xz, data.names, 0, 1)
+        no_k = counts * (r[:, 0] == 1)      # every row left has R1 = 1
+        no_j = counts * (r[:, 1] == 1)
+        theta, failure, _ = equation.theta(
+            np.array([counts, no_k, no_j, no_k * (r[:, 1] == 1)]))
+        assert failure[0] is None and np.isfinite(theta[0])
+        assert [f[0] for f in failure[1:]] == ["no variation"] * 3
+        # Without variation in both, the first target checked is named.
+        assert [f[1].split(" ")[3] for f in failure[1:]] == ["X1", "X2", "X1"]
+        assert np.isnan(theta[1:]).all()
+
+    @pytest.mark.parametrize("n_bootstrap", [9, 0, -3])
+    def test_bootstrap_count_below_minimum_refused(self, n_bootstrap):
+        data = scenario_dataset("bp-null", 500, 1)
+        with pytest.raises(ValueError, match="at least 10") as info:
+            estimate_odds_ratio(data, (0, 1), n_bootstrap=n_bootstrap)
+        assert not isinstance(info.value, EstimationError)
 
     def test_duplicated_rows_leave_theta_unchanged(self):
         data = scenario_dataset("bp-alt", 2000, 6)

@@ -206,6 +206,25 @@ class TestBlockParallel:
         assert first.label == "X1~X2"
         assert first.diagnostics["numerator_cell"] == int(cell.sum())
 
+    def test_steps_report_failed_resamples_by_reason(self):
+        data = scenario_dataset("bp-null", 60, 3, K=3)
+        report = run_block_parallel(data, seed=0, n_bootstrap=60)
+        for step in report.steps:
+            if step.decision == INCONCLUSIVE:
+                continue
+            by_reason = step.diagnostics["failed_resamples_by_reason"]
+            assert set(by_reason) == {"no variation", "fit not converged",
+                                      "zero denominator"}
+            assert sum(by_reason.values()) == step.diagnostics["failed_resamples"]
+        json.loads(report.to_json())
+
+    @pytest.mark.parametrize("n_bootstrap", [9, -3])
+    def test_bootstrap_count_below_minimum_refused(self, n_bootstrap):
+        data = scenario_dataset("bp-null", 500, 1)
+        with pytest.raises(ValueError, match="at least 10") as info:
+            run_block_parallel(data, seed=0, n_bootstrap=n_bootstrap)
+        assert not isinstance(info.value, estimation.EstimationError)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_empty_numerator_cell_inconclusive(self, seed):
         # bp-null (the restrictions hold) at n = 80, K = 3: the X1~X2

@@ -6,8 +6,9 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from mdgof.numerics import (DesignMatrix, chisq_sf, child_rng, expit,
-                            fit_weighted_logistic, sample_mvn,
+from mdgof.numerics import (SCORE_TOL, DesignMatrix, chisq_sf, child_rng,
+                            expit, fit_weighted_logistic,
+                            fit_weighted_logistic_batch, sample_mvn,
                             weighted_bernoulli_loglik)
 
 import oracles
@@ -188,6 +189,70 @@ def test_kernel_cases_reach_every_exit(monkeypatch):
         halved |= len(calls) > 1 + fit.iterations
     assert halved
     assert exits == {"converged", "complete", "maximum", "degenerate"}
+
+
+def _assert_batch_matches_single_fits(design, y, rows):
+    """Fit every (weights, start, tol) of ``rows`` in one batch: each fit
+    must equal the one-row fit of its weights, start and tolerance."""
+    weights = np.array([w for w, _, _ in rows])
+    start = np.array([np.zeros(design.p) if s is None else s for _, s, _ in rows])
+    tol = np.array([SCORE_TOL * max(1.0, w.sum()) if t is None else t
+                    for w, _, t in rows])
+    batch = fit_weighted_logistic_batch(design, y, weights, start=start, tol=tol)
+    for b, (w, s, t) in enumerate(rows):
+        one = fit_weighted_logistic(design, y, w, start=s, tol=t)
+        scale = max(1.0, float(np.max(np.abs(one.coefficients))))
+        np.testing.assert_allclose(batch.coefficients[b], one.coefficients,
+                                   rtol=1e-12, atol=1e-12 * scale)
+        assert (int(batch.iterations[b]), bool(batch.converged[b]),
+                batch.messages[b]) == (one.iterations, one.converged, one.message)
+    return batch
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+def test_batch_columns_match_single_fits(case):
+    """Each case's fit, batched between two default fits on its design."""
+    _, design, y, w, start, tol = case
+    ones = np.ones(design.n)
+    spread = np.random.default_rng(4).uniform(0.5, 2.0, size=design.n)
+    _assert_batch_matches_single_fits(
+        design, y, [(ones, None, None), (ones if w is None else w, start, tol),
+                    (spread, None, None)])
+
+
+def test_mixed_batch_exits_fit_by_fit():
+    """One batch where fits halve, separate, meet a one-class outcome and
+    run out of iterations while the others converge."""
+    x, y = _logistic_data(np.random.default_rng(1), 200, np.array([0.2, 1.0]))
+    design = DesignMatrix(("c", "a"), x)
+    ones = np.ones(200)
+    separable = ((x[:, 1] > 0) == (y == 1)).astype(float)
+    rows = [(ones, None, None), (ones, np.array([10.0, -10.0]), None),
+            (separable, None, None), ((y == 1).astype(float), None, None),
+            (ones, None, 0.0), (2.0 * ones, np.array([6.0, 0.0]), None)]
+    batch = _assert_batch_matches_single_fits(design, y, rows)
+    assert [m.split(" ")[0] for m in batch.messages] == [
+        "", "", "complete", "degenerate", "maximum", ""]
+
+
+def test_singular_hessian_batch():
+    """A zero column makes every Hessian exactly singular: each fit takes
+    the least-squares step, as the one-row fit does."""
+    x, y = _logistic_data(np.random.default_rng(8), 300, np.array([0.1, 0.8]))
+    design = DesignMatrix(("c", "a", "zero"), np.column_stack([x, np.zeros(300)]))
+    w = np.random.default_rng(9).uniform(0.5, 2.0, size=(3, 300))
+    _assert_batch_matches_single_fits(design, y, [(row, None, None) for row in w])
+
+
+def test_batch_validates_like_single_fit():
+    design = DesignMatrix(("c",), np.ones((4, 1)))
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_weighted_logistic_batch(design, y, np.array([[1.0, -1.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError, match="binary"):
+        fit_weighted_logistic_batch(design, y + 0.5, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="lengths disagree"):
+        fit_weighted_logistic_batch(design, y, np.ones((2, 3)))
 
 
 class TestWeightedLogistic:

@@ -132,6 +132,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="mar-null", n=0)
 
+    def test_bootstrap_below_minimum(self):
+        with pytest.raises(ValueError, match="at least 10"):
+            ScenarioConfig(scenario="bp-null", n_bootstrap=9)
+        ScenarioConfig(scenario="bp-null", n_bootstrap=10)
+        ScenarioConfig(scenario="mar-null", n_bootstrap=0)  # not used there
+
     def test_scenarios_and_ranges_published(self):
         assert "bp-alt" in SCENARIOS
         assert (0.0, 2.0) in COEF_RANGES
