@@ -57,15 +57,19 @@ def _resolve_seed(seed):
 
 
 def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("MDAG_GOF_THREADS")
-    if env:
+    """--threads, else MDAG_GOF_THREADS, else 1; a count below 1 is refused."""
+    source = "--threads"
+    if threads is None:
+        source, env = "MDAG_GOF_THREADS", os.environ.get("MDAG_GOF_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise UsageError(f"MDAG_GOF_THREADS must be an integer, got {env!r}")
-    return 1
+    if threads < 1:
+        raise UsageError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _parse_names(text):

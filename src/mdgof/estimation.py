@@ -31,8 +31,8 @@ MIN_BOOTSTRAP = 10
 # data at large n fit one resample at a time and never hold B x n arrays.
 BOOTSTRAP_CHUNK_CELLS = 1 << 16
 # Why a resample gave no estimate, in the order the equation checks them.
-NO_VARIATION, NOT_CONVERGED, ZERO_DENOMINATOR = FAILURE_REASONS = (
-    "no variation", "fit not converged", "zero denominator")
+NO_VARIATION, NOT_CONVERGED = FAILURE_REASONS = (
+    "no variation", "fit not converged")
 
 
 class EstimationError(ValueError):
@@ -72,20 +72,18 @@ def _leading(design: DesignMatrix, p, rows=slice(None)):
 @dataclass(frozen=True)
 class CascadeStep:
     k: int                      # 0-based index into the ordering
-    null_fit: PropensityFit | None  # None at a fully observed index
-    alt_fit: PropensityFit | None
-    null_design: DesignMatrix | None  # designs the likelihood-ratio fits ran
-    alt_design: DesignMatrix | None   # on, masked rows; None with no alt_fit
+    null_fit: PropensityFit     # the likelihood-ratio fits under weights;
+    alt_fit: PropensityFit      # the null's columns lead the alternative's
+    design: DesignMatrix        # the alternative's, on the masked rows
     weights: np.ndarray         # inverse-propensity weights on masked rows
     mask: np.ndarray
-    clip_events: int = 0
-    stabilized: bool = False    # see _stabilize
+    clip_events: int            # clipped propensities in the weights
+    stabilized: bool            # see _stabilize
 
 
 @dataclass(frozen=True)
 class PropensityCascade:
-    order: tuple
-    steps: tuple  # CascadeStep, in fitting order
+    steps: tuple  # the tested CascadeSteps, in fitting order
 
 
 @dataclass(frozen=True)
@@ -124,14 +122,48 @@ def _stabilize(weights, design, p, mask):
     return fit.converged
 
 
+def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
+              weights, clipped):
+    """The tested cascade step ``k`` and its masked null design.
+
+    Both fits run on the step's masked rows under ``weights`` (every row),
+    stabilized by the design's first ``stab_p`` columns; ``clipped`` counts
+    the clipped propensities in each row's weights.  The null is the
+    design's leading columns: the intercept, R_j for j < k and
+    ``null_proxies``.  Raises when either fit did not converge.
+    """
+    design, mask = build_features(data, k, null_proxies, tested_proxies)
+    name = data.names[k]
+    if not np.any(weights[mask] > 0):
+        raise EstimationError(f"all weights vanished before index {name}")
+    w = weights.copy()
+    stabilized = _stabilize(w, design, stab_p, mask)
+    w = w[mask]
+    masked = _leading(design, design.p, mask)
+    # A cascade keeps every step's masked design for its test; holding the
+    # full-row design as well would raise its peak memory.
+    del design
+    null = _leading(masked, 1 + k + len(null_proxies))
+    y = data.r[mask, k]
+    null_fit = fit_weighted_logistic(null, y, w)
+    alt_fit = fit_weighted_logistic(masked, y, w)
+    for fit in (null_fit, alt_fit):
+        if not fit.converged:
+            raise EstimationError(f"propensity fit for {name} failed: {fit.message}")
+    return CascadeStep(k, null_fit, alt_fit, masked, w, mask,
+                       int(clipped[mask].sum()), stabilized), null
+
+
 def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
     """Backward cascade for the sequential-MAR test.
 
-    The last index gets only a null fit (there is nothing after it to test
-    against); each earlier index gets the observed-data null and the
+    Each index but the last is tested: the observed-data null against the
     inverse-weighted alternative, with weights built from the already-fitted
     full-sample nulls of all later indices.  The null is the earlier
-    indicators and proxies; the alternative adds the later proxies.
+    indicators and proxies; the alternative adds the later proxies.  The
+    last index has nothing after it to test against, and a fully observed
+    index has a vacuous restriction and a propensity identically one:
+    neither is a step.
 
     Two departures from the naive construction keep the test calibrated:
 
@@ -149,53 +181,25 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
     """
     data = data.reorder(order)
     K = data.K
-    null_probs = {}
+    weights = np.ones(data.n)  # 1 / prod of the later full-sample nulls
+    clipped = np.zeros(data.n, dtype=int)  # clipped propensities in weights
     steps = []
     for k in range(K - 1, -1, -1):
         if np.all(data.r[:, k] == 1):
-            # A fully observed index has a vacuous restriction and a
-            # propensity identically one (no contribution to any weight):
-            # nothing is built or fit.
-            null_probs[k] = np.ones(data.n)
-            steps.append(CascadeStep(k, None, None, None, None,
-                                     np.ones(data.n), np.ones(data.n, dtype=bool)))
-            continue
-        tested = range(k + 1, K)
-        design, mask = build_features(data, k, range(k), tested)
-        null = _leading(design, 1 + 2 * k)
-        masked_alt = _leading(design, design.p, mask) if tested else None
-        # A cascade keeps every step's masked designs for its test; holding
-        # the full-row design as well would raise its peak memory.
-        del design
+            continue  # fully observed: nothing is built or fit
+        null, _ = build_features(data, k, range(k), ())
         fit = fit_weighted_logistic(null, data.r[:, k])
         if not fit.converged:
             raise EstimationError(
                 f"null propensity fit for {order[k]} failed: {fit.message}")
-        null_probs[k] = _clipped_probs(fit, null)
-        if not tested:
-            # Nothing to test after the last index.
-            steps.append(CascadeStep(k, fit, None, None, None,
-                                     np.ones(data.n), np.ones(data.n, dtype=bool)))
-            continue
-
-        weights = np.ones(data.n)
-        clip_events = 0
-        for j in range(k + 1, K):
-            clipped = np.sum(null_probs[j][mask] <= PROPENSITY_CLIP)
-            clip_events += int(clipped)
-            weights /= null_probs[j]
-        stabilized = _stabilize(weights, null, null.p, mask)
-        weights = weights[mask]
-        masked_null = _leading(masked_alt, null.p)
-        null_masked_fit = fit_weighted_logistic(masked_null, data.r[mask, k], weights)
-        alt_fit = fit_weighted_logistic(masked_alt, data.r[mask, k], weights)
-        if not null_masked_fit.converged or not alt_fit.converged:
-            bad = null_masked_fit if not null_masked_fit.converged else alt_fit
-            raise EstimationError(
-                f"propensity fit for {order[k]} failed: {bad.message}")
-        steps.append(CascadeStep(k, null_masked_fit, alt_fit, masked_null, masked_alt,
-                                 weights, mask, clip_events, stabilized))
-    return PropensityCascade(tuple(order), tuple(steps))
+        probs = _clipped_probs(fit, null)
+        del null
+        if k < K - 1:
+            steps.append(_fit_step(data, k, range(k), range(k + 1, K), 1 + 2 * k,
+                                   weights, clipped)[0])
+        weights /= probs
+        clipped += probs <= PROPENSITY_CLIP
+    return PropensityCascade(tuple(steps))
 
 
 def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) -> PropensityCascade:
@@ -220,74 +224,57 @@ def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) ->
     for k in range(K - 1, 0, -1):
         if np.all(data.r[:, k] == 1):
             continue  # fully observed: vacuous restriction, weights unchanged
-        design, mask = build_features(data, k, range(k + 1, K), range(k))
-        if not np.any(omega[mask] > 0):
-            raise EstimationError(f"all weights vanished before index {order[k]}")
-
         # The likelihood-ratio fits use stabilized weights: omega times the
         # fitted mask probability given the past indicators (the only null
         # features available on every row).  See fit_cascade_mar.
-        w = omega.copy()
-        stabilized = _stabilize(w, design, 1 + k, mask)
-        w = w[mask]
-        masked_alt = _leading(design, design.p, mask)
-        del design  # see fit_cascade_mar
-        masked_null = _leading(masked_alt, K)
-        null_fit = fit_weighted_logistic(masked_null, data.r[mask, k], w)
-        alt_fit = fit_weighted_logistic(masked_alt, data.r[mask, k], w)
-        if not null_fit.converged or not alt_fit.converged:
-            bad = null_fit if not null_fit.converged else alt_fit
-            raise EstimationError(
-                f"propensity fit for {order[k]} failed: {bad.message}")
-        steps.append(CascadeStep(k, null_fit, alt_fit, masked_null, masked_alt,
-                                 w, mask, int(clipped[mask].sum()), stabilized))
+        step, null = _fit_step(data, k, range(k + 1, K), range(k), 1 + k,
+                               omega, clipped)
+        steps.append(step)
 
         # Weight update from the accepted null, fit under the raw running
         # weights: divide by its fitted propensity and zero out rows where
         # R_k = 0.
-        update_fit = fit_weighted_logistic(masked_null, data.r[mask, k],
-                                           omega[mask])
+        mask = step.mask
+        update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
         if not update_fit.converged:
             raise EstimationError(
                 f"weight-update fit for {order[k]} failed: {update_fit.message}")
         p_full = np.ones(data.n)  # rows off the mask get zero weight below
-        p_full[mask] = _clipped_probs(update_fit, masked_null)
+        p_full[mask] = _clipped_probs(update_fit, null)
         clipped += p_full <= PROPENSITY_CLIP
         omega = np.where((data.r[:, k] == 1) & mask, omega / p_full, 0.0)
-    return PropensityCascade(tuple(order), tuple(steps))
+    return PropensityCascade(tuple(steps))
 
 
-def _nested_df(null_design: DesignMatrix, alt_design: DesignMatrix):
+def _nested_df(null_fit: PropensityFit, alt_fit: PropensityFit):
     """Degrees of freedom of a nested likelihood-ratio test.  The
     alternative's columns must be the null's, in order, then at least one
     more: the tested block is the alternative's trailing columns."""
-    df = alt_design.p - null_design.p
-    if df <= 0 or alt_design.names[:null_design.p] != null_design.names:
+    p0 = len(null_fit.column_names)
+    df = len(alt_fit.column_names) - p0
+    if df <= 0 or alt_fit.column_names[:p0] != null_fit.column_names:
         raise EstimationError("alternative must strictly nest the null")
     return df
 
 
-def weighted_lr_stat(null_fit: PropensityFit, null_design: DesignMatrix,
-                     alt_fit: PropensityFit, alt_design: DesignMatrix,
-                     outcome, weights):
-    """Inverse-weighted log-likelihood-ratio statistic over the masked rows.
+def weighted_lr_stat(null_fit: PropensityFit, alt_fit: PropensityFit):
+    """Inverse-weighted log-likelihood-ratio statistic of two fits under
+    the same weights on the same rows.
 
-    Returns (rho, 2*rho, df) with df the column-count difference between the
-    alternative and the null, whose columns must lead the alternative's.
+    Returns (rho, 2*rho, df): rho is the difference of the fits' weighted
+    log-likelihoods at their maximizers, and df the column-count difference
+    between the alternative and the null, whose columns must lead the
+    alternative's.
     """
     if not (null_fit.converged and alt_fit.converged):
         raise EstimationError("both fits must have converged")
-    df = _nested_df(null_design, alt_design)
-    w = np.asarray(weights, dtype=float)
-    log_alt = alt_fit.log_density(alt_design, outcome)
-    log_null = null_fit.log_density(null_design, outcome)
-    rho = float(np.sum(w * (log_alt - log_null)))
+    df = _nested_df(null_fit, alt_fit)
+    rho = alt_fit.weighted_loglik - null_fit.weighted_loglik
     return rho, 2.0 * rho, df
 
 
-def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
-                     alt_design: DesignMatrix, alt_fit: PropensityFit,
-                     outcome, weights):
+def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
+                     design: DesignMatrix, outcome, weights):
     """P-value of a weighted likelihood-ratio statistic.
 
     Under weighting the statistic converges to a weighted sum of chi-square(1)
@@ -302,15 +289,15 @@ def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
     the classical chi-square(df) p-value is kept; every candidate is a valid
     reference asymptotically, and with unit weights all of them collapse to
     the classical chi-square p-value.  Falls back to the classical reference
-    if the linear algebra degenerates.  The tested block is the
-    alternative's columns after the null's, which must lead them.
+    if the linear algebra degenerates.  ``design`` is the alternative's;
+    the tested block is its columns after the null's, which must lead them.
     """
-    df = _nested_df(null_design, alt_design)
-    p0 = null_design.p
+    df = _nested_df(null_fit, alt_fit)
+    p0 = len(null_fit.column_names)
     y = np.asarray(outcome, dtype=float)
     w = np.asarray(weights, dtype=float)
-    x = alt_design.values
-    mu = alt_fit.predict(alt_design)
+    x = design.values
+    mu = alt_fit.predict(design)
     fallback = chisq_sf(two_rho, df)
     try:
         a_mat = x.T @ (x * (w * mu * (1.0 - mu))[:, None])
@@ -338,12 +325,10 @@ def robust_lr_pvalue(two_rho, null_design: DesignMatrix,
 
 def step_test(data: ObservedDataset, step: CascadeStep):
     """(rho, 2*rho, df, p_value) of a cascade step with the robust
-    reference distribution, on the masked designs its fits ran on."""
-    nd, ad = step.null_design, step.alt_design
-    y = data.r[step.mask, step.k]
-    rho, two_rho, df = weighted_lr_stat(step.null_fit, nd, step.alt_fit, ad,
-                                        y, step.weights)
-    p = robust_lr_pvalue(max(two_rho, 0.0), nd, ad, step.alt_fit, y, step.weights)
+    reference distribution, from its fits and the design they ran on."""
+    rho, two_rho, df = weighted_lr_stat(step.null_fit, step.alt_fit)
+    p = robust_lr_pvalue(max(two_rho, 0.0), step.null_fit, step.alt_fit,
+                         step.design, data.r[step.mask, step.k], step.weights)
     return rho, two_rho, df, p
 
 
@@ -412,10 +397,10 @@ class _PairEquation:
     def theta(self, counts, warm=None):
         """(theta, failure, coefficients) of every row of the counts
         ``counts`` (B, m).  ``failure[b]`` is None or (reason, message), the
-        first of: no variation in k, k's fit, no variation in j, j's fit,
-        zero denominator; theta[b] is then NaN.  ``coefficients`` maps each
-        target to its (B, p) fits.  Bootstrap refits warm start from the
-        point-estimate coefficients ``warm`` at a looser tolerance."""
+        first of: no variation in k, k's fit, no variation in j, j's fit;
+        theta[b] is then NaN.  ``coefficients`` maps each target to its
+        (B, p) fits.  Bootstrap refits warm start from the point-estimate
+        coefficients ``warm`` at a looser tolerance."""
         failure = [None] * counts.shape[0]
         ratio = np.take(counts, self.complete, axis=1)
         coefs = {}
@@ -438,12 +423,11 @@ class _PairEquation:
             p = np.clip(expit(fit.coefficients @ cc_x.T),
                         PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
             ratio *= (1.0 - p) / p
+        # The clipped odds factors are positive, and a resample without a
+        # complete case has no variation in target k, so every denominator
+        # left is positive.
         n = counts.sum(axis=1)
         den = ratio.sum(axis=1) / n
-        for b in np.flatnonzero(den <= 0):
-            if failure[b] is None:
-                failure[b] = (ZERO_DENOMINATOR,
-                              "zero denominator: no complete cases contribute")
         ok = np.array([f is None for f in failure], dtype=bool)
         theta = np.full(counts.shape[0], np.nan)
         theta[ok] = ((counts @ self.numerator)[ok] / n[ok]) / den[ok]

@@ -74,8 +74,7 @@ def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
 
 def _sequential_test(model, fit_cascade, data, order, alpha):
     """Fit the model's propensity cascade and test its steps backward,
-    stopping at the first rejection.  Steps without an alternative fit (a
-    fully observed column, MAR's last index) carry no restriction."""
+    stopping at the first rejection."""
     _check_alpha(alpha)
     order = tuple(order)
     ordered = data.reorder(order)
@@ -91,8 +90,6 @@ def _sequential_test(model, fit_cascade, data, order, alpha):
     steps = []
     verdict = ACCEPTED
     for step in cascade.steps:
-        if step.alt_fit is None:
-            continue
         rho, two_rho, df, p = step_test(ordered, step)
         decision = "reject" if p < alpha else "accept"
         steps.append(StepRecord(order[step.k], two_rho, df, p, decision,

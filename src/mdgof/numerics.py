@@ -26,20 +26,15 @@ def _logistic(eta, e):
     return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
-def _bernoulli_loglik(eta, y):
-    """Per-row Bernoulli log-likelihood at linear predictor ``eta``, and
-    e = exp(-|eta|) for :func:`_logistic`.  softplus(eta) = log(1 + exp(eta))
-    is evaluated as max(eta, 0) + log1p(e), so no exponential overflows."""
-    e = np.exp(-np.abs(eta))
-    return y * eta - (np.maximum(eta, 0.0) + np.log1p(e)), e
-
-
 def _weighted_loglik(eta, y, w):
     """(weighted Bernoulli log-likelihood along the last axis, e =
-    exp(-|eta|)) at ``eta``.  The sum stays elementwise: as two dot products
-    it loses precision to cancellation, enough to fail the step-halving test
-    near convergence."""
-    terms, e = _bernoulli_loglik(eta, y)
+    exp(-|eta|) for :func:`_logistic`) at linear predictor ``eta``.
+    softplus(eta) = log(1 + exp(eta)) is evaluated as max(eta, 0) +
+    log1p(e), so no exponential overflows.  The sum stays elementwise: as
+    two dot products it loses precision to cancellation, enough to fail the
+    step-halving test near convergence."""
+    e = np.exp(-np.abs(eta))
+    terms = y * eta - (np.maximum(eta, 0.0) + np.log1p(e))
     return (w * terms).sum(axis=-1), e
 
 
@@ -133,19 +128,13 @@ class PropensityFit:
     coefficients: np.ndarray
     converged: bool
     iterations: int
-    weighted_loglik: float
-    n_effective: float
+    weighted_loglik: float      # at ``coefficients``
     column_names: tuple = ()
     message: str = ""
 
     def predict(self, design: DesignMatrix):
         """Fitted P(outcome = 1) for each row of ``design``."""
         return expit(design.values @ self.coefficients)
-
-    def log_density(self, design: DesignMatrix, outcome):
-        """Per-row Bernoulli log-likelihood of ``outcome`` under the fit."""
-        eta = design.values @ self.coefficients
-        return _bernoulli_loglik(eta, np.asarray(outcome, dtype=float))[0]
 
 
 def weighted_bernoulli_loglik(beta, x, y, w):
@@ -316,4 +305,4 @@ def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
     fit = fit_weighted_logistic_batch(design, y, w[None, :], start, tol)
     return PropensityFit(fit.coefficients[0], bool(fit.converged[0]),
                          int(fit.iterations[0]), float(fit.weighted_loglik[0]),
-                         float(w.sum()), design.names, fit.messages[0])
+                         design.names, fit.messages[0])

@@ -175,24 +175,23 @@ def reference_fit_weighted_logistic(design, outcome, weights=None, start=None,
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("outcome must be binary")
 
-    n_eff = float(w.sum())
     p = x.shape[1]
     beta = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
 
     if w[y == 1].sum() == 0 or w[y == 0].sum() == 0:
         ll = logaddexp_loglik(beta, x, y, w)
-        return PropensityFit(beta, False, 0, ll, n_eff, design.names,
+        return PropensityFit(beta, False, 0, ll, design.names,
                              "degenerate outcome: one class has zero total weight")
 
     if tol is None:
-        tol = SCORE_TOL * max(1.0, n_eff)
+        tol = SCORE_TOL * max(1.0, float(w.sum()))
     ll = logaddexp_loglik(beta, x, y, w)
     for it in range(1, MAX_ITER + 1):
         mu = masked_expit(x @ beta)
         resid = w * (y - mu)
         score = x.T @ resid
         if np.max(np.abs(score)) < tol:
-            return PropensityFit(beta, True, it - 1, ll, n_eff, design.names)
+            return PropensityFit(beta, True, it - 1, ll, design.names)
         wvar = w * mu * (1.0 - mu)
         hess = x.T @ (wvar[:, None] * x)
         try:
@@ -211,9 +210,9 @@ def reference_fit_weighted_logistic(design, outcome, weights=None, start=None,
             beta = beta + scale * step
             ll = logaddexp_loglik(beta, x, y, w)
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
-            return PropensityFit(beta, False, it, ll, n_eff, design.names,
+            return PropensityFit(beta, False, it, ll, design.names,
                                  "complete separation suspected (coefficients diverging)")
-    return PropensityFit(beta, False, MAX_ITER, ll, n_eff, design.names,
+    return PropensityFit(beta, False, MAX_ITER, ll, design.names,
                          "maximum iterations reached")
 
 

@@ -93,6 +93,26 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", "mar-null", "--n", "200",
                      "--reps", "1", "--seed", "0"]) == 64
 
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None),
+                                           (None, "0")],
+                             ids=["flag-zero", "flag-negative", "env-zero"])
+    def test_threads_below_one_is_usage_error(self, capsys, monkeypatch,
+                                              flag, env):
+        # The count is refused before any study (or worker pool) starts.
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study started")
+
+        monkeypatch.setattr("mdgof.cli.run_study", no_study)
+        if env is None:
+            monkeypatch.delenv("MDAG_GOF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MDAG_GOF_THREADS", env)
+        argv = ["simulate", "--scenario", "mar-null", "--n", "200", "--reps", "1",
+                "--seed", "0"] + (["--threads", flag] if flag else [])
+        assert main(argv) == 64
+        source, value = ("--threads", flag) if flag else ("MDAG_GOF_THREADS", env)
+        assert f"{source} must be at least 1, got {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("count", ["9", "5", "-3"])
     def test_bootstrap_below_minimum_is_usage_error(self, tmp_path, capsys, count):
         path = emit_dataset(tmp_path, "bp-null", 1, n=500)

@@ -1,5 +1,7 @@
 """Estimation layer: feature building, cascades, LR statistics, odds ratios."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,7 +15,7 @@ from mdgof.estimation import (FAILURE_REASONS, EstimationError, _pairwise_theta,
                               step_test, weighted_lr_stat)
 from mdgof.graph import MDag
 from mdgof.numerics import (DesignMatrix, chisq_sf, expit,
-                            fit_weighted_logistic)
+                            fit_weighted_logistic, weighted_bernoulli_loglik)
 from mdgof.simulate import ScenarioConfig, simulate_dataset
 
 from oracles import (direct_or_functional, homogeneous_or_law,
@@ -97,22 +99,19 @@ class TestMarCascade:
         data = scenario_dataset("mar-null", 40_000, 17)
         cascade = fit_cascade_mar(data, data.names)
         for step in cascade.steps:
-            if step.alt_fit is None:
-                continue
             for name, coef in zip(step.alt_fit.column_names,
                                   step.alt_fit.coefficients):
                 if name.startswith("X["):
                     assert abs(coef) < 0.15
 
     def test_step_shapes(self):
+        # The last index has nothing after it to test against: no step.
         data = scenario_dataset("mar-null", 4000, 3)
         cascade = fit_cascade_mar(data, data.names)
-        assert len(cascade.steps) == data.K
-        ks = [s.k for s in cascade.steps]
-        assert ks == [3, 2, 1, 0]
-        assert cascade.steps[0].alt_fit is None
-        for step in cascade.steps[1:]:
-            assert step.weights.shape[0] == int(step.mask.sum())
+        assert [s.k for s in cascade.steps] == [2, 1, 0]
+        for step in cascade.steps:
+            assert all(getattr(step, f.name) is not None for f in fields(step))
+            assert step.design.n == step.weights.shape[0] == int(step.mask.sum())
             assert np.all(step.weights >= 0)
 
     def test_fully_observed_column_is_vacuous(self):
@@ -122,8 +121,7 @@ class TestMarCascade:
         x = np.where(r == 1, np.nan_to_num(data.xstar, nan=0.33), np.nan)
         full = ObservedDataset(data.names, r, x)
         cascade = fit_cascade_mar(full, full.names)
-        vac = [s for s in cascade.steps if s.k == 2]
-        assert vac[0].alt_fit is None
+        assert [s.k for s in cascade.steps] == [1, 0]
 
     def test_fully_observed_column_is_not_fit(self, monkeypatch):
         # K = 4 with X3 fully observed: X4 gets its null fit; X3 none; X2
@@ -144,16 +142,13 @@ class TestMarCascade:
         cascade = fit_cascade_mar(full, full.names)
         assert len(fits) == 9
         assert all(fit.converged for fit in fits)
-        vac = [s for s in cascade.steps if s.k == 2]
-        assert vac[0].null_fit is None and vac[0].alt_fit is None
+        assert [s.k for s in cascade.steps] == [1, 0]
 
     def test_nonnegative_statistic(self):
         for seed in (0, 1, 2, 3, 4):
             data = scenario_dataset("mar-null", 3000, seed)
             cascade = fit_cascade_mar(data, data.names)
             for step in cascade.steps:
-                if step.alt_fit is None:
-                    continue
                 rho, two_rho, df, p = step_test(data, step)
                 assert two_rho >= -1e-6
                 assert df >= 1
@@ -205,16 +200,15 @@ class TestMnarCascade:
     (fit_cascade_mar, "mar-null"), (fit_cascade_mnar, "mnar-null")],
     ids=["mar", "mnar"])
 def test_step_test_uses_the_cascade_designs(fit_cascade, scenario, monkeypatch):
-    # Each tested step's designs are the builder's one design on the step
-    # mask, the null its leading columns, and the columns are the ones the
+    # Each step's design is the builder's one design on the step mask, its
+    # null fit ran on the leading columns, and the columns are the ones the
     # test names here: MAR's null takes the earlier proxies and tests the
     # later ones, MNAR's the reverse.  step_test builds nothing.
     data = scenario_dataset(scenario, 3000, 1)
     cascade = fit_cascade(data, data.names)
-    tested = [s for s in cascade.steps if s.alt_fit is not None]
-    assert tested
+    assert cascade.steps
     mar = fit_cascade is fit_cascade_mar
-    for step in tested:
+    for step in cascade.steps:
         k, v = step.k, data.names
         base = ("intercept",) + tuple(f"R[{x}]" for x in v[:k])
         earlier = tuple(f"R*Xs[{x}]" for x in v[:k])
@@ -224,29 +218,34 @@ def test_step_test_uses_the_cascade_designs(fit_cascade, scenario, monkeypatch):
                    else (range(k + 1, data.K), range(k)))
         full, mask = build_features(data, k, *proxies)
         assert np.array_equal(mask, step.mask)
-        assert step.null_design.names == null
-        assert step.alt_design.names == full.names == null + block
-        assert np.array_equal(step.alt_design.values, full.values[mask])
-        assert np.array_equal(step.null_design.values,
-                              full.values[mask, :len(null)])
-        for design in (step.null_design, step.alt_design):
-            assert design.values.flags.c_contiguous
+        assert step.null_fit.column_names == null
+        assert step.alt_fit.column_names == step.design.names == full.names \
+            == null + block
+        assert np.array_equal(step.design.values, full.values[mask])
+        assert step.design.values.flags.c_contiguous
+        # Refit on the builder's leading columns, the null fit is reproduced.
+        y = data.r[mask, k]
+        refit = fit_weighted_logistic(
+            DesignMatrix(null, np.ascontiguousarray(full.values[mask, :len(null)])),
+            y, step.weights)
+        assert np.array_equal(refit.coefficients, step.null_fit.coefficients)
+        assert refit.weighted_loglik == step.null_fit.weighted_loglik
 
     def no_rebuild(*args):
         raise AssertionError("step_test rebuilt a design")
 
     monkeypatch.setattr("mdgof.estimation.build_features", no_rebuild)
-    for step in tested:
+    for step in cascade.steps:
         step_test(data, step)
 
 
 class TestLrStatistic:
-    def _fits(self, seed, weights=None):
+    def _fits(self, seed, weights=None, scale=1.0):
         rng = np.random.default_rng(seed)
         n = 2500
         x = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
         y = (rng.random(n) < expit(x @ np.array([0.2, 0.5, 0.0]))).astype(float)
-        w = np.ones(n) if weights is None else weights(rng, n)
+        w = scale * (np.ones(n) if weights is None else weights(rng, n))
         nd = DesignMatrix(("c", "a"), x[:, :2])
         ad = DesignMatrix(("c", "a", "b"), x)
         nf = fit_weighted_logistic(nd, y, w)
@@ -255,21 +254,32 @@ class TestLrStatistic:
 
     def test_nesting_nonnegative(self):
         nd, ad, nf, af, y, w = self._fits(0)
-        rho, two_rho, df = weighted_lr_stat(nf, nd, af, ad, y, w)
+        rho, two_rho, df = weighted_lr_stat(nf, af)
         assert two_rho >= -1e-6
         assert df == 1
 
+    def test_statistic_is_the_fits_loglik_difference(self):
+        # rho is read from the fits; it equals the weighted log-likelihood
+        # of each fit's coefficients, evaluated afresh.
+        nd, ad, nf, af, y, w = self._fits(
+            6, weights=lambda rng, n: rng.uniform(0.2, 5.0, size=n))
+        rho, two_rho, _ = weighted_lr_stat(nf, af)
+        want = (weighted_bernoulli_loglik(af.coefficients, ad.values, y, w)
+                - weighted_bernoulli_loglik(nf.coefficients, nd.values, y, w))
+        assert rho == pytest.approx(want, rel=1e-9)
+        assert two_rho == 2.0 * rho
+
     def test_homogeneity_scales_statistic(self):
-        nd, ad, nf, af, y, w = self._fits(4)
-        rho, _, _ = weighted_lr_stat(nf, nd, af, ad, y, w)
-        rho5, _, _ = weighted_lr_stat(nf, nd, af, ad, y, 5.0 * w)
+        # Refit under 5w: the maximizers stay, the statistic scales by 5.
+        rho, _, _ = weighted_lr_stat(*self._fits(4)[2:4])
+        rho5, _, _ = weighted_lr_stat(*self._fits(4, scale=5.0)[2:4])
         assert rho5 == pytest.approx(5.0 * rho, rel=1e-9)
 
     def test_unit_weights_pvalue_near_classical(self):
         nd, ad, nf, af, y, w = self._fits(1)
-        _, two_rho, df = weighted_lr_stat(nf, nd, af, ad, y, w)
+        _, two_rho, df = weighted_lr_stat(nf, af)
         two_rho = max(two_rho, 0.0)
-        p = robust_lr_pvalue(two_rho, nd, ad, af, y, w)
+        p = robust_lr_pvalue(two_rho, nf, af, ad, y, w)
         classical = chisq_sf(two_rho, df) if two_rho >= 0 else 1.0
         assert p >= classical - 1e-12
         assert p == pytest.approx(classical, abs=0.05)
@@ -277,15 +287,15 @@ class TestLrStatistic:
     def test_weighted_pvalue_valid(self):
         nd, ad, nf, af, y, w = self._fits(
             2, weights=lambda rng, n: rng.uniform(0.2, 5.0, size=n))
-        _, two_rho, df = weighted_lr_stat(nf, nd, af, ad, y, w)
-        p = robust_lr_pvalue(max(two_rho, 0.0), nd, ad, af, y, w)
+        _, two_rho, df = weighted_lr_stat(nf, af)
+        p = robust_lr_pvalue(max(two_rho, 0.0), nf, af, ad, y, w)
         assert 0.0 <= p <= 1.0
         assert p >= chisq_sf(max(two_rho, 0.0), df) - 1e-12
 
     def test_non_nested_rejected(self):
         nd, ad, nf, af, y, w = self._fits(3)
         with pytest.raises(EstimationError):
-            weighted_lr_stat(af, ad, nf, nd, y, w)
+            weighted_lr_stat(af, nf)
 
     def test_null_columns_must_lead(self):
         # The tested block is the alternative's trailing columns, so a null
@@ -294,9 +304,9 @@ class TestLrStatistic:
         moved = DesignMatrix(("c", "b"), ad.values[:, [0, 2]])
         moved_fit = fit_weighted_logistic(moved, y, w)
         with pytest.raises(EstimationError, match="strictly nest"):
-            robust_lr_pvalue(1.0, moved, ad, af, y, w)
+            robust_lr_pvalue(1.0, moved_fit, af, ad, y, w)
         with pytest.raises(EstimationError, match="strictly nest"):
-            weighted_lr_stat(moved_fit, moved, af, ad, y, w)
+            weighted_lr_stat(moved_fit, af)
 
 
 class TestOddsRatio:
@@ -484,8 +494,58 @@ def test_cascade_weight_scale_invariance(seed, scale):
         # Small samples with extreme coefficient draws can separate; the
         # property only concerns cascades that fit at all.
         assume(False)
-    step = next(s for s in cascade.steps if s.alt_fit is not None)
+    step = cascade.steps[0]
     y = data.r[step.mask, step.k]
-    refit = fit_weighted_logistic(step.alt_design, y, scale * step.weights)
-    assert refit.converged
+    p0 = len(step.null_fit.column_names)
+    null = DesignMatrix(step.null_fit.column_names,
+                        np.ascontiguousarray(step.design.values[:, :p0]))
+    null_refit = fit_weighted_logistic(null, y, scale * step.weights)
+    refit = fit_weighted_logistic(step.design, y, scale * step.weights)
+    assert refit.converged and null_refit.converged
     assert np.allclose(refit.coefficients, step.alt_fit.coefficients, atol=1e-4)
+    assert np.allclose(null_refit.coefficients, step.null_fit.coefficients,
+                       atol=1e-4)
+    rho = weighted_lr_stat(step.null_fit, step.alt_fit)[0]
+    assert weighted_lr_stat(null_refit, refit)[0] == pytest.approx(
+        scale * rho, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("fit_cascade, family", [(fit_cascade_mar, "mar"),
+                                                 (fit_cascade_mnar, "mnar")],
+                         ids=["mar", "mnar"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), alt=st.booleans(),
+       dist=st.sampled_from(("binary", "gaussian")))
+def test_duplicated_rows_double_the_statistic(fit_cascade, family, seed, alt, dist):
+    """Duplicating every row leaves each step's fits unchanged and doubles
+    2*rho, which is read from the fits' log-likelihoods.
+
+    The two Newton paths differ only by rounding, which an ill-conditioned
+    fit amplifies: binary MNAR steps near separation (|beta| about 20) move
+    by up to 1.4e-9 of max|beta|.  The coefficients are compared to 1e-8
+    of max(1, max|beta|), the fitted probabilities to 1e-12."""
+    data = scenario_dataset(f"{family}-{'alt' if alt else 'null'}", 1500, seed,
+                            dist=dist)
+    doubled = ObservedDataset(data.names, np.vstack([data.r, data.r]),
+                              np.vstack([data.xstar, data.xstar]))
+    try:
+        cascade = fit_cascade(data, data.names)
+    except EstimationError as exc:
+        with pytest.raises(EstimationError) as info:
+            fit_cascade(doubled, doubled.names)
+        assert str(info.value) == str(exc)
+        return
+    twice = fit_cascade(doubled, doubled.names)
+    assert [s.k for s in twice.steps] == [s.k for s in cascade.steps]
+    for one, two in zip(cascade.steps, twice.steps):
+        p0 = len(one.null_fit.column_names)
+        for a, b, x in ((one.null_fit, two.null_fit, one.design.values[:, :p0]),
+                        (one.alt_fit, two.alt_fit, one.design.values)):
+            scale = max(1.0, np.abs(a.coefficients).max())
+            assert np.abs(b.coefficients - a.coefficients).max() <= 1e-8 * scale
+            assert np.allclose(expit(x @ b.coefficients), expit(x @ a.coefficients),
+                               rtol=0, atol=1e-12)
+        _, two_rho, df, _ = step_test(data, one)
+        _, two_rho2, df2, _ = step_test(doubled, two)
+        assert df2 == df
+        assert two_rho2 == pytest.approx(2.0 * two_rho, rel=1e-9, abs=1e-9)

@@ -175,6 +175,36 @@ def test_report_invariant_to_column_names_and_positions(run, scenario, perm, nam
     assert got == want
 
 
+@pytest.mark.parametrize("run, family", [(run_sequential_mar, "mar"),
+                                         (run_sequential_mnar, "mnar")])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), alt=st.booleans(),
+       dist=st.sampled_from(("binary", "gaussian")),
+       perm_seed=st.integers(0, 2 ** 32 - 1))
+def test_report_invariant_to_row_order(run, family, seed, alt, dist, perm_seed):
+    # Permuting the rows leaves the verdict, each step's label, df and
+    # decision, and each statistic within 1e-9 relative.  Summing the rows
+    # in another order moves each log-likelihood by about 1e-12, so a
+    # statistic near 0 is compared to 1e-9 absolute, as is a p-value: its
+    # sandwich eigenvalues amplify rounding in fits near separation (up to
+    # 3.5e-11 absolute, 8.5e-9 relative, in 5031 binary and gaussian steps).
+    data = scenario_dataset(f"{family}-{'alt' if alt else 'null'}", 1500, seed,
+                            dist=dist)
+    perm = np.random.default_rng(perm_seed).permutation(data.n)
+    moved = ObservedDataset(data.names, data.r[perm], data.xstar[perm])
+    want, got = run(data, data.names), run(moved, data.names)
+    assert got.verdict == want.verdict
+    assert [(s.label, s.df, s.decision) for s in got.steps] == [
+        (s.label, s.df, s.decision) for s in want.steps]
+    for g, w in zip(got.steps, want.steps):
+        if w.statistic is None:
+            assert g.statistic is None and g.diagnostics == w.diagnostics
+            continue
+        assert g.statistic == pytest.approx(w.statistic, rel=1e-9, abs=1e-9)
+        assert g.p_value == pytest.approx(w.p_value, rel=1e-9, abs=1e-9)
+        assert g.diagnostics == pytest.approx(w.diagnostics, rel=1e-9)
+
+
 class TestBlockParallel:
     def test_independent_coin_flips_accepted(self):
         rng = np.random.default_rng(6)
@@ -213,8 +243,7 @@ class TestBlockParallel:
             if step.decision == INCONCLUSIVE:
                 continue
             by_reason = step.diagnostics["failed_resamples_by_reason"]
-            assert set(by_reason) == {"no variation", "fit not converged",
-                                      "zero denominator"}
+            assert set(by_reason) == {"no variation", "fit not converged"}
             assert sum(by_reason.values()) == step.diagnostics["failed_resamples"]
         json.loads(report.to_json())
 
