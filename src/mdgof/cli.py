@@ -189,6 +189,10 @@ def cmd_graph(args):
     graph, order = load_graph_json(args.graph)
     if args.order:
         order = _parse_names(args.order)
+        defects = permutation_defects(order, graph.substantive)
+        if defects:
+            raise UsageError(
+                f"--order must be a permutation of the graph variables: {defects}")
     if order is None:
         order = graph.substantive
 

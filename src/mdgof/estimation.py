@@ -78,7 +78,7 @@ class CascadeStep:
     weights: np.ndarray         # inverse-propensity weights on masked rows
     mask: np.ndarray
     clip_events: int            # clipped propensities in the weights
-    stabilized: bool            # see _stabilize
+    stabilized: bool            # see _fit_step
 
 
 @dataclass(frozen=True)
@@ -108,40 +108,44 @@ def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
     return np.maximum(fit.predict(design), PROPENSITY_CLIP)
 
 
-def _stabilize(weights, design, p, mask):
-    """Multiply ``weights`` in place by the fitted probability of the row
-    mask given the first ``p`` columns of ``design``; return whether the
-    weights are stabilized.  They are not when that fit did not converge.  A
-    mask that keeps every row has probability 1: nothing is built or fit."""
-    if mask.all():
-        return True
-    stab = _leading(design, p)
-    fit = fit_weighted_logistic(stab, mask.astype(np.int8))
-    if fit.converged:
-        weights *= fit.predict(stab)
-    return fit.converged
+def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix):
+    """MAR's full-sample null: R_k's clipped propensities, unweighted."""
+    fit = fit_weighted_logistic(design, data.r[:, k])
+    if not fit.converged:
+        raise EstimationError(
+            f"null propensity fit for {data.names[k]} failed: {fit.message}")
+    return _clipped_probs(fit, design)
 
 
 def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
-              weights, clipped):
-    """The tested cascade step ``k`` and its masked null design.
+              weights, clipped, full_null):
+    """(tested cascade step ``k``, its masked null design, MAR's full-sample
+    null probabilities of R_k if ``full_null``, else None).
 
-    Both fits run on the step's masked rows under ``weights`` (every row),
-    stabilized by the design's first ``stab_p`` columns; ``clipped`` counts
-    the clipped propensities in each row's weights.  The null is the
-    design's leading columns: the intercept, R_j for j < k and
-    ``null_proxies``.  Raises when either fit did not converge.
+    One copy of the design's first ``stab_p`` columns serves the full-sample
+    null and the stabilizer, the fitted probability of the row mask, which
+    multiplies ``weights`` unless its fit did not converge.  ``clipped``
+    counts the clipped propensities in each row's weights.  The masked null
+    is the leading columns: intercept, R_j for j < k, ``null_proxies``.
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
     name = data.names[k]
+    lead = _leading(design, stab_p) if full_null or not mask.all() else None
+    probs = _full_sample_probs(data, k, lead) if full_null else None
     if not np.any(weights[mask] > 0):
         raise EstimationError(f"all weights vanished before index {name}")
     w = weights.copy()
-    stabilized = _stabilize(w, design, stab_p, mask)
+    stabilized = True  # a mask that keeps every row has probability 1
+    if not mask.all():
+        stab = fit_weighted_logistic(lead, mask.astype(np.int8))
+        stabilized = stab.converged
+        if stabilized:
+            w *= stab.predict(lead)
+    del lead
     w = w[mask]
     masked = _leading(design, design.p, mask)
-    # A cascade keeps every step's masked design for its test; holding the
-    # full-row design as well would raise its peak memory.
+    # The step keeps its masked design until it is tested; holding the
+    # full-row design through the masked fits as well would raise peak memory.
     del design
     null = _leading(masked, 1 + k + len(null_proxies))
     y = data.r[mask, k]
@@ -151,11 +155,12 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
         if not fit.converged:
             raise EstimationError(f"propensity fit for {name} failed: {fit.message}")
     return CascadeStep(k, null_fit, alt_fit, masked, w, mask,
-                       int(clipped[mask].sum()), stabilized), null
+                       int(clipped[mask].sum()), stabilized), null, probs
 
 
-def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
-    """Backward cascade for the sequential-MAR test.
+def mar_steps(data: ObservedDataset):
+    """The tested steps of the sequential-MAR cascade of ``data``'s columns
+    in their order, backward, each fit when the caller asks for it.
 
     Each index but the last is tested: the observed-data null against the
     inverse-weighted alternative, with weights built from the already-fitted
@@ -163,7 +168,8 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
     indicators and proxies; the alternative adds the later proxies.  The
     last index has nothing after it to test against, and a fully observed
     index has a vacuous restriction and a propensity identically one:
-    neither is a step.
+    neither is a step.  An index's full-sample null is fit only when a step
+    before it will read it.
 
     Two departures from the naive construction keep the test calibrated:
 
@@ -179,71 +185,81 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
       of the inverse-propensity tail, so the statistic's reference
       distribution is far better behaved.
     """
-    data = data.reorder(order)
     K = data.K
+    partial = [k for k in range(K) if not np.all(data.r[:, k] == 1)]
     weights = np.ones(data.n)  # 1 / prod of the later full-sample nulls
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in weights
-    steps = []
-    for k in range(K - 1, -1, -1):
-        if np.all(data.r[:, k] == 1):
-            continue  # fully observed: nothing is built or fit
-        null, _ = build_features(data, k, range(k), ())
-        fit = fit_weighted_logistic(null, data.r[:, k])
-        if not fit.converged:
-            raise EstimationError(
-                f"null propensity fit for {order[k]} failed: {fit.message}")
-        probs = _clipped_probs(fit, null)
-        del null
+    for k in reversed(partial):
+        full_null = k > partial[0]
         if k < K - 1:
-            steps.append(_fit_step(data, k, range(k), range(k + 1, K), 1 + 2 * k,
-                                   weights, clipped)[0])
-        weights /= probs
-        clipped += probs <= PROPENSITY_CLIP
-    return PropensityCascade(tuple(steps))
+            step, null, probs = _fit_step(data, k, range(k), range(k + 1, K),
+                                          1 + 2 * k, weights, clipped, full_null)
+            del null  # the test reads the step alone
+            yield step
+        elif full_null:
+            design, _ = build_features(data, k, range(k), ())
+            probs = _full_sample_probs(data, k, design)
+            del design
+        if full_null:
+            weights /= probs
+            clipped += probs <= PROPENSITY_CLIP
+            del probs  # the next step's fits need not hold it
 
 
-def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) -> PropensityCascade:
-    """Backward cascade for the sequential-MNAR test (indices K .. 2).
+def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
+    """Every step of :func:`mar_steps` under ``order``."""
+    return PropensityCascade(tuple(mar_steps(data.reorder(order))))
+
+
+def mnar_steps(data: ObservedDataset, graph: MDag | None):
+    """The tested steps of the sequential-MNAR cascade (indices K .. 2) of
+    ``data``'s columns in their order, each fit when the caller asks for it.
 
     Both the null (past indicators + future counterfactuals) and the
     alternative (plus past proxies) are fit under the running weights; the
-    weights are rebuilt from the accepted nulls after each step.  Refuses to
-    run when a declared graph contains a colluder or criss-cross, since the
-    needed propensities are then not identified.
+    weights are rebuilt from an accepted null before the next step.
+    Refuses to run when a declared graph contains a colluder or
+    criss-cross, since the needed propensities are then not identified.
     """
     if graph is not None:
         report = detect_structures(graph)
         if report.colluders or report.criss_crosses:
             raise EstimationError(
                 f"declared graph blocks identification of the cascade: {report}")
-    data = data.reorder(order)
     K = data.K
+    tested = [k for k in range(K - 1, 0, -1) if not np.all(data.r[:, k] == 1)]
     omega = np.ones(data.n)  # running I(R_succ = 1) / prod of accepted nulls
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in omega
-    steps = []
-    for k in range(K - 1, 0, -1):
-        if np.all(data.r[:, k] == 1):
-            continue  # fully observed: vacuous restriction, weights unchanged
+    for k in tested:
         # The likelihood-ratio fits use stabilized weights: omega times the
         # fitted mask probability given the past indicators (the only null
-        # features available on every row).  See fit_cascade_mar.
-        step, null = _fit_step(data, k, range(k + 1, K), range(k), 1 + k,
-                               omega, clipped)
-        steps.append(step)
+        # features available on every row).  See mar_steps.
+        step, null, _ = _fit_step(data, k, range(k + 1, K), range(k), 1 + k,
+                                  omega, clipped, False)
+        yield step
+        if k == tested[-1]:
+            return  # no later step reads the weights
 
         # Weight update from the accepted null, fit under the raw running
         # weights: divide by its fitted propensity and zero out rows where
-        # R_k = 0.
+        # R_k = 0.  Weights without a fitted stabilizer are those raw
+        # weights, so the step's null fit is that fit.
         mask = step.mask
-        update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
+        update_fit = step.null_fit
+        if not mask.all() and step.stabilized:
+            update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
         if not update_fit.converged:
             raise EstimationError(
-                f"weight-update fit for {order[k]} failed: {update_fit.message}")
+                f"weight-update fit for {data.names[k]} failed: {update_fit.message}")
         p_full = np.ones(data.n)  # rows off the mask get zero weight below
         p_full[mask] = _clipped_probs(update_fit, null)
         clipped += p_full <= PROPENSITY_CLIP
         omega = np.where((data.r[:, k] == 1) & mask, omega / p_full, 0.0)
-    return PropensityCascade(tuple(steps))
+
+
+def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) -> PropensityCascade:
+    """Every step of :func:`mnar_steps` under ``order``."""
+    return PropensityCascade(tuple(mnar_steps(data.reorder(order), graph)))
 
 
 def _nested_df(null_fit: PropensityFit, alt_fit: PropensityFit):
@@ -456,6 +472,13 @@ def check_n_bootstrap(n_bootstrap):
             f"n_bootstrap must be at least {MIN_BOOTSTRAP}, got {n_bootstrap}")
 
 
+def check_pair(pair, K):
+    """A block-parallel pair is two distinct indices of the K variables."""
+    k, j = pair
+    if k == j or not (0 <= k < K and 0 <= j < K):
+        raise ValueError(f"pair must be two distinct indices in 0..{K - 1}, got {pair}")
+
+
 def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
                         n_bootstrap=200, rng=None) -> OddsRatioEstimate:
     """Point estimate and percentile-bootstrap CI of the pairwise conditional
@@ -474,6 +497,7 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     CI (0, 0), which says nothing about the odds ratio.
     """
     check_n_bootstrap(n_bootstrap)
+    check_pair(pair, data.K)
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)

@@ -5,12 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data import ObservedDataset
 from .estimation import (EstimationError, check_n_bootstrap, estimate_odds_ratio,
-                         fit_cascade_mar, fit_cascade_mnar, step_test)
+                         mar_steps, mnar_steps, step_test)
 from .graph import MDag
+from .numerics import child_rng
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -58,7 +57,7 @@ def _check_alpha(alpha):
 def test_sequential_mar(data: ObservedDataset, order, alpha=0.05) -> TestReport:
     """Backward sequence of weighted likelihood-ratio tests of the
     sequential-MAR restrictions; early exit on the first rejection."""
-    return _sequential_test("sequential-MAR", fit_cascade_mar, data, order, alpha)
+    return _sequential_test("sequential-MAR", mar_steps, data, order, alpha)
 
 
 def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
@@ -66,38 +65,35 @@ def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
     """Backward sequence of weighted likelihood-ratio tests of the
     sequential-MNAR restrictions.  A declared graph with a colluder or
     criss-cross is refused (the cascade is not identified there)."""
-    return _sequential_test(
-        "sequential-MNAR",
-        lambda ordered, order: fit_cascade_mnar(ordered, order, graph=graph),
-        data, order, alpha)
+    return _sequential_test("sequential-MNAR",
+                            lambda ordered: mnar_steps(ordered, graph),
+                            data, order, alpha)
 
 
-def _sequential_test(model, fit_cascade, data, order, alpha):
-    """Fit the model's propensity cascade and test its steps backward,
-    stopping at the first rejection."""
+def _sequential_test(model, cascade_steps, data, order, alpha):
+    """One pass over the model's cascade: each step is tested as soon as it
+    is fit, and the first rejection ends the test, so nothing after it is
+    built or fit.  A cascade that fails before any rejection makes the test
+    inconclusive, with one record naming the failure."""
     _check_alpha(alpha)
     order = tuple(order)
     ordered = data.reorder(order)
     if len(order) <= 1:
         return TestReport(model, order, alpha, (), ACCEPTED)
+    steps = []
     try:
-        cascade = fit_cascade(ordered, order)
+        for step in cascade_steps(ordered):
+            rho, two_rho, df, p = step_test(ordered, step)
+            decision = "reject" if p < alpha else "accept"
+            steps.append(StepRecord(order[step.k], two_rho, df, p, decision,
+                                    _step_diag(step)))
+            if decision == "reject":
+                return TestReport(model, order, alpha, tuple(steps), REJECTED)
     except EstimationError as exc:
         step = StepRecord("cascade", None, None, None, INCONCLUSIVE,
-                         {"error": str(exc)})
+                          {"error": str(exc)})
         return TestReport(model, order, alpha, (step,), INCONCLUSIVE)
-
-    steps = []
-    verdict = ACCEPTED
-    for step in cascade.steps:
-        rho, two_rho, df, p = step_test(ordered, step)
-        decision = "reject" if p < alpha else "accept"
-        steps.append(StepRecord(order[step.k], two_rho, df, p, decision,
-                                _step_diag(step)))
-        if decision == "reject":
-            verdict = REJECTED
-            break
-    return TestReport(model, order, alpha, tuple(steps), verdict)
+    return TestReport(model, order, alpha, tuple(steps), ACCEPTED)
 
 
 def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
@@ -110,23 +106,18 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
     _check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
     steps = []
-    any_reject = False
-    any_inconclusive = False
     for k in range(data.K):
         for j in range(k + 1, data.K):
             label = f"{data.names[k]}~{data.names[j]}"
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(k, j)))
             try:
                 est = estimate_odds_ratio(data, (k, j), alpha=alpha,
-                                          n_bootstrap=n_bootstrap, rng=rng)
+                                          n_bootstrap=n_bootstrap,
+                                          rng=child_rng(seed, k, j))
             except EstimationError as exc:
                 steps.append(StepRecord(label, None, None, None, INCONCLUSIVE,
                                         {"error": str(exc)}))
-                any_inconclusive = True
                 continue
             decision = "reject" if est.ci_excludes_one else "accept"
-            any_reject |= est.ci_excludes_one
             steps.append(StepRecord(label, est.theta_hat, None, None, decision,
                                     {"ci": list(est.bootstrap_ci),
                                      "n_bootstrap": est.n_bootstrap,
@@ -134,20 +125,16 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
                                      "failed_resamples_by_reason": est.failed_by_reason,
                                      "n_patterns": est.n_patterns,
                                      "numerator_cell": est.numerator_cell}))
-    if any_reject:
-        verdict = REJECTED
-    elif any_inconclusive:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = ACCEPTED
+    decisions = {s.decision for s in steps}
+    verdict = (REJECTED if "reject" in decisions else
+               INCONCLUSIVE if INCONCLUSIVE in decisions else ACCEPTED)
     return TestReport("block-parallel", data.names, alpha, tuple(steps), verdict)
 
 
 def _step_diag(step):
-    w = np.asarray(step.weights, dtype=float)
     return {
         "n_masked": int(step.mask.sum()),
-        "max_weight": float(w.max()) if w.size else 0.0,
+        "max_weight": float(step.weights.max()),
         "clip_events": int(step.clip_events),
         "stabilized": bool(step.stabilized),
     }

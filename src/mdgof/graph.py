@@ -18,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .data import permutation_defects
+
 SEQ_MAR = "sequential-MAR"
 SEQ_MNAR = "sequential-MNAR"
 BLOCK_PARALLEL = "block-parallel"
@@ -347,8 +349,9 @@ def d_separated(graph: MDag, query: IndependenceQuery):
 
 def _class_queries(graph: MDag, order):
     """Defining independence sets of each model class under ``order``."""
-    if set(order) != set(graph.substantive):
-        raise GraphError("order must cover exactly the substantive variables")
+    defects = permutation_defects(order, graph.substantive)
+    if defects:
+        raise GraphError(f"order must be a permutation of the graph variables: {defects}")
     order = tuple(order)
     K = len(order)
     R = [indicator_name(v) for v in order]
@@ -586,35 +589,18 @@ def _saturated_observed_count(cards):
 
 def _valid_parent_configs(graph: MDag, parent_list, cards):
     """Number of jointly reachable parent configurations, honoring the tie
-    between each proxy and its indicator when both are parents."""
-    if not parent_list:
-        return 1
-
-    domains = []
-    for v in parent_list:
-        kind = graph.kind(v)
-        if kind == "X":
-            domains.append(list(range(cards[v])))
-        elif kind == "R":
-            domains.append([0, 1])
-        else:
-            domains.append(list(range(cards[graph.base_variable(v)])) + ["?"])
-
-    count = 0
-    for combo in itertools.product(*domains):
-        assign = dict(zip(parent_list, combo))
-        ok = True
-        for v in parent_list:
-            if graph.kind(v) != "proxy":
-                continue
-            r = indicator_name(graph.base_variable(v))
-            if r in assign:
-                observed = assign[v] != "?"
-                if observed != bool(assign[r]):
-                    ok = False
-                    break
-        if ok:
-            count += 1
+    between each proxy and its indicator when both are parents: a product
+    over the base variables x of c_x if X_x is a parent, times c_x + 1 if
+    its proxy is (whose "?" state fixes R_x), or else 2 if R_x is."""
+    parents = set(parent_list)
+    count = 1
+    for x in graph.substantive:
+        if x in parents:
+            count *= cards[x]
+        if proxy_name(x) in parents:
+            count *= cards[x] + 1
+        elif indicator_name(x) in parents:
+            count *= 2
     return count
 
 
@@ -653,8 +639,9 @@ def graph_from_dict(obj):
     violations = validate_mdag(graph)
     if violations:
         raise GraphError("invalid graph: " + "; ".join(violations))
-    if order is not None and set(order) != set(variables):
-        raise GraphError("'order' must be a permutation of 'variables'")
+    defects = "" if order is None else permutation_defects(order, variables)
+    if defects:
+        raise GraphError(f"'order' must be a permutation of 'variables': {defects}")
     return graph, tuple(order) if order is not None else None
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ObservedDataset
-from .estimation import EstimationError, check_n_bootstrap, estimate_odds_ratio
+from .estimation import (EstimationError, check_n_bootstrap, check_pair,
+                         estimate_odds_ratio)
 from .gof import (ACCEPTED, INCONCLUSIVE, REJECTED,
                   test_sequential_mar, test_sequential_mnar)
 from .numerics import child_rng, expit, sample_mvn
@@ -56,6 +57,7 @@ class ScenarioConfig:
             raise ValueError("n, reps, and K must be positive")
         if self.scenario.startswith("bp"):
             check_n_bootstrap(self.n_bootstrap)
+            check_pair(self.bp_pair, self.K)
 
 
 @dataclass(frozen=True)
@@ -198,17 +200,13 @@ def run_study(config: ScenarioConfig, n_jobs=1) -> StudyResult:
 
 def sweep_curve(config: ScenarioConfig, n_grid, n_jobs=1):
     """One study per sample size; rows (n, acceptance_rate,
-    complete_case_pct, inconclusive).  Each grid point gets its own seed
-    stream so adding grid points never perturbs existing rows."""
+    complete_case_pct, inconclusive).  Every grid point runs the config's
+    seed, so a row is the study ``run_study`` gives at that n."""
     if not n_grid:
         raise ValueError("empty sample-size grid")
     rows = []
-    for i, n in enumerate(n_grid):
-        sub = replace(config, n=int(n),
-                      seed=int(np.random.SeedSequence(
-                          config.seed, spawn_key=(1_000_000 + i,)).entropy
-                          % (2 ** 63)))
-        res = run_study(sub, n_jobs=n_jobs)
+    for n in n_grid:
+        res = run_study(replace(config, n=int(n)), n_jobs=n_jobs)
         rows.append((int(n), res.acceptance_rate,
                      res.complete_case_proportion, res.inconclusive))
     return rows

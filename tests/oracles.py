@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written by a different route than the code
-under test: d-separation via exhaustive path enumeration, logistic fits via
+under test: d-separation via exhaustive path enumeration, parent
+configurations of an m-DAG vertex by enumerating them, logistic fits via
 nested grid search, chi-square tails via numerical quadrature, and the
 odds-ratio bootstrap by gathering the resampled rows and refitting on them.
 The Newton kernel is also kept in its earlier form (a masked logistic, a
@@ -23,6 +24,7 @@ from scipy.integrate import quad
 from mdgof.data import MISSING_TOKEN, DataError, ObservedDataset
 from mdgof.estimation import (PROPENSITY_CLIP, EstimationError,
                               OddsRatioEstimate)
+from mdgof.graph import MDag, indicator_name, proxy_name, validate_mdag
 from mdgof.numerics import (MAX_ITER, SCORE_TOL, SEPARATION_BOUND,
                             DesignMatrix, PropensityFit, fit_weighted_logistic,
                             weighted_bernoulli_loglik)
@@ -105,6 +107,51 @@ def random_digraph_instance(rng, max_nodes=6):
     n_given = int(rng.integers(0, m - 1))
     given = set(pool[2:2 + n_given])
     return parents, children, left, right, given
+
+
+def random_mdag(rng, max_k, max_card):
+    """A random valid m-DAG without bidirected edges, with 1 to ``max_k``
+    variables, and cardinalities from 2 to ``max_card``.
+
+    Edges follow a random topological order: every X before every R, each
+    proxy right after its R, and nothing but a deterministic edge into a
+    proxy.  So X points only at X, and a proxy only at later indicators.
+    """
+    K = int(rng.integers(1, max_k + 1))
+    xs = [f"X{i + 1}" for i in range(K)]
+    proxies = {proxy_name(x) for x in xs}
+    ranked = list(xs)
+    for i in rng.permutation(K):
+        ranked += [indicator_name(xs[i]), proxy_name(xs[i])]
+    p_edge = float(rng.uniform(0.2, 0.7))
+    edges = [(s, t) for i, s in enumerate(ranked) for t in ranked[i + 1:]
+             if t not in proxies and rng.random() < p_edge]
+    graph = MDag.create(xs, edges)
+    assert not validate_mdag(graph)
+    return graph, {x: int(rng.integers(2, max_card + 1)) for x in xs}
+
+
+def enumerated_parent_configs(graph: MDag, parent_list, cards):
+    """Jointly reachable configurations of ``parent_list``, counted by
+    walking the product of their domains: a proxy's "?" state must agree
+    with its indicator when both are parents."""
+    domains = []
+    for v in parent_list:
+        kind = graph.kind(v)
+        if kind == "X":
+            domains.append(list(range(cards[v])))
+        elif kind == "R":
+            domains.append([0, 1])
+        else:
+            domains.append(list(range(cards[graph.base_variable(v)])) + ["?"])
+    count = 0
+    for combo in itertools.product(*domains):
+        assign = dict(zip(parent_list, combo))
+        count += all(
+            (assign[v] != "?") == bool(assign[r])
+            for v in parent_list if graph.kind(v) == "proxy"
+            for r in [indicator_name(graph.base_variable(v))] if r in assign)
+    return count
 
 
 # ---------------------------------------------------------------------------

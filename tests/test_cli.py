@@ -209,6 +209,12 @@ class TestSimulateCommand:
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "rep,theta_hat,ci_lo,ci_hi"
 
+    def test_bp_pair_outside_the_variables_is_usage_error(self, capsys):
+        # The block-parallel pair (X1, X2) does not exist at K = 1.
+        assert main(["simulate", "--scenario", "bp-null", "--K", "1",
+                     "--n", "200", "--reps", "1", "--seed", "1"]) == 64
+        assert "pair must be two distinct indices in 0..0" in capsys.readouterr().err
+
     def test_bad_grid_spec(self):
         assert main(["simulate", "--scenario", "mar-null",
                      "--n-grid", "10,20", "--seed", "0"]) == 64
@@ -246,6 +252,24 @@ class TestGraphCommand:
 
     def test_dsep_requires_sets(self, graph_json):
         assert main(["graph", "dsep", "--graph", graph_json]) == 64
+
+    def test_repeated_order_in_graph_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({"variables": ["X1", "X2", "X3"],
+                                    "order": ["X1", "X1", "X2", "X3"]}))
+        assert main(["graph", "classify", "--graph", str(path)]) == 65
+        assert capsys.readouterr().err == ("mdgof: error: 'order' must be a "
+                                           "permutation of 'variables': repeated X1\n")
+
+    @pytest.mark.parametrize("order, defect", [("X1,X1,X2", "repeated X1"),
+                                               ("X2", "missing X1")])
+    def test_bad_order_option_is_usage_error(self, graph_json, capsys, order,
+                                             defect):
+        assert main(["graph", "classify", "--graph", graph_json,
+                     "--order", order]) == 64
+        assert capsys.readouterr().err == (
+            "mdgof: error: --order must be a permutation of the graph "
+            f"variables: {defect}\n")
 
     def test_invalid_graph_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -124,9 +124,10 @@ class TestMarCascade:
         assert [s.k for s in cascade.steps] == [1, 0]
 
     def test_fully_observed_column_is_not_fit(self, monkeypatch):
-        # K = 4 with X3 fully observed: X4 gets its null fit; X3 none; X2
-        # and X1 each a null, a stabilizer, a masked null and an
-        # alternative.  A null fit for X3 would have an all-ones outcome.
+        # K = 4 with X3 fully observed: X4 gets its full-sample null fit; X3
+        # none; X2 a full-sample null, a stabilizer, a masked null and an
+        # alternative; X1 the last three, since no step reads its
+        # full-sample null.  A null fit for X3 would have an all-ones outcome.
         data = scenario_dataset("mar-null", 4000, 5)
         r = data.r.copy()
         r[:, 2] = 1
@@ -140,7 +141,7 @@ class TestMarCascade:
 
         monkeypatch.setattr(estimation, "fit_weighted_logistic", counting)
         cascade = fit_cascade_mar(full, full.names)
-        assert len(fits) == 9
+        assert len(fits) == 8
         assert all(fit.converged for fit in fits)
         assert [s.k for s in cascade.steps] == [1, 0]
 
@@ -406,6 +407,14 @@ class TestOddsRatio:
         data = scenario_dataset("bp-null", 500, 1)
         with pytest.raises(ValueError, match="at least 10") as info:
             estimate_odds_ratio(data, (0, 1), n_bootstrap=n_bootstrap)
+        assert not isinstance(info.value, EstimationError)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 4), (-1, 2)])
+    def test_pair_must_be_two_distinct_indices(self, pair):
+        # K = 4: a repeated index, one past the last, and a negative one.
+        data = scenario_dataset("bp-alt", 300, 0)
+        with pytest.raises(ValueError, match=r"two distinct indices in 0\.\.3") as info:
+            estimate_odds_ratio(data, pair, n_bootstrap=10)
         assert not isinstance(info.value, EstimationError)
 
     def test_duplicated_rows_leave_theta_unchanged(self):

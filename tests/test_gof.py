@@ -1,5 +1,6 @@
 """End-to-end goodness-of-fit procedures and their reports."""
 
+import collections
 import dataclasses
 import functools
 import json
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdgof import estimation
 from mdgof.data import DataError, ObservedDataset
+from mdgof.estimation import EstimationError
 from mdgof.gof import ACCEPTED, INCONCLUSIVE, REJECTED
 from mdgof.gof import test_block_parallel as run_block_parallel
 from mdgof.gof import test_sequential_mar as run_sequential_mar
@@ -146,6 +148,73 @@ class TestSequentialReports:
         assert [s.diagnostics["stabilized"] for s in report.steps] == [
             s.diagnostics["n_masked"] == data.n for s in report.steps]
         assert not all(s.diagnostics["stabilized"] for s in report.steps)
+
+
+def _count_calls(monkeypatch, *names):
+    """Counter of the calls the cascades make to ``names`` in estimation."""
+    calls = collections.Counter()
+    for name in names:
+        def counting(*args, real=getattr(estimation, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(estimation, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("run, scenario, seed, verdict, fits, builds", [
+    # MAR, K = 4: X4 a full-sample null; X3 and X2 a full-sample null, a
+    # stabilizer, a masked null and an alternative; X1 the last three.
+    (run_sequential_mar, "mar-null", 0, ACCEPTED, 12, 4),
+    (run_sequential_mar, "mar-alt", 2, REJECTED, 5, 2),
+    # MNAR, K = 4: X4 a null and an alternative (its null fit is its weight
+    # update); X3 a stabilizer, a null, an alternative and a weight update;
+    # X2 the first three, since no step reads its weight update.
+    (run_sequential_mnar, "mnar-null", 0, ACCEPTED, 9, 3),
+    (run_sequential_mnar, "mnar-alt", 1, REJECTED, 2, 1)])
+def test_one_pass_fits_and_builds(run, scenario, seed, verdict, fits, builds,
+                                  monkeypatch):
+    # Every index is partially observed; a rejection at the first step
+    # ends the test before anything more is built or fit.
+    data = scenario_dataset(scenario, 3000, seed)
+    assert not np.any(np.all(data.r == 1, axis=0))
+    calls = _count_calls(monkeypatch, "fit_weighted_logistic", "build_features")
+    report = run(data, data.names)
+    assert report.verdict == verdict
+    assert len(report.steps) == (3 if verdict == ACCEPTED else 1)
+    assert calls == {"fit_weighted_logistic": fits, "build_features": builds}
+
+
+@pytest.mark.parametrize("run, scenario, seed, verdict, builds", [
+    (run_sequential_mar, "mar-alt", 2, REJECTED, 2),
+    (run_sequential_mar, "mar-null", 0, INCONCLUSIVE, 2),
+    (run_sequential_mnar, "mnar-alt", 1, REJECTED, 1),
+    (run_sequential_mnar, "mnar-null", 0, INCONCLUSIVE, 1)])
+def test_failure_after_the_first_step(run, scenario, seed, verdict, builds,
+                                      monkeypatch):
+    # Every build after the first step's fails.  After a rejection nothing
+    # is built, so the rejection stands; after an acceptance the failure
+    # makes the test inconclusive, reported as one record of the cascade.
+    data = scenario_dataset(scenario, 3000, seed)
+    real = estimation.build_features
+    built = []
+
+    def failing_later(*args):
+        built.append(args[1])
+        if len(built) > builds:
+            raise EstimationError("no rows left")
+        return real(*args)
+
+    monkeypatch.setattr(estimation, "build_features", failing_later)
+    report = run(data, data.names)
+    assert report.verdict == verdict
+    if verdict == REJECTED:
+        assert len(built) == builds
+        assert [s.decision for s in report.steps] == ["reject"]
+    else:
+        assert len(built) == builds + 1
+        assert [s.to_dict() for s in report.steps] == [
+            {"k": "cascade", "statistic": None, "df": None, "p_value": None,
+             "decision": INCONCLUSIVE, "diagnostics": {"error": "no rows left"}}]
 
 
 @functools.cache

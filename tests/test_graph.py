@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdgof.graph import (GraphError, IndependenceQuery, MDag, classify_model,
+from mdgof.graph import (GraphError, IndependenceQuery, MDag,
+                         _valid_parent_configs, classify_model,
                          count_parameters, count_parameters_no_self_censoring,
                          d_separated, detect_structures, dsep_digraph,
                          graph_from_dict, graph_to_dict,
                          satisfied_model_classes, validate_mdag)
 from mdgof.graph import testability_verdict as verdict_for
 
-from oracles import brute_force_dsep, random_digraph_instance
+from oracles import (brute_force_dsep, enumerated_parent_configs,
+                     random_digraph_instance, random_mdag)
 
 
 def mar_graph():
@@ -149,8 +151,10 @@ class TestClassification:
         assert classify_model(g, ("X1", "X2")) == "sequential-MAR"
 
     def test_order_must_cover_variables(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="missing X2$"):
             classify_model(mar_graph(), ("X1",))
+        with pytest.raises(GraphError, match="repeated X1$"):
+            classify_model(mar_graph(), ("X1", "X1", "X2"))
 
 
 class TestStructureDetection:
@@ -240,6 +244,23 @@ class TestParameterCounting:
         assert count_parameters(chain, cards)[1] == 59
         assert count_parameters_no_self_censoring(cards)[1] == 59
 
+    def test_parent_configurations_match_enumeration(self):
+        # The product over base variables equals walking the product of the
+        # parent domains, on random m-DAGs with K = 1-4 and cardinalities
+        # 2-3, including parents that hold both an X and its proxy.
+        rng = np.random.default_rng(0)
+        cases = with_x_and_proxy = 0
+        for _ in range(150):
+            g, cards = random_mdag(rng, max_k=4, max_card=3)
+            for v in g.substantive + g.indicators:
+                parents = sorted(g.parents(v))
+                assert _valid_parent_configs(g, parents, cards) == \
+                    enumerated_parent_configs(g, parents, cards), (g, v)
+                cases += 1
+                with_x_and_proxy += any(x in parents and f"{x}*" in parents
+                                        for x in g.substantive)
+        assert cases > 700 and with_x_and_proxy > 50
+
     def test_bidirected_rejected(self):
         g = MDag.create(("X1", "X2"), bidirected=[("X1", "X2")])
         with pytest.raises(GraphError):
@@ -269,5 +290,8 @@ class TestSerialization:
     def test_bad_order_rejected(self):
         obj = graph_to_dict(mar_graph(), order=("X1", "X2"))
         obj["order"] = ["X1", "X9"]
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="missing X2; unknown X9$"):
+            graph_from_dict(obj)
+        obj["order"] = ["X1", "X1", "X2"]
+        with pytest.raises(GraphError, match="repeated X1$"):
             graph_from_dict(obj)

@@ -1,5 +1,7 @@
 """Data-generating processes and the replication harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,13 @@ class TestConfigValidation:
         ScenarioConfig(scenario="bp-null", n_bootstrap=10)
         ScenarioConfig(scenario="mar-null", n_bootstrap=0)  # not used there
 
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
+    def test_bp_pair_must_be_two_distinct_indices(self, pair):
+        with pytest.raises(ValueError, match="two distinct indices"):
+            ScenarioConfig(scenario="bp-null", K=3, bp_pair=pair)
+        ScenarioConfig(scenario="bp-null", K=3, bp_pair=(2, 0))
+        ScenarioConfig(scenario="mar-null", K=3, bp_pair=pair)  # not used there
+
     def test_scenarios_and_ranges_published(self):
         assert "bp-alt" in SCENARIOS
         assert (0.0, 2.0) in COEF_RANGES
@@ -210,6 +219,14 @@ class TestHarness:
         short = sweep_curve(config, [400])
         longer = sweep_curve(config, [400, 700])
         assert short[0] == longer[0]
+
+    def test_sweep_row_is_the_study_at_that_n(self):
+        # Every grid point runs the config's seed.
+        config = self.small("mar-null", reps=3)
+        for n, row in zip((400, 700), sweep_curve(config, [400, 700])):
+            res = run_study(replace(config, n=n))
+            assert row == (n, res.acceptance_rate, res.complete_case_proportion,
+                           res.inconclusive)
 
     def test_sweep_empty_grid_rejected(self):
         with pytest.raises(ValueError):
