@@ -17,9 +17,10 @@ import os
 import sys
 import time
 
-from mdgof.simulate import COEF_RANGES, SCENARIOS, ScenarioConfig, sweep_curve
+from mdgof.cli import main as mdgof_main
+from mdgof.simulate import COEF_RANGES, SCENARIOS
 
-GRID = list(range(1000, 15_001, 500))
+GRID = "1000:15000:500"
 
 
 def main():
@@ -42,15 +43,16 @@ def main():
                 if os.path.exists(path):
                     print(f"skip {path} (exists)", file=sys.stderr)
                     continue
-                config = ScenarioConfig(scenario=scenario, dist=dist, K=4,
-                                        reps=args.reps, param_range=(lo, hi),
-                                        seed=args.seed)
                 start = time.time()
-                rows = sweep_curve(config, GRID, n_jobs=args.threads)
-                with open(path, "w") as fh:
-                    fh.write("n,acceptance_rate,complete_case_pct,inconclusive\n")
-                    for n, rate, cc, inc in rows:
-                        fh.write(f"{n},{rate:.4f},{cc:.4f},{inc}\n")
+                partial = path + ".part"  # a cut run leaves no CSV to skip
+                code = mdgof_main([
+                    "simulate", "--scenario", scenario, "--dist", dist, "--K", "4",
+                    "--reps", str(args.reps), f"--param-range={lo!r},{hi!r}",
+                    "--seed", str(args.seed), "--threads", str(args.threads),
+                    "--n-grid", GRID, "--output", partial])
+                if code:
+                    sys.exit(f"mdgof simulate failed for {path} (exit {code})")
+                os.replace(partial, path)
                 print(f"{path} done in {time.time() - start:.0f}s",
                       file=sys.stderr)
 

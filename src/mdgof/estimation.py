@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ObservedDataset
-from .graph import MDag, detect_structures
+from .data import ObservedDataset, permutation_defects
+from .graph import GraphError, MDag, identification_blockers
 from .numerics import (DEGENERATE, DesignMatrix, PropensityFit, chisq_sf, expit,
                        fit_weighted_logistic, fit_weighted_logistic_batch)
 
@@ -218,14 +218,20 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None):
     Both the null (past indicators + future counterfactuals) and the
     alternative (plus past proxies) are fit under the running weights; the
     weights are rebuilt from an accepted null before the next step.
-    Refuses to run when a declared graph contains a colluder or
-    criss-cross, since the needed propensities are then not identified.
+    A declared graph must be over ``data``'s variables (GraphError), and
+    one with a colluder or criss-cross is refused, since the needed
+    propensities are then not identified.
     """
     if graph is not None:
-        report = detect_structures(graph)
-        if report.colluders or report.criss_crosses:
+        defects = permutation_defects(graph.substantive, data.names)
+        if defects:
+            raise GraphError(f"declared graph must be over the data's variables: {defects}")
+        colluders, crosses = identification_blockers(graph)
+        if colluders or crosses:
             raise EstimationError(
-                f"declared graph blocks identification of the cascade: {report}")
+                "declared graph blocks identification of the cascade: "
+                f"colluders {[list(c) for c in colluders]}, "
+                f"criss-crosses {[sorted(c) for c in crosses]}")
     K = data.K
     tested = [k for k in range(K - 1, 0, -1) if not np.all(data.r[:, k] == 1)]
     omega = np.ones(data.n)  # running I(R_succ = 1) / prod of accepted nulls

@@ -78,8 +78,6 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
     _check_alpha(alpha)
     order = tuple(order)
     ordered = data.reorder(order)
-    if len(order) <= 1:
-        return TestReport(model, order, alpha, (), ACCEPTED)
     steps = []
     try:
         for step in cascade_steps(ordered):

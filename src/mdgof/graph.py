@@ -13,6 +13,7 @@ proxy is "X1*".  For names not of the form X<suffix>, the indicator is
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import json
 import math
@@ -46,18 +47,18 @@ def proxy_name(var):
     return var + "*"
 
 
+def _deterministic_edges(substantive):
+    """The two parent edges of every proxy, X -> X* and R -> X*."""
+    return [(u, proxy_name(v)) for v in substantive for u in (v, indicator_name(v))]
+
+
 @dataclass(frozen=True)
 class MDag:
-    """Immutable missing-data DAG.
-
-    ``fixed`` is nonempty for a conditional graph obtained by intervening on
-    indicators; plain graphs have it empty.
-    """
+    """Immutable missing-data DAG."""
 
     substantive: tuple
     directed_edges: tuple  # (source, target) pairs, deterministic ones included
     bidirected_edges: tuple = ()  # frozensets of substantive pairs
-    fixed: frozenset = frozenset()
 
     @classmethod
     def create(cls, substantive, edges=(), bidirected=()):
@@ -67,10 +68,7 @@ class MDag:
         must not appear in ``edges``.
         """
         substantive = tuple(substantive)
-        det = []
-        for v in substantive:
-            det.append((v, proxy_name(v)))
-            det.append((indicator_name(v), proxy_name(v)))
+        det = _deterministic_edges(substantive)
         det_set = set(det)
         for e in edges:
             if tuple(e) in det_set:
@@ -84,7 +82,6 @@ class MDag:
         object.__setattr__(self, "directed_edges", tuple(tuple(e) for e in self.directed_edges))
         object.__setattr__(self, "bidirected_edges",
                            tuple(frozenset(p) for p in self.bidirected_edges))
-        object.__setattr__(self, "fixed", frozenset(self.fixed))
 
     @property
     def indicators(self):
@@ -100,9 +97,6 @@ class MDag:
 
     def parents(self, v):
         return {s for s, t in self.directed_edges if t == v}
-
-    def children(self, v):
-        return {t for s, t in self.directed_edges if s == v}
 
     def kind(self, v):
         if v in self.substantive:
@@ -174,10 +168,12 @@ def validate_mdag(graph: MDag):
     r_set = set(graph.indicators)
     p_set = set(graph.proxies)
 
+    sorter = graphlib.TopologicalSorter()
     for s, t in graph.directed_edges:
         if s not in verts or t not in verts:
             violations.append(f"edge ({s}, {t}) references unknown vertex")
             continue
+        sorter.add(t, s)
         if t in x_set and s not in x_set:
             violations.append(f"forbidden edge {s} -> {t}: nothing may point into a substantive variable except another substantive variable")
         if s in p_set and t in r_set and graph.base_variable(s) == graph.base_variable(t):
@@ -200,34 +196,11 @@ def validate_mdag(graph: MDag):
         if len(pair) != 2:
             violations.append(f"bidirected edge {set(pair)} is not a pair")
 
-    for v in graph.fixed:
-        if v not in r_set:
-            violations.append(f"fixed vertex {v} is not an indicator")
-        elif graph.parents(v):
-            violations.append(f"fixed indicator {v} still has parents {sorted(graph.parents(v))}")
-
-    if _has_cycle(verts, graph.directed_edges):
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
         violations.append("directed edges contain a cycle")
     return violations
-
-
-def _has_cycle(nodes, edges):
-    children = {v: [] for v in nodes}
-    indeg = {v: 0 for v in nodes}
-    for s, t in edges:
-        if s in children and t in indeg:
-            children[s].append(t)
-            indeg[t] += 1
-    queue = [v for v in nodes if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return seen != len(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +258,12 @@ def _surgered_structure(graph: MDag, interventions):
     Returns (parents, children, name_map) where name_map sends merged proxy
     names to the surviving substantive vertex.
     """
-    interventions = set(interventions) | set(graph.fixed)
     r_set = set(graph.indicators)
     for v in interventions:
         if v not in r_set:
             raise GraphError(f"can only intervene on indicators, got {v!r}")
 
     name_map = {}
-    removed = set(interventions)
     for r in interventions:
         x = graph.base_variable(r)
         name_map[proxy_name(x)] = x
@@ -305,12 +276,12 @@ def _surgered_structure(graph: MDag, interventions):
         if t in interventions:
             continue  # incoming edges of fixed indicators are cut
         s2, t2 = resolve(s), resolve(t)
-        if s2 in removed:
+        if s2 in interventions:
             continue  # fixed indicators are constants, they transmit nothing
         if s2 != t2:
             edges.add((s2, t2))
 
-    nodes = {resolve(v) for v in graph.vertices if v not in removed}
+    nodes = {resolve(v) for v in graph.vertices if v not in interventions}
     for i, pair in enumerate(graph.bidirected_edges):
         a, b = sorted(pair)
         u = f"__latent_{i}"
@@ -348,7 +319,8 @@ def d_separated(graph: MDag, query: IndependenceQuery):
 # ---------------------------------------------------------------------------
 
 def _class_queries(graph: MDag, order):
-    """Defining independence sets of each model class under ``order``."""
+    """Defining independence sets of each model class under ``order``, most
+    specific class first."""
     defects = permutation_defects(order, graph.substantive)
     if defects:
         raise GraphError(f"order must be a permutation of the graph variables: {defects}")
@@ -382,21 +354,15 @@ def _class_queries(graph: MDag, order):
 
 def satisfied_model_classes(graph: MDag, order):
     """Set of model classes whose defining d-separations all hold."""
-    out = set()
-    for name, qs in _class_queries(graph, order).items():
-        if all(d_separated(graph, q) for q in qs):
-            out.add(name)
-    return out
-
-# Most specific first; a graph satisfying several classes is reported under
-# the earliest entry.
-_CLASS_PRIORITY = (SEQ_MAR, SEQ_MNAR, BLOCK_PARALLEL, PERMUTATION, NO_SELF_CENSORING)
+    return {name for name, qs in _class_queries(graph, order).items()
+            if all(d_separated(graph, q) for q in qs)}
 
 
 def classify_model(graph: MDag, order):
-    satisfied = satisfied_model_classes(graph, order)
-    for name in _CLASS_PRIORITY:
-        if name in satisfied:
+    """The most specific model class whose defining d-separations all hold
+    (the first in :func:`_class_queries` order), or ``OTHER``."""
+    for name, qs in _class_queries(graph, order).items():
+        if all(d_separated(graph, q) for q in qs):
             return name
     return OTHER
 
@@ -415,9 +381,24 @@ def detect_structures(graph: MDag) -> StructureReport:
     """
     X = graph.substantive
     edge_set = set(graph.directed_edges)
-
     self_cens = tuple((x, indicator_name(x)) for x in X
                       if (x, indicator_name(x)) in edge_set)
+    colluders, crosses = identification_blockers(graph)
+    paths = []
+    for x in X:
+        paths.extend(_colluding_paths(graph, x, indicator_name(x)))
+    return StructureReport(self_cens, colluders, crosses, tuple(paths))
+
+
+def identification_blockers(graph: MDag):
+    """(colluders, criss-crosses) of ``graph``, the two structures of
+    :func:`detect_structures` that leave a propensity unidentified.
+
+    A colluder (Xi, Rj, Ri) is Xi -> Rj <- Ri; a criss-cross {Xi, Xj} is
+    Xi -> Rj and Xj -> Ri with an edge between Ri and Rj.
+    """
+    X = graph.substantive
+    edge_set = set(graph.directed_edges)
 
     colluders = []
     for xi in X:
@@ -434,11 +415,7 @@ def detect_structures(graph: MDag) -> StructureReport:
         if ((xi, rj) in edge_set and (xj, ri) in edge_set
                 and ((ri, rj) in edge_set or (rj, ri) in edge_set)):
             crosses.append(frozenset({xi, xj}))
-
-    paths = []
-    for x in X:
-        paths.extend(_colluding_paths(graph, x, indicator_name(x)))
-    return StructureReport(self_cens, tuple(colluders), tuple(crosses), tuple(paths))
+    return tuple(colluders), tuple(crosses)
 
 
 def _colluding_paths(graph: MDag, start, end):
@@ -564,19 +541,10 @@ def count_parameters(graph: MDag, cardinalities):
         if c is None or c < 2 or c != int(c):
             raise GraphError(f"need a finite cardinality >= 2 for {v}")
 
-    def card_of(v):
-        kind = graph.kind(v)
-        if kind == "X":
-            return cards[v]
-        if kind == "R":
-            return 2
-        return cards[graph.base_variable(v)] + 1  # proxy: states plus "?"
-
-    full = 0
-    for v in graph.substantive + graph.indicators:
-        pa = sorted(graph.parents(v))
-        full += (card_of(v) - 1) * _valid_parent_configs(graph, pa, cards)
-
+    full = sum((cards[x] - 1) * _valid_parent_configs(graph, graph.parents(x), cards)
+               for x in graph.substantive)
+    full += sum(_valid_parent_configs(graph, graph.parents(r), cards)
+                for r in graph.indicators)  # binary: one free parameter each
     return full, _saturated_observed_count(cards[v] for v in graph.substantive)
 
 
@@ -651,10 +619,7 @@ def load_graph_json(path):
 
 
 def graph_to_dict(graph: MDag, order=None):
-    det = set()
-    for v in graph.substantive:
-        det.add((v, proxy_name(v)))
-        det.add((indicator_name(v), proxy_name(v)))
+    det = set(_deterministic_edges(graph.substantive))
     obj = {
         "variables": list(graph.substantive),
         "edges": [list(e) for e in graph.directed_edges if e not in det],

@@ -77,7 +77,9 @@ def generate_full_data(config: ScenarioConfig, rng):
     K = config.K
     if config.dist == "gaussian":
         idx = np.arange(K)
-        cov = 1.0 - np.abs(idx[:, None] - idx[None, :]) * 0.25
+        # Correlation 1 - |i - j| / 4, held at 0 from lag 4 on: unclamped, it
+        # turns negative and the matrix is not positive definite at K >= 9.
+        cov = np.maximum(0.0, 1.0 - np.abs(idx[:, None] - idx[None, :]) * 0.25)
         return sample_mvn(config.n, np.zeros(K), cov, rng)
     # Binary chain: each variable logistic in its predecessors, coefficients
     # uniform on (-1, 1).

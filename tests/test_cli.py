@@ -215,6 +215,14 @@ class TestSimulateCommand:
                      "--n", "200", "--reps", "1", "--seed", "1"]) == 64
         assert "pair must be two distinct indices in 0..0" in capsys.readouterr().err
 
+    def test_gaussian_at_k10_emits_data(self, tmp_path):
+        # The unclamped lag correlation is indefinite at K = 10.
+        out = str(tmp_path / "k10.csv")
+        assert main(["simulate", "--scenario", "mar-null", "--dist", "gaussian",
+                     "--K", "10", "--n", "300", "--seed", "1",
+                     "--emit-data", out]) == 0
+        assert open(out).readline().rstrip() == ",".join(f"X{i}" for i in range(1, 11))
+
     def test_bad_grid_spec(self):
         assert main(["simulate", "--scenario", "mar-null",
                      "--n-grid", "10,20", "--seed", "0"]) == 64

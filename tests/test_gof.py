@@ -16,7 +16,7 @@ from mdgof.gof import ACCEPTED, INCONCLUSIVE, REJECTED
 from mdgof.gof import test_block_parallel as run_block_parallel
 from mdgof.gof import test_sequential_mar as run_sequential_mar
 from mdgof.gof import test_sequential_mnar as run_sequential_mnar
-from mdgof.graph import MDag
+from mdgof.graph import GraphError, MDag
 from mdgof.simulate import ScenarioConfig, simulate_dataset
 
 
@@ -106,6 +106,28 @@ class TestSequentialMnar:
         report = run_sequential_mnar(data, data.names, graph=g)
         assert report.verdict == INCONCLUSIVE
         assert "error" in report.steps[0].diagnostics
+
+    def test_colluder_report_names_only_the_blockers(self, monkeypatch):
+        # The refusal reads colluders and criss-crosses alone: no colluding
+        # path is enumerated, and the message names only those structures.
+        def no_paths(*args):
+            raise AssertionError("colluding paths enumerated")
+        monkeypatch.setattr("mdgof.graph._colluding_paths", no_paths)
+        data = scenario_dataset("mnar-null", 2000, 0)
+        g = MDag.create(data.names, edges=[("X1", "X2"), ("X1", "R2"), ("R1", "R2")])
+        report = run_sequential_mnar(data, data.names, graph=g)
+        assert report.verdict == INCONCLUSIVE
+        assert report.steps[0].diagnostics["error"] == (
+            "declared graph blocks identification of the cascade: "
+            "colluders [['X1', 'R2', 'R1']], criss-crosses []")
+
+    @pytest.mark.parametrize("K, missing", [(4, "X1, X2, X3, X4"), (1, "X1")])
+    def test_graph_over_other_variables_refused(self, K, missing):
+        # Also at K = 1, where the cascade has no step to test.
+        data = scenario_dataset("mnar-null", 2000, 0, K=K)
+        g = MDag.create(("A", "B"), [("A", "B")])
+        with pytest.raises(GraphError, match=f"missing {missing}; unknown A, B$"):
+            run_sequential_mnar(data, data.names, graph=g)
 
     def test_single_variable_vacuous(self):
         data = scenario_dataset("mnar-null", 500, 0, K=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdgof.graph import (GraphError, IndependenceQuery, MDag,
+from mdgof.graph import (GraphError, IndependenceQuery, MDag, _class_queries,
                          _valid_parent_configs, classify_model,
                          count_parameters, count_parameters_no_self_censoring,
                          d_separated, detect_structures, dsep_digraph,
@@ -58,6 +58,17 @@ class TestValidation:
     def test_cycle_detected(self):
         g = MDag.create(("X1", "X2"), edges=[("R1", "R2"), ("R2", "R1")])
         assert any("cycle" in v for v in validate_mdag(g))
+
+    def test_self_loop_is_a_cycle(self):
+        g = MDag.create(("X1", "X2"), edges=[("R1", "R1")])
+        assert validate_mdag(g) == ["directed edges contain a cycle"]
+
+    def test_unknown_vertex_reported_not_raised(self):
+        # The edge is left out of the cycle check and reported on its own.
+        g = MDag.create(("X1", "X2"), edges=[("X1", "R9"), ("R9", "R1")])
+        assert validate_mdag(g) == [
+            "edge (X1, R9) references unknown vertex",
+            "edge (R9, R1) references unknown vertex"]
 
     def test_bidirected_must_join_substantive(self):
         g = MDag.create(("X1", "X2"), bidirected=[("X1", "R2")])
@@ -149,6 +160,18 @@ class TestClassification:
         assert "sequential-MAR" in satisfied
         assert "block-parallel" in satisfied
         assert classify_model(g, ("X1", "X2")) == "sequential-MAR"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_classification_is_first_satisfied_class(self, seed):
+        # The reported class is the first satisfied one in the defining
+        # queries' order, on random m-DAGs and random orders.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=4, max_card=2)
+        order = tuple(rng.permutation(g.substantive))
+        satisfied = satisfied_model_classes(g, order)
+        first = [c for c in _class_queries(g, order) if c in satisfied]
+        assert classify_model(g, order) == (first[0] if first else "other")
 
     def test_order_must_cover_variables(self):
         with pytest.raises(GraphError, match="missing X2$"):
@@ -278,6 +301,21 @@ class TestSerialization:
         g2, order = graph_from_dict(obj)
         assert g2 == g
         assert order == ("X1", "X2")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_is_exact_on_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=4, max_card=2)
+        xs = g.substantive
+        bidirected = [(a, b) for i, a in enumerate(xs) for b in xs[i + 1:]
+                      if rng.random() < 0.3]
+        g = MDag(g.substantive, g.directed_edges, bidirected)
+        order = tuple(rng.permutation(xs))
+        obj = graph_to_dict(g, order)
+        g2, order2 = graph_from_dict(obj)
+        assert (g2, order2) == (g, order)
+        assert graph_to_dict(g2, order2) == obj
 
     def test_deterministic_edges_not_serialized(self):
         obj = graph_to_dict(mar_graph())

@@ -39,6 +39,15 @@ class TestFullData:
         expected = 1.0 - 0.25 * np.abs(idx[:, None] - idx[None, :])
         assert np.allclose(emp, expected, atol=0.02)
 
+    def test_gaussian_correlation_is_zero_beyond_lag_four(self):
+        # Unclamped, 1 - |i - j| / 4 is indefinite at K = 10.
+        config = ScenarioConfig(scenario="mar-null", dist="gaussian",
+                                K=10, n=200_000, seed=0)
+        emp = np.cov(generate_full_data(config, child_rng(0, 0)).T)
+        idx = np.arange(10)
+        lag = np.abs(idx[:, None] - idx[None, :])
+        assert np.allclose(emp, np.maximum(0.0, 1.0 - 0.25 * lag), atol=0.02)
+
     def test_binary_chain_marginals(self):
         config = ScenarioConfig(scenario="mar-null", dist="binary",
                                 K=3, n=50_000, seed=1)
