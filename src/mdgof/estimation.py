@@ -75,9 +75,11 @@ class CascadeStep:
     null_fit: PropensityFit     # the likelihood-ratio fits under weights;
     alt_fit: PropensityFit      # the null's columns lead the alternative's
     design: DesignMatrix        # the alternative's, on the masked rows
-    weights: np.ndarray         # inverse-propensity weights on masked rows
+    weights: np.ndarray         # the fits' weights on masked rows: each
+                                # row's inverse-propensity weight x count
+    counts: np.ndarray          # rows each row stands for, on every row
     mask: np.ndarray
-    clip_events: int            # clipped propensities in the weights
+    clip_events: int            # clipped propensities in the weights, per row
     stabilized: bool            # see _fit_step
 
 
@@ -108,9 +110,10 @@ def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
     return np.maximum(fit.predict(design), PROPENSITY_CLIP)
 
 
-def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix):
-    """MAR's full-sample null: R_k's clipped propensities, unweighted."""
-    fit = fit_weighted_logistic(design, data.r[:, k])
+def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix, counts):
+    """MAR's full-sample null: R_k's clipped propensities, each row
+    weighted by its count alone."""
+    fit = fit_weighted_logistic(design, data.r[:, k], counts)
     if not fit.converged:
         raise EstimationError(
             f"null propensity fit for {data.names[k]} failed: {fit.message}")
@@ -118,26 +121,29 @@ def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix):
 
 
 def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
-              weights, clipped, full_null):
+              weights, clipped, full_null, counts):
     """(tested cascade step ``k``, its masked null design, MAR's full-sample
     null probabilities of R_k if ``full_null``, else None).
 
     One copy of the design's first ``stab_p`` columns serves the full-sample
     null and the stabilizer, the fitted probability of the row mask, which
-    multiplies ``weights`` unless its fit did not converge.  ``clipped``
-    counts the clipped propensities in each row's weights.  The masked null
-    is the leading columns: intercept, R_j for j < k, ``null_proxies``.
+    multiplies ``weights`` unless its fit did not converge.  Row i stands
+    for ``counts[i]`` rows: the full-sample null and the stabilizer weight
+    it by its count, and ``weights[i]``, the masked fits' weight, is its
+    inverse-propensity weight times its count.  ``clipped`` counts the
+    clipped propensities in each row's weights.  The masked null is the
+    leading columns: intercept, R_j for j < k, ``null_proxies``.
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
     name = data.names[k]
     lead = _leading(design, stab_p) if full_null or not mask.all() else None
-    probs = _full_sample_probs(data, k, lead) if full_null else None
+    probs = _full_sample_probs(data, k, lead, counts) if full_null else None
     if not np.any(weights[mask] > 0):
         raise EstimationError(f"all weights vanished before index {name}")
     w = weights.copy()
     stabilized = True  # a mask that keeps every row has probability 1
     if not mask.all():
-        stab = fit_weighted_logistic(lead, mask.astype(np.int8))
+        stab = fit_weighted_logistic(lead, mask.astype(np.int8), counts)
         stabilized = stab.converged
         if stabilized:
             w *= stab.predict(lead)
@@ -154,13 +160,14 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
     for fit in (null_fit, alt_fit):
         if not fit.converged:
             raise EstimationError(f"propensity fit for {name} failed: {fit.message}")
-    return CascadeStep(k, null_fit, alt_fit, masked, w, mask,
-                       int(clipped[mask].sum()), stabilized), null, probs
+    return CascadeStep(k, null_fit, alt_fit, masked, w, counts, mask,
+                       int(clipped[mask] @ counts[mask]), stabilized), null, probs
 
 
-def mar_steps(data: ObservedDataset):
+def mar_steps(data: ObservedDataset, counts=None):
     """The tested steps of the sequential-MAR cascade of ``data``'s columns
-    in their order, backward, each fit when the caller asks for it.
+    in their order, backward, each fit when the caller asks for it.  Row i
+    of ``data`` stands for ``counts[i]`` rows (by default, for itself).
 
     Each index but the last is tested: the observed-data null against the
     inverse-weighted alternative, with weights built from the already-fitted
@@ -186,19 +193,21 @@ def mar_steps(data: ObservedDataset):
       distribution is far better behaved.
     """
     K = data.K
+    counts = np.ones(data.n) if counts is None else counts
     partial = [k for k in range(K) if not np.all(data.r[:, k] == 1)]
-    weights = np.ones(data.n)  # 1 / prod of the later full-sample nulls
+    weights = counts.copy()  # count / prod of the later full-sample nulls
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in weights
     for k in reversed(partial):
         full_null = k > partial[0]
         if k < K - 1:
             step, null, probs = _fit_step(data, k, range(k), range(k + 1, K),
-                                          1 + 2 * k, weights, clipped, full_null)
+                                          1 + 2 * k, weights, clipped, full_null,
+                                          counts)
             del null  # the test reads the step alone
             yield step
         elif full_null:
             design, _ = build_features(data, k, range(k), ())
-            probs = _full_sample_probs(data, k, design)
+            probs = _full_sample_probs(data, k, design, counts)
             del design
         if full_null:
             weights /= probs
@@ -211,9 +220,10 @@ def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
     return PropensityCascade(tuple(mar_steps(data.reorder(order))))
 
 
-def mnar_steps(data: ObservedDataset, graph: MDag | None):
+def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
     """The tested steps of the sequential-MNAR cascade (indices K .. 2) of
     ``data``'s columns in their order, each fit when the caller asks for it.
+    Row i of ``data`` stands for ``counts[i]`` rows (by default, for itself).
 
     Both the null (past indicators + future counterfactuals) and the
     alternative (plus past proxies) are fit under the running weights; the
@@ -233,15 +243,16 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None):
                 f"colluders {[list(c) for c in colluders]}, "
                 f"criss-crosses {[sorted(c) for c in crosses]}")
     K = data.K
+    counts = np.ones(data.n) if counts is None else counts
     tested = [k for k in range(K - 1, 0, -1) if not np.all(data.r[:, k] == 1)]
-    omega = np.ones(data.n)  # running I(R_succ = 1) / prod of accepted nulls
+    omega = counts.copy()  # count x I(R_succ = 1) / prod of accepted nulls
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in omega
     for k in tested:
         # The likelihood-ratio fits use stabilized weights: omega times the
         # fitted mask probability given the past indicators (the only null
         # features available on every row).  See mar_steps.
         step, null, _ = _fit_step(data, k, range(k + 1, K), range(k), 1 + k,
-                                  omega, clipped, False)
+                                  omega, clipped, False, counts)
         yield step
         if k == tested[-1]:
             return  # no later step reads the weights
@@ -296,7 +307,7 @@ def weighted_lr_stat(null_fit: PropensityFit, alt_fit: PropensityFit):
 
 
 def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
-                     design: DesignMatrix, outcome, weights):
+                     design: DesignMatrix, outcome, weights, counts=None):
     """P-value of a weighted likelihood-ratio statistic.
 
     Under weighting the statistic converges to a weighted sum of chi-square(1)
@@ -313,19 +324,23 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     the classical chi-square p-value.  Falls back to the classical reference
     if the linear algebra degenerates.  ``design`` is the alternative's;
     the tested block is its columns after the null's, which must lead them.
+    Row i stands for ``counts[i]`` rows with weight ``weights[i]`` (by
+    default, for itself): each sum over rows takes it ``counts[i]`` times,
+    so the squared score is scaled by the count, not by its square.
     """
     df = _nested_df(null_fit, alt_fit)
     p0 = len(null_fit.column_names)
     y = np.asarray(outcome, dtype=float)
     w = np.asarray(weights, dtype=float)
+    c = np.ones_like(w) if counts is None else np.asarray(counts, dtype=float)
     x = design.values
     mu = alt_fit.predict(design)
     fallback = chisq_sf(two_rho, df)
     try:
-        a_mat = x.T @ (x * (w * mu * (1.0 - mu))[:, None])
-        scores = (w * (y - mu))[:, None] * x
+        a_mat = x.T @ (x * (c * w * mu * (1.0 - mu))[:, None])
+        scores = (np.sqrt(c) * w * (y - mu))[:, None] * x
         b_emp = scores.T @ scores
-        b_rb = x.T @ (x * (w ** 2 * mu * (1.0 - mu))[:, None])
+        b_rb = x.T @ (x * (c * w ** 2 * mu * (1.0 - mu))[:, None])
         schur = a_mat[p0:, p0:] - a_mat[p0:, :p0] @ np.linalg.solve(
             a_mat[:p0, :p0], a_mat[:p0, p0:])
         pvals = []
@@ -349,8 +364,10 @@ def step_test(data: ObservedDataset, step: CascadeStep):
     """(rho, 2*rho, df, p_value) of a cascade step with the robust
     reference distribution, from its fits and the design they ran on."""
     rho, two_rho, df = weighted_lr_stat(step.null_fit, step.alt_fit)
+    counts = step.counts[step.mask]
     p = robust_lr_pvalue(max(two_rho, 0.0), step.null_fit, step.alt_fit,
-                         step.design, data.r[step.mask, step.k], step.weights)
+                         step.design, data.r[step.mask, step.k],
+                         step.weights / counts, counts)
     return rho, two_rho, df, p
 
 
@@ -358,23 +375,62 @@ def step_test(data: ObservedDataset, step: CascadeStep):
 # Odds-ratio estimator (block-parallel route)
 # ---------------------------------------------------------------------------
 
-def _row_patterns(data: ObservedDataset):
-    """Distinct (R, zero-imputed X*) rows of ``data``.
+def _column_codes(data: ObservedDataset):
+    """(base, codes) of each column block of the (R, X*) rows: integer codes
+    in [0, base) that order the rows as the block's values do.  Up to 62
+    indicators make one block, coded arithmetically with the first as the
+    most significant bit.  A proxy column's codes are the ranks of its
+    values, a missing cell ranked last; they are not computed (None) when
+    the column has more than n / 2 distinct values."""
+    n = data.n
+    for start in range(0, data.K, 62):
+        block = data.r[:, start:start + 62]
+        code = np.zeros(n, dtype=np.int64)
+        for column in block.T:
+            code = 2 * code + column
+        yield 2 ** block.shape[1], code
+    for column in data.xstar.T:
+        values = np.unique(column)
+        yield values.size, (None if values.size > n / 2
+                            else np.searchsorted(values, column))
 
-    Returns (pattern id of every row, indicator rows, proxy rows, counts),
-    the last three one entry per pattern.  Columns are factorised one at a
-    time and the running ids re-factorised after each, so ids stay below n
-    and no float row sort is needed.
+
+def _row_patterns(data: ObservedDataset):
+    """Distinct (R, X*) rows of ``data``.
+
+    Returns (pattern id of every row, the patterns as a dataset, counts),
+    the last two one row per pattern, in the lexicographic order of the
+    (R, zero-imputed X*) rows.  The column codes are folded into one
+    mixed-radix code per row, ranked at the end or when it would overflow;
+    a missing cell needs no imputation, since the indicators tell it apart.
+    When the distinct rows exceed n / 2, every row is its own pattern, with
+    count 1: ``data`` itself, whose ids are the row numbers.  A proxy column
+    with more than n / 2 values shows it before any of its codes is looked
+    up, and so does a ranking, so the columns after it are not read.  A
+    partition finer than the patterns is still exact, and the distinct
+    count only grows from column to column, so whether the data are
+    compressed does not depend on the column order.
     """
-    xz = np.nan_to_num(data.xstar, nan=0.0)
-    ids = np.zeros(data.n, dtype=np.intp)
-    for col in itertools.chain(data.r.T, xz.T):
-        values, codes = np.unique(col, return_inverse=True)
-        _, ids = np.unique(ids * values.size + codes, return_inverse=True)
-    counts = np.bincount(ids)
-    first = np.empty(counts.size, dtype=np.intp)
-    first[ids] = np.arange(data.n)
-    return ids, data.r[first], xz[first], counts.astype(float)
+    n = data.n
+    key, size = np.zeros(n, dtype=np.int64), 1  # the rows' codes, < size
+    for base, codes in _column_codes(data):
+        if codes is None:
+            break  # at least as many distinct rows as the column has values
+        if size * base > 2 ** 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = distinct.size
+            if size > n / 2:
+                break
+        key, size = key * base + codes, size * base
+    else:
+        distinct, ids = np.unique(key, return_inverse=True)
+        if distinct.size <= n / 2:
+            first = np.empty(distinct.size, dtype=np.intp)
+            first[ids] = np.arange(n)
+            patterns = ObservedDataset(data.names, data.r[first], data.xstar[first])
+            return ids, patterns, np.bincount(ids, minlength=distinct.size).astype(float)
+    # Counts of one as a read-only view: nothing n long is stored for them.
+    return np.arange(n), data, np.broadcast_to(1.0, n)
 
 
 def _numerator_cell(r, k, j):
@@ -384,10 +440,10 @@ def _numerator_cell(r, k, j):
 
 
 class _PairEquation:
-    """Estimating equation of OR(R_k=0, R_j=0 | X_{-kj}, R_{-kj}=1) on fixed
-    distinct rows ``r``, ``xz``, evaluated for a matrix of their counts.
+    """Estimating equation of OR(R_k=0, R_j=0 | X_{-kj}, R_{-kj}=1) on the
+    fixed distinct rows ``patterns``, evaluated for a matrix of their counts.
 
-    ``xz`` is the zero-imputed proxy matrix; rows entering each propensity
+    The designs take the proxies zero-imputed; rows entering each propensity
     fit have the needed variables observed, so the imputation never leaks in.
     What depends only on the rows -- the row subsets, both propensity
     designs and their complete-case designs -- is built once; a bootstrap
@@ -398,9 +454,10 @@ class _PairEquation:
     present rows for every fit measured slower than carrying them.
     """
 
-    def __init__(self, r, xz, names, k, j):
-        K = r.shape[1]
-        self.names = names
+    def __init__(self, patterns: ObservedDataset, k, j):
+        r, xz = patterns.r, np.nan_to_num(patterns.xstar, nan=0.0)
+        K = patterns.K
+        self.names = patterns.names
         # Row subsets are index arrays: np.take of columns is the cheapest
         # gather from a matrix of counts.
         self.complete = np.flatnonzero(np.all(r == 1, axis=1))
@@ -409,7 +466,7 @@ class _PairEquation:
         for target in (k, j):
             rest = [i for i in range(K) if i != target]
             cond = np.flatnonzero(np.all(r[:, rest] == 1, axis=1))
-            columns = ("intercept",) + tuple(f"X[{names[i]}]" for i in rest)
+            columns = ("intercept",) + tuple(f"X[{self.names[i]}]" for i in rest)
             design = DesignMatrix(
                 columns, np.column_stack([np.ones(cond.size), xz[cond][:, rest]]))
             cc_x = np.column_stack([np.ones(self.complete.size),
@@ -466,8 +523,8 @@ class _PairEquation:
 
 def _pairwise_theta(data: ObservedDataset, k, j):
     """Point estimate of the pairwise conditional odds ratio."""
-    _, r, xz, counts = _row_patterns(data)
-    return _PairEquation(r, xz, data.names, k, j).point_estimate(counts)[0]
+    _, patterns, counts = _row_patterns(data)
+    return _PairEquation(patterns, k, j).point_estimate(counts)[0]
 
 
 def check_n_bootstrap(n_bootstrap):
@@ -507,8 +564,8 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
-    ids, r, xz, counts = _row_patterns(data)
-    equation = _PairEquation(r, xz, data.names, k, j)
+    ids, patterns, counts = _row_patterns(data)
+    equation = _PairEquation(patterns, k, j)
     numerator_cell = int(counts @ equation.numerator)
     if numerator_cell == 0:
         raise EstimationError(

@@ -6,8 +6,8 @@ import json
 from dataclasses import dataclass, field
 
 from .data import ObservedDataset
-from .estimation import (EstimationError, check_n_bootstrap, estimate_odds_ratio,
-                         mar_steps, mnar_steps, step_test)
+from .estimation import (EstimationError, _row_patterns, check_n_bootstrap,
+                         estimate_odds_ratio, mar_steps, mnar_steps, step_test)
 from .graph import MDag
 from .numerics import child_rng
 
@@ -66,22 +66,25 @@ def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
     sequential-MNAR restrictions.  A declared graph with a colluder or
     criss-cross is refused (the cascade is not identified there)."""
     return _sequential_test("sequential-MNAR",
-                            lambda ordered: mnar_steps(ordered, graph),
+                            lambda rows, counts: mnar_steps(rows, graph, counts),
                             data, order, alpha)
 
 
 def _sequential_test(model, cascade_steps, data, order, alpha):
     """One pass over the model's cascade: each step is tested as soon as it
     is fit, and the first rejection ends the test, so nothing after it is
-    built or fit.  A cascade that fails before any rejection makes the test
-    inconclusive, with one record naming the failure."""
+    built or fit.  The cascade runs on the distinct (R, X*) rows with their
+    counts, as the odds-ratio bootstrap does: every quantity it computes
+    for a row depends only on the row's pattern.  A cascade that fails
+    before any rejection makes the test inconclusive, with one record
+    naming the failure."""
     _check_alpha(alpha)
     order = tuple(order)
-    ordered = data.reorder(order)
+    patterns, counts = _row_patterns(data.reorder(order))[1:]
     steps = []
     try:
-        for step in cascade_steps(ordered):
-            rho, two_rho, df, p = step_test(ordered, step)
+        for step in cascade_steps(patterns, counts):
+            rho, two_rho, df, p = step_test(patterns, step)
             decision = "reject" if p < alpha else "accept"
             steps.append(StepRecord(order[step.k], two_rho, df, p, decision,
                                     _step_diag(step)))
@@ -130,9 +133,11 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
 
 
 def _step_diag(step):
+    counts = step.counts[step.mask]
     return {
-        "n_masked": int(step.mask.sum()),
-        "max_weight": float(step.weights.max()),
+        "n_masked": int(counts.sum()),
+        "max_weight": float((step.weights / counts).max()),
         "clip_events": int(step.clip_events),
         "stabilized": bool(step.stabilized),
+        "n_patterns": int(step.mask.size),
     }

@@ -293,6 +293,29 @@ class TestLrStatistic:
         assert 0.0 <= p <= 1.0
         assert p >= chisq_sf(max(two_rho, 0.0), df) - 1e-12
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_counts_are_duplicated_rows(self, seed):
+        # Row i with count c_i is c_i copies of it under weight w_i: the
+        # same fits give one p-value on either, so the empirical sandwich
+        # scales each squared score by c_i, not by c_i^2.
+        rng = np.random.default_rng(seed)
+        n = 400
+        x = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
+        y = (rng.random(n) < expit(x @ np.array([0.2, 0.5, 0.3]))).astype(float)
+        w = rng.lognormal(0.0, 1.0, size=n)
+        c = rng.integers(1, 6, size=n).astype(float)
+        nd = DesignMatrix(("c", "a"), np.ascontiguousarray(x[:, :2]))
+        ad = DesignMatrix(("c", "a", "b"), x)
+        nf = fit_weighted_logistic(nd, y, w * c)
+        af = fit_weighted_logistic(ad, y, w * c)
+        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        rows = np.repeat(np.arange(n), c.astype(int))
+        want = robust_lr_pvalue(two_rho, nf, af, DesignMatrix(ad.names, x[rows]),
+                                y[rows], w[rows])
+        assert robust_lr_pvalue(two_rho, nf, af, ad, y, w, c) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)
+        assert want > chisq_sf(two_rho, 1)  # a robust candidate sets it
+
     def test_non_nested_rejected(self):
         nd, ad, nf, af, y, w = self._fits(3)
         with pytest.raises(EstimationError):
@@ -308,6 +331,50 @@ class TestLrStatistic:
             robust_lr_pvalue(1.0, moved_fit, af, ad, y, w)
         with pytest.raises(EstimationError, match="strictly nest"):
             weighted_lr_stat(moved_fit, af)
+
+
+class TestRowPatterns:
+    @pytest.mark.parametrize("scenario", ["mar-null", "mnar-alt", "bp-alt"])
+    def test_binary_rows_compress_exactly(self, scenario):
+        data = scenario_dataset(scenario, 5000, 3)
+        ids, patterns, counts = estimation._row_patterns(data)
+        assert counts.size <= 3 ** data.K
+        assert counts.sum() == data.n
+        assert np.array_equal(counts, np.bincount(ids))
+        # Every row is its pattern, and the patterns are distinct.
+        assert np.array_equal(patterns.r[ids], data.r)
+        assert np.array_equal(patterns.xstar[ids], data.xstar, equal_nan=True)
+        rows = {tuple(row) for row in
+                np.column_stack([data.r, np.nan_to_num(data.xstar)])}
+        assert counts.size == len(rows)
+
+    def test_gaussian_rows_are_their_own_patterns(self):
+        data = scenario_dataset("mar-null", 2000, 3, dist="gaussian")
+        ids, patterns, counts = estimation._row_patterns(data)
+        assert patterns is data
+        assert np.array_equal(ids, np.arange(data.n))
+        assert np.array_equal(counts, np.ones(data.n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
+           K=st.integers(1, 5), levels=st.integers(1, 40))
+    def test_pattern_count_ignores_column_order(self, seed, n, K, levels):
+        # Rows compress to their distinct values when those are at most
+        # n / 2, and are each their own pattern otherwise, whatever the
+        # column order: the count decides, not the column it is seen at.
+        rng = np.random.default_rng(seed)
+        r = (rng.random((n, K)) < 0.7).astype(np.int8)
+        x = np.where(r == 1, rng.integers(0, levels, size=(n, K)), np.nan)
+        data = ObservedDataset(tuple(f"X{i}" for i in range(K)), r, x)
+        distinct = len({tuple(row) for row in np.column_stack([r, np.nan_to_num(x)])})
+        want = distinct if distinct <= n / 2 else n
+        perm = rng.permutation(K)
+        moved = ObservedDataset(tuple(data.names[i] for i in perm),
+                                r[:, perm], x[:, perm])
+        for d in (data, moved):
+            ids, patterns, counts = estimation._row_patterns(d)
+            assert counts.size == patterns.n == want
+            assert np.array_equal(patterns.xstar[ids], d.xstar, equal_nan=True)
 
 
 class TestOddsRatio:
@@ -366,7 +433,7 @@ class TestOddsRatio:
                                                 dist, n, K, seed):
         """60 resamples fit in batches of 1, 7 and 60 give one estimate."""
         data = scenario_dataset(scenario, n, seed, dist=dist, K=K)
-        m = estimation._row_patterns(data)[3].size
+        m = estimation._row_patterns(data)[2].size
         got = []
         for rows in (1, 7, 60):
             monkeypatch.setattr(estimation, "BOOTSTRAP_CHUNK_CELLS", rows * m)
@@ -390,8 +457,9 @@ class TestOddsRatio:
     def test_resample_failures_in_checking_order(self):
         """Batched, the first failing check names a resample's failure."""
         data = scenario_dataset("bp-null", 400, 1, K=3)
-        ids, r, xz, counts = estimation._row_patterns(data)
-        equation = estimation._PairEquation(r, xz, data.names, 0, 1)
+        _, patterns, counts = estimation._row_patterns(data)
+        r = patterns.r
+        equation = estimation._PairEquation(patterns, 0, 1)
         no_k = counts * (r[:, 0] == 1)      # every row left has R1 = 1
         no_j = counts * (r[:, 1] == 1)
         theta, failure, _ = equation.theta(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdgof import estimation
+from mdgof import estimation, gof
 from mdgof.data import DataError, ObservedDataset
 from mdgof.estimation import EstimationError
 from mdgof.gof import ACCEPTED, INCONCLUSIVE, REJECTED
@@ -148,18 +148,28 @@ class TestSequentialReports:
         data = scenario_dataset(scenario, 3000, 1)
         assert all(s.diagnostics["stabilized"] for s in run(data, data.names).steps)
         real = estimation.fit_weighted_logistic
+        real_patterns = gof._row_patterns
+        compressed = []  # the (patterns, counts) the cascade runs on
         forced = []
+
+        def row_patterns(data):
+            ids, patterns, counts = real_patterns(data)
+            compressed.append((patterns, counts))
+            return ids, patterns, counts
 
         def fit(design, outcome, weights=None, **kw):
             result = real(design, outcome, weights, **kw)
-            # The stabilizer is the one unweighted fit whose outcome is the
-            # row mask rather than one of the dataset's indicator columns.
-            if weights is None and not np.shares_memory(outcome, data.r):
+            # The stabilizer is the one fit weighted by the counts alone
+            # whose outcome is the row mask rather than one of the
+            # cascade's indicator columns.
+            patterns, counts = compressed[-1]
+            if weights is counts and not np.shares_memory(outcome, patterns.r):
                 forced.append(design.p)
                 return dataclasses.replace(result, converged=False,
                                            message="forced")
             return result
 
+        monkeypatch.setattr(gof, "_row_patterns", row_patterns)
         monkeypatch.setattr(estimation, "fit_weighted_logistic", fit)
         report = run(data, data.names)
         assert len(report.steps) == 3
@@ -237,6 +247,56 @@ def test_failure_after_the_first_step(run, scenario, seed, verdict, builds,
         assert [s.to_dict() for s in report.steps] == [
             {"k": "cascade", "statistic": None, "df": None, "p_value": None,
              "decision": INCONCLUSIVE, "diagnostics": {"error": "no rows left"}}]
+
+
+def _row_level_report(run, data, alpha=0.05):
+    """(verdict, steps) of ``run``'s cascade on ``data`` with every row
+    counted once, each step tested as the sequential tests test it: a step
+    is (label, 2*rho, df, p, decision, n_masked, clip_events, max_weight)."""
+    steps = (estimation.mar_steps(data) if run is run_sequential_mar
+             else estimation.mnar_steps(data, None))
+    records = []
+    for step in steps:
+        _, two_rho, df, p = estimation.step_test(data, step)
+        decision = "reject" if p < alpha else "accept"
+        records.append((data.names[step.k], two_rho, df, p, decision,
+                        int(step.mask.sum()), step.clip_events,
+                        float(step.weights.max())))
+        if decision == "reject":
+            return REJECTED, records
+    return ACCEPTED, records
+
+
+@pytest.mark.parametrize("run, family", [(run_sequential_mar, "mar"),
+                                         (run_sequential_mnar, "mnar")])
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("clip", [estimation.PROPENSITY_CLIP, 0.9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compressed_cascade_equals_row_level(run, family, alt, clip, seed,
+                                             monkeypatch):
+    # The sequential tests fit binary data's distinct (R, X*) rows with
+    # counts; the cascade on every row must give the same report.  Only
+    # the order of the sums differs, so statistics and p-values agree to
+    # 1e-9 as in the row-order test, and so does the largest weight, a
+    # product of fitted propensities.  A clip floor of 0.9 clips many
+    # propensities, so clip_events counts rows, not patterns.
+    monkeypatch.setattr(estimation, "PROPENSITY_CLIP", clip)
+    data = scenario_dataset(f"{family}-{'alt' if alt else 'null'}", 2000, seed)
+    report = run(data, data.names)
+    verdict, want = _row_level_report(run, data)
+    assert report.verdict == verdict
+    assert [(s.label, s.df, s.decision) for s in report.steps] == [
+        (w[0], w[2], w[4]) for w in want]
+    for s, (_, two_rho, _, p, _, n_masked, clip_events, max_weight) in zip(
+            report.steps, want):
+        assert s.statistic == pytest.approx(two_rho, rel=1e-9, abs=1e-9)
+        assert s.p_value == pytest.approx(p, rel=1e-9, abs=1e-9)
+        d = s.diagnostics
+        assert (d["n_masked"], d["clip_events"]) == (n_masked, clip_events)
+        assert d["max_weight"] == pytest.approx(max_weight, rel=1e-9)
+        assert d["n_patterns"] <= 3 ** data.K < data.n
+    if clip == 0.9:
+        assert any(s.diagnostics["clip_events"] for s in report.steps)
 
 
 @functools.cache
