@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -57,18 +56,9 @@ def _resolve_seed(seed):
 
 
 def _resolve_threads(threads):
-    """--threads, else MDAG_GOF_THREADS, else 1; a count below 1 is refused."""
-    source = "--threads"
-    if threads is None:
-        source, env = "MDAG_GOF_THREADS", os.environ.get("MDAG_GOF_THREADS")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(f"MDAG_GOF_THREADS must be an integer, got {env!r}")
+    """--threads (default 1); a count below 1 is refused."""
     if threads < 1:
-        raise UsageError(f"{source} must be at least 1, got {threads}")
+        raise UsageError(f"--threads must be at least 1, got {threads}")
     return threads
 
 
@@ -288,8 +278,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bootstrap", type=int, default=200)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int,
-                   help="worker processes (default: MDAG_GOF_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (default: 1)")
     p.add_argument("--output", help="write the CSV here instead of stdout")
     p.add_argument("--emit-data",
                    help="write one replication's dataset as a CSV and exit")
@@ -325,9 +315,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"mdgof: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, GraphError, OSError) as exc:
         print(f"mdgof: error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -86,11 +86,10 @@ def _conditional_independences_hold(full):
     p_all = marg((0, 1, 2, 3))
     p_r1x1 = marg((0, 2))
     p_r1r2x1 = marg((0, 1, 2))
-    p_r1x1x2b = marg((0, 2, 3))
     for key, p in p_all.items():
         r1, r2, x1, x2 = key
         if (p * p_r1x1[(r1, x1)]
-                != p_r1r2x1[(r1, r2, x1)] * p_r1x1x2b[(r1, x1, x2)]):
+                != p_r1r2x1[(r1, r2, x1)] * p_r1x1x2[(r1, x1, x2)]):
             return False
     return True
 

@@ -77,7 +77,7 @@ class CascadeStep:
     design: DesignMatrix        # the alternative's, on the masked rows
     weights: np.ndarray         # the fits' weights on masked rows: each
                                 # row's inverse-propensity weight x count
-    counts: np.ndarray          # rows each row stands for, on every row
+    counts: np.ndarray          # rows each masked row stands for
     mask: np.ndarray
     clip_events: int            # clipped propensities in the weights, per row
     stabilized: bool            # see _fit_step
@@ -122,15 +122,15 @@ def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix, counts):
 
 def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
               weights, clipped, full_null, counts):
-    """(tested cascade step ``k``, its masked null design, MAR's full-sample
-    null probabilities of R_k if ``full_null``, else None).
+    """(tested cascade step ``k``, MAR's full-sample null probabilities of
+    R_k if ``full_null``, else None).
 
     One copy of the design's first ``stab_p`` columns serves the full-sample
     null and the stabilizer, the fitted probability of the row mask, which
-    multiplies ``weights`` unless its fit did not converge.  Row i stands
-    for ``counts[i]`` rows: the full-sample null and the stabilizer weight
-    it by its count, and ``weights[i]``, the masked fits' weight, is its
-    inverse-propensity weight times its count.  ``clipped`` counts the
+    multiplies the masked ``weights`` unless its fit did not converge.  Row
+    i stands for ``counts[i]`` rows: the full-sample null and the stabilizer
+    weight it by its count, and ``weights[i]``, the masked fits' weight, is
+    its inverse-propensity weight times its count.  ``clipped`` counts the
     clipped propensities in each row's weights.  The masked null is the
     leading columns: intercept, R_j for j < k, ``null_proxies``.
     """
@@ -138,30 +138,30 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
     name = data.names[k]
     lead = _leading(design, stab_p) if full_null or not mask.all() else None
     probs = _full_sample_probs(data, k, lead, counts) if full_null else None
-    if not np.any(weights[mask] > 0):
+    w = weights[mask]
+    if not np.any(w > 0):
         raise EstimationError(f"all weights vanished before index {name}")
-    w = weights.copy()
     stabilized = True  # a mask that keeps every row has probability 1
     if not mask.all():
         stab = fit_weighted_logistic(lead, mask.astype(np.int8), counts)
         stabilized = stab.converged
         if stabilized:
-            w *= stab.predict(lead)
+            w *= stab.predict(lead)[mask]
     del lead
-    w = w[mask]
     masked = _leading(design, design.p, mask)
     # The step keeps its masked design until it is tested; holding the
     # full-row design through the masked fits as well would raise peak memory.
     del design
-    null = _leading(masked, 1 + k + len(null_proxies))
     y = data.r[mask, k]
-    null_fit = fit_weighted_logistic(null, y, w)
+    null_fit = fit_weighted_logistic(
+        _leading(masked, 1 + k + len(null_proxies)), y, w)
     alt_fit = fit_weighted_logistic(masked, y, w)
     for fit in (null_fit, alt_fit):
         if not fit.converged:
             raise EstimationError(f"propensity fit for {name} failed: {fit.message}")
+    counts = counts[mask]
     return CascadeStep(k, null_fit, alt_fit, masked, w, counts, mask,
-                       int(clipped[mask] @ counts[mask]), stabilized), null, probs
+                       int(clipped[mask] @ counts), stabilized), probs
 
 
 def mar_steps(data: ObservedDataset, counts=None):
@@ -200,11 +200,10 @@ def mar_steps(data: ObservedDataset, counts=None):
     for k in reversed(partial):
         full_null = k > partial[0]
         if k < K - 1:
-            step, null, probs = _fit_step(data, k, range(k), range(k + 1, K),
-                                          1 + 2 * k, weights, clipped, full_null,
-                                          counts)
-            del null  # the test reads the step alone
+            step, probs = _fit_step(data, k, range(k), range(k + 1, K), 1 + 2 * k,
+                                    weights, clipped, full_null, counts)
             yield step
+            del step  # the next step's build and fits need not hold it
         elif full_null:
             design, _ = build_features(data, k, range(k), ())
             probs = _full_sample_probs(data, k, design, counts)
@@ -251,25 +250,28 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
         # The likelihood-ratio fits use stabilized weights: omega times the
         # fitted mask probability given the past indicators (the only null
         # features available on every row).  See mar_steps.
-        step, null, _ = _fit_step(data, k, range(k + 1, K), range(k), 1 + k,
-                                  omega, clipped, False, counts)
+        step, _ = _fit_step(data, k, range(k + 1, K), range(k), 1 + k,
+                            omega, clipped, False, counts)
         yield step
         if k == tested[-1]:
             return  # no later step reads the weights
 
         # Weight update from the accepted null, fit under the raw running
-        # weights: divide by its fitted propensity and zero out rows where
-        # R_k = 0.  Weights without a fitted stabilizer are those raw
-        # weights, so the step's null fit is that fit.
-        mask = step.mask
-        update_fit = step.null_fit
-        if not mask.all() and step.stabilized:
+        # weights on the null's columns of the step's design: divide by its
+        # fitted propensity and zero out rows where R_k = 0.  Weights
+        # without a fitted stabilizer are those raw weights, so the step's
+        # null fit is that fit.
+        mask, update_fit, stabilized = step.mask, step.null_fit, step.stabilized
+        null = _leading(step.design, len(update_fit.column_names))
+        del step  # the next step's build and fits need not hold it
+        if not mask.all() and stabilized:
             update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
         if not update_fit.converged:
             raise EstimationError(
                 f"weight-update fit for {data.names[k]} failed: {update_fit.message}")
         p_full = np.ones(data.n)  # rows off the mask get zero weight below
         p_full[mask] = _clipped_probs(update_fit, null)
+        del null
         clipped += p_full <= PROPENSITY_CLIP
         omega = np.where((data.r[:, k] == 1) & mask, omega / p_full, 0.0)
 
@@ -364,10 +366,9 @@ def step_test(data: ObservedDataset, step: CascadeStep):
     """(rho, 2*rho, df, p_value) of a cascade step with the robust
     reference distribution, from its fits and the design they ran on."""
     rho, two_rho, df = weighted_lr_stat(step.null_fit, step.alt_fit)
-    counts = step.counts[step.mask]
     p = robust_lr_pvalue(max(two_rho, 0.0), step.null_fit, step.alt_fit,
                          step.design, data.r[step.mask, step.k],
-                         step.weights / counts, counts)
+                         step.weights / step.counts, step.counts)
     return rho, two_rho, df, p
 
 

@@ -88,6 +88,7 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
             decision = "reject" if p < alpha else "accept"
             steps.append(StepRecord(order[step.k], two_rho, df, p, decision,
                                     _step_diag(step)))
+            del step  # the cascade's next build and fits need not hold it
             if decision == "reject":
                 return TestReport(model, order, alpha, tuple(steps), REJECTED)
     except EstimationError as exc:
@@ -133,10 +134,9 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
 
 
 def _step_diag(step):
-    counts = step.counts[step.mask]
     return {
-        "n_masked": int(counts.sum()),
-        "max_weight": float((step.weights / counts).max()),
+        "n_masked": int(step.counts.sum()),
+        "max_weight": float((step.weights / step.counts).max()),
         "clip_events": int(step.clip_events),
         "stabilized": bool(step.stabilized),
         "n_patterns": int(step.mask.size),

@@ -9,6 +9,11 @@ non-deterministic edges.
 Vertex naming: for a substantive variable "X1" the indicator is "R1" and the
 proxy is "X1*".  For names not of the form X<suffix>, the indicator is
 "R_<name>".
+
+The queries (d-separation, classification, structure detection,
+testability) assume a graph that :func:`validate_mdag` accepts.
+``graph_from_dict`` and ``mdgof graph`` validate; ``MDag.create`` does not,
+and on a graph built without validation the answers carry no guarantee.
 """
 
 from __future__ import annotations
@@ -299,7 +304,8 @@ def _surgered_structure(graph: MDag, interventions):
 
 def d_separated(graph: MDag, query: IndependenceQuery):
     """True iff every path between the query sets is blocked, evaluated on
-    the graph after applying the query's interventions."""
+    the graph after applying the query's interventions.  Assumes a valid
+    graph (see the module docstring)."""
     verts = set(graph.vertices)
     for s in (query.left, query.right, query.given, query.interventions):
         for v in s:
@@ -360,7 +366,8 @@ def satisfied_model_classes(graph: MDag, order):
 
 def classify_model(graph: MDag, order):
     """The most specific model class whose defining d-separations all hold
-    (the first in :func:`_class_queries` order), or ``OTHER``."""
+    (the first in :func:`_class_queries` order), or ``OTHER``.  Assumes a
+    valid graph (see the module docstring)."""
     for name, qs in _class_queries(graph, order).items():
         if all(d_separated(graph, q) for q in qs):
             return name
@@ -377,7 +384,8 @@ def detect_structures(graph: MDag) -> StructureReport:
 
     Only counterfactual X -> R edges participate; proxy-sourced edges keep
     the propensities identified (the saturated permutation model relies on
-    them) and are deliberately ignored here.
+    them) and are deliberately ignored here.  Assumes a valid graph (see
+    the module docstring).
     """
     X = graph.substantive
     edge_set = set(graph.directed_edges)
@@ -471,7 +479,8 @@ def testability_verdict(graph: MDag, query: IndependenceQuery) -> Testability:
     """Decide how (or whether) a displayed d-separation can be tested.
 
     "untestable-by-criteria" means the sufficient criteria are exhausted,
-    never that untestability is proven.
+    never that untestability is proven.  Assumes a valid graph (see the
+    module docstring).
     """
     x_set = set(graph.substantive)
     relation = query.left | query.right | query.given

@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, formats, round trips, seeds."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -88,30 +87,17 @@ class TestExitCodes:
         assert main(["test", "--input", path, "--order", "X1,X2,X3",
                      "--model", "sequential-mar", "--alpha", "2.0"]) == 64
 
-    def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MDAG_GOF_THREADS", "many")
-        assert main(["simulate", "--scenario", "mar-null", "--n", "200",
-                     "--reps", "1", "--seed", "0"]) == 64
-
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None),
-                                           (None, "0")],
-                             ids=["flag-zero", "flag-negative", "env-zero"])
-    def test_threads_below_one_is_usage_error(self, capsys, monkeypatch,
-                                              flag, env):
+    @pytest.mark.parametrize("flag", ["0", "-3"],
+                             ids=["flag-zero", "flag-negative"])
+    def test_threads_below_one_is_usage_error(self, capsys, monkeypatch, flag):
         # The count is refused before any study (or worker pool) starts.
         def no_study(*args, **kwargs):
             raise AssertionError("a study started")
 
         monkeypatch.setattr("mdgof.cli.run_study", no_study)
-        if env is None:
-            monkeypatch.delenv("MDAG_GOF_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MDAG_GOF_THREADS", env)
-        argv = ["simulate", "--scenario", "mar-null", "--n", "200", "--reps", "1",
-                "--seed", "0"] + (["--threads", flag] if flag else [])
-        assert main(argv) == 64
-        source, value = ("--threads", flag) if flag else ("MDAG_GOF_THREADS", env)
-        assert f"{source} must be at least 1, got {value}" in capsys.readouterr().err
+        assert main(["simulate", "--scenario", "mar-null", "--n", "200",
+                     "--reps", "1", "--seed", "0", "--threads", flag]) == 64
+        assert f"--threads must be at least 1, got {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["9", "5", "-3"])
     def test_bootstrap_below_minimum_is_usage_error(self, tmp_path, capsys, count):

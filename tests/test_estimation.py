@@ -111,7 +111,8 @@ class TestMarCascade:
         assert [s.k for s in cascade.steps] == [2, 1, 0]
         for step in cascade.steps:
             assert all(getattr(step, f.name) is not None for f in fields(step))
-            assert step.design.n == step.weights.shape[0] == int(step.mask.sum())
+            assert (step.design.n == step.weights.shape[0] == step.counts.shape[0]
+                    == int(step.mask.sum()))
             assert np.all(step.weights >= 0)
 
     def test_fully_observed_column_is_vacuous(self):

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import functools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +248,40 @@ def test_failure_after_the_first_step(run, scenario, seed, verdict, builds,
         assert [s.to_dict() for s in report.steps] == [
             {"k": "cascade", "statistic": None, "df": None, "p_value": None,
              "decision": INCONCLUSIVE, "diagnostics": {"error": "no rows left"}}]
+
+
+def _memory_owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("run, family, builds", [(run_sequential_mar, "mar", 4),
+                                                 (run_sequential_mnar, "mnar", 3)])
+@pytest.mark.parametrize("dist", ["binary", "gaussian"])
+def test_no_design_outlives_its_test(run, family, builds, dist, monkeypatch):
+    # Every design a fit ran on (full-row, masked or null) is freed before
+    # the next step's design is built: neither the test's loop nor the
+    # cascade holds a tested step or a design once nothing reads it.
+    data = scenario_dataset(f"{family}-null", 3000, 0, dist=dist)
+    real_fit, real_build = estimation.fit_weighted_logistic, estimation.build_features
+    fitted, built = [], []
+
+    def fit(design, *args, **kwargs):
+        fitted.append(weakref.ref(_memory_owner(design.values)))
+        return real_fit(design, *args, **kwargs)
+
+    def build(*args):
+        live = [ref().shape for ref in fitted if ref() is not None]
+        assert not live, f"designs alive at build {len(built) + 1}: {live}"
+        built.append(args[1])
+        return real_build(*args)
+
+    monkeypatch.setattr(estimation, "fit_weighted_logistic", fit)
+    monkeypatch.setattr(estimation, "build_features", build)
+    report = run(data, data.names)
+    assert report.verdict == ACCEPTED
+    assert len(built) == builds
 
 
 def _row_level_report(run, data, alpha=0.05):

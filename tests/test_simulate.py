@@ -237,6 +237,18 @@ class TestHarness:
             assert row == (n, res.acceptance_rate, res.complete_case_proportion,
                            res.inconclusive)
 
+    @pytest.mark.parametrize("scenario", ["mar-null", "mnar-alt", "bp-null"])
+    def test_parallel_study_equals_serial(self, scenario):
+        # Replication r draws from the child stream (seed, r) in whichever
+        # worker runs it, so two worker processes give the serial study.
+        config = self.small(scenario, reps=4, n_bootstrap=20)
+        assert run_study(config, n_jobs=2) == run_study(config, n_jobs=1)
+
+    def test_parallel_sweep_equals_serial(self):
+        config = self.small("mar-null", reps=4, n_bootstrap=20)
+        assert (sweep_curve(config, [400, 600], n_jobs=2)
+                == sweep_curve(config, [400, 600], n_jobs=1))
+
     def test_sweep_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_curve(self.small("mar-null"), [])
