@@ -3,9 +3,11 @@
 
 Sweeps the sample size from 1000 to 15000 in steps of 500 (29 grid points)
 for every scenario, both distributions, and all three coefficient ranges,
-writing one CSV per combination.  This is hours of compute at 100
-replications per grid point; the desk-scale single points live in the test
-suite, and this script exists for full reproduction runs.
+writing one CSV per combination, named <scenario>_<dist>_<lo>_<hi>.csv with
+a minus sign in a bound written as m (mar-null_binary_m1_1.csv).  This is
+hours of compute at 100 replications per grid point; the desk-scale single
+points live in the test suite, and this script exists for full reproduction
+runs.
 
 Usage:
     python scripts/run_full_sweeps.py --out results/ [--threads 4]
@@ -38,7 +40,8 @@ def main():
     for scenario in scenarios:
         for dist in ("binary", "gaussian"):
             for lo, hi in COEF_RANGES:
-                tag = f"{scenario}_{dist}_{lo:g}_{hi:g}".replace("-", "m")
+                bounds = f"{lo:g}_{hi:g}".replace("-", "m")
+                tag = f"{scenario}_{dist}_{bounds}"
                 path = os.path.join(args.out, f"{tag}.csv")
                 if os.path.exists(path):
                     print(f"skip {path} (exists)", file=sys.stderr)

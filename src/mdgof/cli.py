@@ -159,19 +159,28 @@ def cmd_simulate(args):
 
 
 def _cardinalities(args, graph):
+    """--cardinalities as {variable: cardinality}, 2 for each variable not
+    named; a name that is not a graph variable or a value below 2 is a
+    usage error."""
+    cards = dict.fromkeys(graph.substantive, 2)
     if not args.cardinalities:
-        return {v: 2 for v in graph.substantive}
-    cards = {}
+        return cards
+    problems = []
     for item in args.cardinalities.split(","):
         if "=" not in item:
             raise UsageError(f"expected name=cardinality, got {item!r}")
-        name, value = item.split("=", 1)
+        name, value = (part.strip() for part in item.split("=", 1))
         try:
-            cards[name.strip()] = int(value)
+            card = int(value)
         except ValueError:
             raise UsageError(f"bad cardinality {value!r} for {name!r}")
-    for v in graph.substantive:
-        cards.setdefault(v, 2)
+        if name not in cards:
+            problems.append(f"{name!r} is not a graph variable")
+        elif card < 2:
+            problems.append(f"{name}={card} is below 2")
+        cards[name] = card
+    if problems:
+        raise UsageError("--cardinalities: " + "; ".join(problems))
     return cards
 
 

@@ -120,22 +120,25 @@ def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix, counts):
     return _clipped_probs(fit, design)
 
 
-def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies, stab_p,
+def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
               weights, clipped, full_null, counts):
     """(tested cascade step ``k``, MAR's full-sample null probabilities of
     R_k if ``full_null``, else None).
 
-    One copy of the design's first ``stab_p`` columns serves the full-sample
-    null and the stabilizer, the fitted probability of the row mask, which
-    multiplies the masked ``weights`` unless its fit did not converge.  Row
-    i stands for ``counts[i]`` rows: the full-sample null and the stabilizer
-    weight it by its count, and ``weights[i]``, the masked fits' weight, is
-    its inverse-propensity weight times its count.  ``clipped`` counts the
+    One copy of the design's columns that no row mask restricts -- the
+    intercept, R_j for j < k and the null proxies j < k, which lead the
+    null block -- serves the full-sample null and the stabilizer, the
+    fitted probability of the row mask, which multiplies the masked
+    ``weights`` unless its fit did not converge.  Row i stands for
+    ``counts[i]`` rows: the full-sample null and the stabilizer weight it
+    by its count, and ``weights[i]``, the masked fits' weight, is its
+    inverse-propensity weight times its count.  ``clipped`` counts the
     clipped propensities in each row's weights.  The masked null is the
     leading columns: intercept, R_j for j < k, ``null_proxies``.
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
     name = data.names[k]
+    stab_p = 1 + k + sum(j < k for j in null_proxies)
     lead = _leading(design, stab_p) if full_null or not mask.all() else None
     probs = _full_sample_probs(data, k, lead, counts) if full_null else None
     w = weights[mask]
@@ -200,7 +203,7 @@ def mar_steps(data: ObservedDataset, counts=None):
     for k in reversed(partial):
         full_null = k > partial[0]
         if k < K - 1:
-            step, probs = _fit_step(data, k, range(k), range(k + 1, K), 1 + 2 * k,
+            step, probs = _fit_step(data, k, range(k), range(k + 1, K),
                                     weights, clipped, full_null, counts)
             yield step
             del step  # the next step's build and fits need not hold it
@@ -250,7 +253,7 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
         # The likelihood-ratio fits use stabilized weights: omega times the
         # fitted mask probability given the past indicators (the only null
         # features available on every row).  See mar_steps.
-        step, _ = _fit_step(data, k, range(k + 1, K), range(k), 1 + k,
+        step, _ = _fit_step(data, k, range(k + 1, K), range(k),
                             omega, clipped, False, counts)
         yield step
         if k == tested[-1]:
@@ -528,6 +531,12 @@ def _pairwise_theta(data: ObservedDataset, k, j):
     return _PairEquation(patterns, k, j).point_estimate(counts)[0]
 
 
+def check_alpha(alpha):
+    """A test level lies strictly between 0 and 1 (NaN does not)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def check_n_bootstrap(n_bootstrap):
     """A percentile CI needs max(MIN_BOOTSTRAP, B // 2) usable resamples, so
     fewer than MIN_BOOTSTRAP resamples can never give one."""
@@ -560,6 +569,7 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     indicator observed) raises: the estimate would be 0 with a degenerate
     CI (0, 0), which says nothing about the odds ratio.
     """
+    check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
     check_pair(pair, data.K)
     k, j = pair

@@ -6,8 +6,9 @@ import json
 from dataclasses import dataclass, field
 
 from .data import ObservedDataset
-from .estimation import (EstimationError, _row_patterns, check_n_bootstrap,
-                         estimate_odds_ratio, mar_steps, mnar_steps, step_test)
+from .estimation import (EstimationError, _row_patterns, check_alpha,
+                         check_n_bootstrap, estimate_odds_ratio, mar_steps,
+                         mnar_steps, step_test)
 from .graph import MDag
 from .numerics import child_rng
 
@@ -49,11 +50,6 @@ class TestReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def test_sequential_mar(data: ObservedDataset, order, alpha=0.05) -> TestReport:
     """Backward sequence of weighted likelihood-ratio tests of the
     sequential-MAR restrictions; early exit on the first rejection."""
@@ -78,7 +74,7 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
     for a row depends only on the row's pattern.  A cascade that fails
     before any rejection makes the test inconclusive, with one record
     naming the failure."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     order = tuple(order)
     patterns, counts = _row_patterns(data.reorder(order))[1:]
     steps = []
@@ -105,7 +101,7 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
     All pairs are evaluated (no early exit) so the report names every
     failing pair; a pair rejects when its bootstrap CI excludes 1.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
     steps = []
     for k in range(data.K):

@@ -18,6 +18,7 @@ from scipy.special import gammaincc
 # so an absolute cutoff would sit below the floating-point plateau at large n.
 SCORE_TOL = 1e-8
 MAX_ITER = 100
+MAX_HALVINGS = 30
 SEPARATION_BOUND = 30.0
 
 
@@ -166,90 +167,72 @@ def _newton(x, y, w, beta, tol):
     (B, m) at once: fit b maximises sum_i w[b, i] l_i(beta_b) from
     ``beta[b]`` until its max-norm score is below ``tol[b]``.
 
-    Each fit keeps its own step, halving, convergence and exit.  A fit that
-    exits leaves the active set, whose arrays are compacted only then, so a
-    batch where every fit is active and takes its full step does no gather.
+    Each fit keeps its own step, halving and exit.  Fits exit in one
+    place, at the top of an iteration once its score is known, for the
+    first of these that holds: a one-class outcome (first iteration only),
+    coefficients past SEPARATION_BOUND after the previous step, the
+    iteration limit, a score below tolerance.  Only then are the active
+    arrays compacted, so a batch where every fit is active and takes its
+    full step does no gather.
     Returns (coefficients (B, p), converged, iterations, loglik, messages).
     """
     B = w.shape[0]
     coef = np.empty_like(beta)
     loglik = np.empty(B)
-    converged = np.zeros(B, dtype=bool)
-    iterations = np.zeros(B, dtype=np.intp)
+    iterations = np.empty(B, dtype=np.intp)
     messages = [""] * B
     idx = np.arange(B)
-
-    def retire(done, it, message, *arrays):
-        """Record the fits flagged ``done`` as exiting after ``it``
-        iterations with ``message``; return the other fits' rows of
-        ``arrays``, or None when no fit is left."""
-        rows = idx[done]
-        coef[rows], loglik[rows], iterations[rows] = beta[done], ll[done], it
-        converged[rows] = not message
-        for i in rows:
-            messages[i] = message
-        keep = ~done
-        return [a[keep] for a in arrays] if keep.any() else None
-
     # eta = beta x' and e = exp(-|eta|) are computed once per candidate
     # step; the accepted candidate's pair gives the next iteration's mu.
     eta = beta @ x.T
     ll, e = _weighted_loglik(eta, y, w)
-    # One-class outcome under positive weight: the MLE runs off to infinity.
-    done = (w @ y == 0) | (w @ (1.0 - y) == 0)
-    if done.any():
-        rest = retire(done, 0, DEGENERATE, idx, w, tol, beta, ll, eta, e)
-        if rest is None:
-            return coef, converged, iterations, loglik, tuple(messages)
-        idx, w, tol, beta, ll, eta, e = rest
-    for it in range(1, MAX_ITER + 1):
+    for it in range(1, MAX_ITER + 2):
         mu = _logistic(eta, e)
         score = (w * (y - mu)) @ x
-        done = np.abs(score).max(axis=1) < tol
+        # Every exit is decided here.  A one-class outcome under positive
+        # weight (its MLE runs off to infinity) can only be met at the
+        # start, separation only after a step; either beats the iteration
+        # limit, which beats convergence.
+        if it == 1:
+            first, why = (w @ y == 0) | (w @ (1.0 - y) == 0), DEGENERATE
+        else:
+            first, why = np.abs(beta).max(axis=1) > SEPARATION_BOUND, _SEPARATED
+        otherwise = _EXHAUSTED if it > MAX_ITER else ""
+        done = first | (it > MAX_ITER) | (np.abs(score).max(axis=1) < tol)
         if done.any():
-            rest = retire(done, it - 1, "", idx, w, tol, beta, ll, eta, e, mu, score)
-            if rest is None:
+            rows = idx[done]
+            coef[rows], loglik[rows], iterations[rows] = beta[done], ll[done], it - 1
+            for i, f in zip(rows, first[done]):
+                messages[i] = why if f else otherwise
+            if done.all():
                 break
-            idx, w, tol, beta, ll, eta, e, mu, score = rest
+            keep = ~done
+            idx, w, tol, beta, ll, mu, score = (
+                a[keep] for a in (idx, w, tol, beta, ll, mu, score))
         wvar = w * mu * (1.0 - mu)
         step = _solve(x.T @ (wvar[..., None] * x), score)
-        # Step halving: never accept a move that lowers the weighted loglik.
-        # When every halving fails, the move is the once-more-halved step.
-        # Fits still halving share one scale: they all started at 1.
+        # Step halving: never accept a move that lowers the weighted loglik,
+        # except the last halving, which is taken whatever its loglik.  A
+        # NaN loglik fails the test and halves.  Fits still halving share
+        # one scale: they all started at 1.
         cand = beta + step
         eta = cand @ x.T
         ll_cand, e = _weighted_loglik(eta, y, w)
-        accept = ll_cand >= ll - 1e-12
-        if not accept.all():
-            pending = np.flatnonzero(~accept)
-            scale = 1.0
-            for _ in range(29):
-                scale *= 0.5
-                c = beta[pending] + scale * step[pending]
-                ce = c @ x.T
-                cl, cexp = _weighted_loglik(ce, y, w[pending])
-                ok = cl >= ll[pending] - 1e-12
-                rows = pending[ok]
-                cand[rows], eta[rows] = c[ok], ce[ok]
-                ll_cand[rows], e[rows] = cl[ok], cexp[ok]
-                pending = pending[~ok]
-                if not pending.size:
-                    break
-            else:
-                scale *= 0.5
-                cand[pending] = beta[pending] + scale * step[pending]
-                eta[pending] = cand[pending] @ x.T
-                ll_cand[pending], e[pending] = _weighted_loglik(
-                    eta[pending], y, w[pending])
-        beta, ll = cand, ll_cand
-        done = np.abs(beta).max(axis=1) > SEPARATION_BOUND
-        if done.any():
-            rest = retire(done, it, _SEPARATED, idx, w, tol, beta, ll, eta, e)
-            if rest is None:
+        pending = np.flatnonzero(~(ll_cand >= ll - 1e-12))
+        for halving in range(1, MAX_HALVINGS + 1):
+            if not pending.size:
                 break
-            idx, w, tol, beta, ll, eta, e = rest
-    else:
-        retire(np.ones(idx.size, dtype=bool), MAX_ITER, _EXHAUSTED)
+            scale = 0.5 ** halving
+            c = beta[pending] + scale * step[pending]
+            ce = c @ x.T
+            cl, cexp = _weighted_loglik(ce, y, w[pending])
+            ok = (cl >= ll[pending] - 1e-12) | (halving == MAX_HALVINGS)
+            rows = pending[ok]
+            cand[rows], eta[rows] = c[ok], ce[ok]
+            ll_cand[rows], e[rows] = cl[ok], cexp[ok]
+            pending = pending[~ok]
+        beta, ll = cand, ll_cand
+    converged = np.array([not m for m in messages])
     return coef, converged, iterations, loglik, tuple(messages)
 
 

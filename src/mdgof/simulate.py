@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ObservedDataset
-from .estimation import (EstimationError, check_n_bootstrap, check_pair,
-                         estimate_odds_ratio)
+from .estimation import (EstimationError, check_alpha, check_n_bootstrap,
+                         check_pair, estimate_odds_ratio)
 from .gof import (ACCEPTED, INCONCLUSIVE, REJECTED,
                   test_sequential_mar, test_sequential_mnar)
 from .numerics import child_rng, expit, sample_mvn
@@ -55,6 +55,7 @@ class ScenarioConfig:
             raise ValueError("param_range must be (lo, hi) with lo < hi")
         if self.n < 1 or self.reps < 1 or self.K < 1:
             raise ValueError("n, reps, and K must be positive")
+        check_alpha(self.alpha)
         if self.scenario.startswith("bp"):
             check_n_bootstrap(self.n_bootstrap)
             check_pair(self.bp_pair, self.K)

@@ -87,6 +87,18 @@ class TestExitCodes:
         assert main(["test", "--input", path, "--order", "X1,X2,X3",
                      "--model", "sequential-mar", "--alpha", "2.0"]) == 64
 
+    def test_bad_alpha_in_a_bp_study_is_usage_error(self, capsys, monkeypatch):
+        # Refused before any study starts, not reported as CIs with lo > hi.
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study started")
+
+        monkeypatch.setattr("mdgof.cli.run_study", no_study)
+        assert main(["simulate", "--scenario", "bp-null", "--K", "3", "--n", "400",
+                     "--reps", "2", "--seed", "1", "--bootstrap", "20",
+                     "--alpha", "1.5"]) == 64
+        assert capsys.readouterr().err == (
+            "mdgof: error: alpha must lie in (0, 1), got 1.5\n")
+
     @pytest.mark.parametrize("flag", ["0", "-3"],
                              ids=["flag-zero", "flag-negative"])
     def test_threads_below_one_is_usage_error(self, capsys, monkeypatch, flag):
@@ -238,6 +250,30 @@ class TestGraphCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"full_law": 7, "saturated_observed_law": 8}
+
+    @pytest.mark.parametrize("cards, want", [("X1=3", (10, 11)),
+                                             ("X2=4", (11, 14)),
+                                             (" X1 = 3 ,X2=2", (10, 11))])
+    def test_count_params_cardinalities(self, graph_json, capsys, cards, want):
+        code = main(["graph", "count-params", "--graph", graph_json,
+                     "--cardinalities", cards, "--json"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["full_law"], out["saturated_observed_law"]) == want
+
+    @pytest.mark.parametrize("cards, message", [
+        ("x1=3", "'x1' is not a graph variable"),
+        ("X1=1", "X1=1 is below 2"),
+        ("x1=3,X2=0,R1=2", "'x1' is not a graph variable; X2=0 is below 2; "
+                           "'R1' is not a graph variable"),
+        ("X1", "expected name=cardinality, got 'X1'"),
+        ("X1=a", "bad cardinality 'a' for 'X1'")])
+    def test_bad_cardinalities_are_usage_errors(self, graph_json, capsys,
+                                                cards, message):
+        assert main(["graph", "count-params", "--graph", graph_json,
+                     "--cardinalities", cards]) == 64
+        err = capsys.readouterr().err
+        assert message in err and err.startswith("mdgof: error: ")
 
     def test_structures_clean(self, graph_json, capsys):
         code = main(["graph", "structures", "--graph", graph_json, "--json"])

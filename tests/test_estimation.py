@@ -478,6 +478,13 @@ class TestOddsRatio:
             estimate_odds_ratio(data, (0, 1), n_bootstrap=n_bootstrap)
         assert not isinstance(info.value, EstimationError)
 
+    def test_alpha_outside_the_unit_interval_refused(self):
+        # 1.5 would put the CI's lower quantile above its upper one.
+        data = scenario_dataset("bp-null", 500, 1)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)") as info:
+            estimate_odds_ratio(data, (0, 1), alpha=1.5, n_bootstrap=10)
+        assert not isinstance(info.value, EstimationError)
+
     @pytest.mark.parametrize("pair", [(1, 1), (0, 4), (-1, 2)])
     def test_pair_must_be_two_distinct_indices(self, pair):
         # K = 4: a repeated index, one past the last, and a negative one.

@@ -138,6 +138,12 @@ def _kernel_cases():
     halving = DesignMatrix(("c", "a"), xh)
     cases.append(("halving", halving, yh, None, np.array([6.0, 0.0]), None))
     cases.append(("halving far", halving, yh, None, np.array([10.0, -10.0]), None))
+    # Saturated start: the Hessian is ~1e-10, no halved step raises the
+    # loglik, and the 30th halving is taken whatever its loglik.
+    xe = np.column_stack([np.ones(40), np.tile([1.0, -1.0], 20)])
+    cases.append(("halving exhausted", DesignMatrix(("c", "a"), xe),
+                  np.tile([1.0, 1.0, 0.0, 0.0], 10), None,
+                  np.array([2.0, 25.0]), None))
     # Binary columns, as in the pattern-compressed odds-ratio fits.
     xb = np.column_stack([np.ones(300), rng.integers(0, 2, size=(300, 2))])
     yb = (rng.random(300) < expit(xb @ np.array([0.5, -1.0, 0.7]))).astype(float)
@@ -169,8 +175,9 @@ def test_kernel_matches_unfused_reference(case):
 
 
 def test_kernel_cases_reach_every_exit(monkeypatch):
-    """The reference grid above converges, halves steps, separates, runs out
-    of iterations and stops on a one-class outcome."""
+    """The reference grid above converges, halves steps, takes all 30
+    halvings, separates, runs out of iterations and stops on a one-class
+    outcome."""
     calls = []
     original = oracles.logaddexp_loglik
 
@@ -180,14 +187,16 @@ def test_kernel_cases_reach_every_exit(monkeypatch):
 
     monkeypatch.setattr(oracles, "logaddexp_loglik", counting)
     exits = set()
-    halved = False
+    halved = exhausted = False
     for name, design, y, w, start, tol in _kernel_cases():
         calls.clear()
         fit = reference_fit_weighted_logistic(design, y, w, start=start, tol=tol)
         exits.add(fit.message.split(" ")[0] if fit.message else "converged")
-        # One loglik up front and one per iteration unless a step halves.
+        # One loglik up front and one per iteration unless a step halves;
+        # an iteration that takes all 30 halvings evaluates 31 candidates.
         halved |= len(calls) > 1 + fit.iterations
-    assert halved
+        exhausted |= fit.iterations == 1 and len(calls) == 1 + 31
+    assert halved and exhausted
     assert exits == {"converged", "complete", "maximum", "degenerate"}
 
 
@@ -221,18 +230,50 @@ def test_batch_columns_match_single_fits(case):
 
 
 def test_mixed_batch_exits_fit_by_fit():
-    """One batch where fits halve, separate, meet a one-class outcome and
-    run out of iterations while the others converge."""
+    """One batch where fits halve, separate, meet a one-class outcome, run
+    out of iterations and take all 30 halvings while the others converge."""
     x, y = _logistic_data(np.random.default_rng(1), 200, np.array([0.2, 1.0]))
     design = DesignMatrix(("c", "a"), x)
     ones = np.ones(200)
     separable = ((x[:, 1] > 0) == (y == 1)).astype(float)
+    # Weight only on |a| > 1 saturates the start [2, 25], as in the
+    # "halving exhausted" kernel case: its one iteration takes all 30
+    # halvings and leaves the coefficients past the separation bound.
+    saturated = (np.abs(x[:, 1]) > 1.0).astype(float)
     rows = [(ones, None, None), (ones, np.array([10.0, -10.0]), None),
             (separable, None, None), ((y == 1).astype(float), None, None),
-            (ones, None, 0.0), (2.0 * ones, np.array([6.0, 0.0]), None)]
+            (ones, None, 0.0), (2.0 * ones, np.array([6.0, 0.0]), None),
+            (saturated, np.array([2.0, 25.0]), None)]
     batch = _assert_batch_matches_single_fits(design, y, rows)
     assert [m.split(" ")[0] for m in batch.messages] == [
-        "", "", "complete", "degenerate", "maximum", ""]
+        "", "", "complete", "degenerate", "maximum", "", "complete"]
+    assert batch.iterations[-1] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 4),
+       binary=st.booleans(), weighted=st.booleans(),
+       start=st.floats(0.0, 25.0),
+       tol=st.sampled_from([None, 0.0, 1e-6, 1e-2]))
+def test_fit_matches_reference_on_random_designs(seed, p, binary, weighted,
+                                                 start, tol):
+    """On random binary or gaussian designs, weights, starts and
+    tolerances, the kernel takes the reference's path bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 60))
+    cols = (rng.integers(0, 2, size=(n, p - 1)) if binary
+            else rng.normal(size=(n, p - 1)))
+    design = DesignMatrix(("c", "a", "b", "d")[:p],
+                          np.column_stack([np.ones(n), cols]))
+    y = (rng.random(n) < expit(design.values @ rng.normal(size=p))).astype(float)
+    w = (np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 3.0, size=n))
+         if weighted else None)
+    beta0 = rng.uniform(-start, start, size=p)
+    got = fit_weighted_logistic(design, y, w, start=beta0, tol=tol)
+    want = reference_fit_weighted_logistic(design, y, w, start=beta0, tol=tol)
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert (got.iterations, got.converged, got.message) == (
+        want.iterations, want.converged, want.message)
 
 
 def test_singular_hessian_batch():

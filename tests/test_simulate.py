@@ -149,6 +149,13 @@ class TestConfigValidation:
         ScenarioConfig(scenario="bp-null", n_bootstrap=10)
         ScenarioConfig(scenario="mar-null", n_bootstrap=0)  # not used there
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_alpha_outside_the_unit_interval(self, scenario, alpha):
+        # Every scenario's study fails before it generates any data.
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            ScenarioConfig(scenario=scenario, alpha=alpha)
+
     @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
     def test_bp_pair_must_be_two_distinct_indices(self, pair):
         with pytest.raises(ValueError, match="two distinct indices"):
