@@ -198,15 +198,20 @@ def cmd_graph(args):
     if args.action in ("dsep", "testability"):
         if not args.x or not args.y:
             raise UsageError(f"graph {args.action} requires --x and --y")
-        query = IndependenceQuery(
-            _parse_names(args.x), _parse_names(args.y),
-            _parse_names(args.given) if args.given else frozenset(),
-            _parse_names(args.do) if args.do else frozenset())
-        if args.action == "dsep":
-            result = {"d_separated": d_separated(graph, query)}
-        else:
-            t = testability_verdict(graph, query)
-            result = {"verdict": t.verdict, "route": t.route, "detail": t.detail}
+        # The graph file is valid by now, so a GraphError here comes from
+        # the query the flags spelled: a usage error.
+        try:
+            query = IndependenceQuery(
+                _parse_names(args.x), _parse_names(args.y),
+                _parse_names(args.given) if args.given else frozenset(),
+                _parse_names(args.do) if args.do else frozenset())
+            if args.action == "dsep":
+                result = {"d_separated": d_separated(graph, query)}
+            else:
+                t = testability_verdict(graph, query)
+                result = {"verdict": t.verdict, "route": t.route, "detail": t.detail}
+        except GraphError as exc:
+            raise UsageError(str(exc)) from exc
     elif args.action == "classify":
         result = {"model": classify_model(graph, order), "order": list(order)}
     elif args.action == "structures":

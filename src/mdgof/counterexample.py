@@ -9,6 +9,7 @@ cannot be recovered from observed data under this structure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -37,17 +38,11 @@ def _bern(p_zero, value):
 
 def full_law(tables):
     """Joint p(R1, R2, X1, X2) keyed by (r1, r2, x1, x2), exact."""
-    law = {}
-    for r1 in (0, 1):
-        for r2 in (0, 1):
-            for x1 in (0, 1):
-                for x2 in (0, 1):
-                    p = (_bern(tables["p_x1"], x1)
-                         * _bern(tables["p_x2_given_x1"][x1], x2)
-                         * _bern(tables["p_r1_given_x2"][x2], r1)
-                         * _bern(tables["p_r2_given_r1_x1"][(r1, x1)], r2))
-                    law[(r1, r2, x1, x2)] = p
-    return law
+    return {(r1, r2, x1, x2): (_bern(tables["p_x1"], x1)
+                               * _bern(tables["p_x2_given_x1"][x1], x2)
+                               * _bern(tables["p_r1_given_x2"][x2], r1)
+                               * _bern(tables["p_r2_given_r1_x1"][(r1, x1)], r2))
+            for r1, r2, x1, x2 in itertools.product((0, 1), repeat=4)}
 
 
 def observed_law(full):
@@ -59,39 +54,29 @@ def observed_law(full):
     return obs
 
 
-def _conditional_independences_hold(full):
-    """Factorization cross-checks implied by the criss-cross graph:
-    R1 independent of X1 given X2, and R2 independent of X2 given (R1, X1)."""
-
-    def marg(keep):
+def _independent(law, a, b, given):
+    """Whether key positions ``a`` and ``b`` of ``law`` are independent
+    given positions ``given``, exactly: p(a, b, g) p(g) = p(a, g) p(b, g)
+    in every cell."""
+    def marginal(keep):
+        """The marginal on positions ``keep``, as a function of a full key."""
         out = {}
-        for key, p in full.items():
+        for key, p in law.items():
             sub = tuple(key[i] for i in keep)
             out[sub] = out.get(sub, F(0)) + p
-        return out
+        return lambda key: out[tuple(key[i] for i in keep)]
 
-    # R1 _||_ X1 | X2:  p(r1, x1, x2) * p(x2) == p(r1, x2) * p(x1, x2)
-    p_r1x1x2 = marg((0, 2, 3))
-    p_x2 = marg((3,))
-    p_r1x2 = marg((0, 3))
-    p_x1x2 = marg((2, 3))
-    for r1 in (0, 1):
-        for x1 in (0, 1):
-            for x2 in (0, 1):
-                if (p_r1x1x2[(r1, x1, x2)] * p_x2[(x2,)]
-                        != p_r1x2[(r1, x2)] * p_x1x2[(x1, x2)]):
-                    return False
+    p_abg, p_g, p_ag, p_bg = (marginal(keep) for keep in
+                              (a + b + given, given, a + given, b + given))
+    return all(p_abg(key) * p_g(key) == p_ag(key) * p_bg(key) for key in law)
 
-    # R2 _||_ X2 | R1, X1
-    p_all = marg((0, 1, 2, 3))
-    p_r1x1 = marg((0, 2))
-    p_r1r2x1 = marg((0, 1, 2))
-    for key, p in p_all.items():
-        r1, r2, x1, x2 = key
-        if (p * p_r1x1[(r1, x1)]
-                != p_r1r2x1[(r1, r2, x1)] * p_r1x1x2[(r1, x1, x2)]):
-            return False
-    return True
+
+def _conditional_independences_hold(full):
+    """The criss-cross graph's local Markov statements on the indicators,
+    on keys (r1, r2, x1, x2): R1 independent of X1 given X2, and R2
+    independent of X2 given (R1, X1)."""
+    return (_independent(full, (0,), (2,), (3,))
+            and _independent(full, (1,), (3,), (0, 2)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Numerical kernel: weighted logistic regression, the chi-square tail, sampling.
+"""Numerical kernel: weighted logistic regression, the chi-square tail, seed streams.
 
 Everything here is deliberately small and self-contained so the estimation
 layer can be audited without chasing library internals.  The one exception is
@@ -56,32 +56,6 @@ def chisq_sf(x, df):
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def sample_mvn(n, mean, covariance, rng):
-    """Draw ``n`` i.i.d. multivariate normal rows via a Cholesky transform.
-
-    Falls back to an eigendecomposition for singular PSD covariances (so a
-    zero covariance yields constant draws).  Raises on non-PSD input.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(covariance, dtype=float)
-    k = mean.shape[0]
-    if cov.shape != (k, k):
-        raise ValueError("covariance shape does not match mean")
-    if not np.allclose(cov, cov.T):
-        raise ValueError("covariance must be symmetric")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
-        if w.min() < -1e-10:
-            raise np.linalg.LinAlgError(
-                f"covariance is not positive semi-definite (min eigenvalue {w.min():.3e})"
-            )
-        chol = v * np.sqrt(np.clip(w, 0.0, None))
-    z = rng.standard_normal((n, k))
-    return mean + z @ chol.T
 
 
 def child_rng(seed, *key):

@@ -26,7 +26,7 @@ from .estimation import (EstimationError, check_alpha, check_n_bootstrap,
                          check_pair, estimate_odds_ratio)
 from .gof import (ACCEPTED, INCONCLUSIVE, REJECTED,
                   test_sequential_mar, test_sequential_mnar)
-from .numerics import child_rng, expit, sample_mvn
+from .numerics import child_rng, expit
 
 SCENARIOS = ("mar-null", "mar-alt", "mnar-null", "mnar-alt", "bp-null", "bp-alt")
 COEF_RANGES = ((-1.0, 1.0), (-0.5, 1.5), (0.0, 2.0))
@@ -64,13 +64,23 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class StudyResult:
     config: ScenarioConfig
-    verdicts: tuple               # per conclusive-or-not replication
-    acceptance_rate: float        # accepted / conclusive
+    verdicts: tuple               # one per replication
     complete_case_proportion: float
-    inconclusive: int
-    per_step_rejections: dict
-    thetas: tuple = ()            # bp scenarios: one estimate per replication
+    thetas: tuple = ()            # bp scenarios: one per conclusive replication
     theta_cis: tuple = ()
+
+    @property
+    def acceptance_rate(self):
+        """Accepted over conclusive replications; NaN when none is
+        conclusive."""
+        conclusive = [v for v in self.verdicts if v != INCONCLUSIVE]
+        if not conclusive:
+            return float("nan")
+        return conclusive.count(ACCEPTED) / len(conclusive)
+
+    @property
+    def inconclusive(self):
+        return self.verdicts.count(INCONCLUSIVE)
 
 
 def generate_full_data(config: ScenarioConfig, rng):
@@ -80,8 +90,10 @@ def generate_full_data(config: ScenarioConfig, rng):
         idx = np.arange(K)
         # Correlation 1 - |i - j| / 4, held at 0 from lag 4 on: unclamped, it
         # turns negative and the matrix is not positive definite at K >= 9.
+        # The clamped matrix is positive definite at every K (its smallest
+        # eigenvalue is 2.5e-6 at K = 2000), so its Cholesky factor exists.
         cov = np.maximum(0.0, 1.0 - np.abs(idx[:, None] - idx[None, :]) * 0.25)
-        return sample_mvn(config.n, np.zeros(K), cov, rng)
+        return rng.standard_normal((config.n, K)) @ np.linalg.cholesky(cov).T
     # Binary chain: each variable logistic in its predecessors, coefficients
     # uniform on (-1, 1).
     x = np.zeros((config.n, K))
@@ -155,6 +167,8 @@ def simulate_dataset(config: ScenarioConfig, rep):
 
 
 def _replicate(config: ScenarioConfig, rep):
+    """(verdict, complete-case proportion, the bp scenarios' odds-ratio
+    estimate or None) of replication ``rep``."""
     data, rng = simulate_dataset(config, rep)
     cc = data.complete_case_proportion()
 
@@ -163,16 +177,14 @@ def _replicate(config: ScenarioConfig, rep):
             est = estimate_odds_ratio(data, config.bp_pair, alpha=config.alpha,
                                       n_bootstrap=config.n_bootstrap, rng=rng)
         except EstimationError:
-            return INCONCLUSIVE, cc, {}, None, None
-        verdict = REJECTED if est.ci_excludes_one else ACCEPTED
-        return verdict, cc, {}, est.theta_hat, est.bootstrap_ci
+            return INCONCLUSIVE, cc, None
+        return (REJECTED if est.ci_excludes_one else ACCEPTED), cc, est
 
     if config.scenario.startswith("mar"):
         report = test_sequential_mar(data, data.names, config.alpha)
     else:
         report = test_sequential_mnar(data, data.names, config.alpha)
-    rejections = {s.label: 1 for s in report.steps if s.decision == "reject"}
-    return report.verdict, cc, rejections, None, None
+    return report.verdict, cc, None
 
 
 def run_study(config: ScenarioConfig, n_jobs=1) -> StudyResult:
@@ -185,20 +197,11 @@ def run_study(config: ScenarioConfig, n_jobs=1) -> StudyResult:
     else:
         results = [_replicate(config, rep) for rep in range(config.reps)]
 
-    verdicts = tuple(res[0] for res in results)
-    cc = float(np.mean([res[1] for res in results]))
-    per_step = {}
-    for res in results:
-        for label, cnt in res[2].items():
-            per_step[label] = per_step.get(label, 0) + cnt
-    conclusive = [v for v in verdicts if v != INCONCLUSIVE]
-    accepted = sum(1 for v in conclusive if v == ACCEPTED)
-    rate = accepted / len(conclusive) if conclusive else float("nan")
-    thetas = tuple(res[3] for res in results if res[3] is not None)
-    cis = tuple(res[4] for res in results if res[4] is not None)
-    return StudyResult(config, verdicts, rate, cc,
-                       sum(1 for v in verdicts if v == INCONCLUSIVE),
-                       per_step, thetas, cis)
+    verdicts, cc, estimates = zip(*results)
+    estimates = [est for est in estimates if est is not None]
+    return StudyResult(config, verdicts, float(np.mean(cc)),
+                       tuple(est.theta_hat for est in estimates),
+                       tuple(est.bootstrap_ci for est in estimates))
 
 
 def sweep_curve(config: ScenarioConfig, n_grid, n_jobs=1):

@@ -225,6 +225,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", "mar-null",
                      "--n-grid", "10,20", "--seed", "0"]) == 64
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--param-range", "0", "expected lo,hi range, got '0'"),
+        ("--param-range", "0,x", "expected lo,hi range, got '0,x'"),
+        ("--n-grid", "10:20:x", "expected integer lo:hi:step grid, got '10:20:x'"),
+        ("--n-grid", "0:20:5", "bad grid '0:20:5'"),
+        ("--n-grid", "20:10:5", "bad grid '20:10:5'"),
+        ("--n-grid", "10:20:0", "bad grid '10:20:0'")])
+    def test_bad_range_or_grid_is_usage_error(self, capsys, flag, value, message):
+        assert main(["simulate", "--scenario", "mar-null", "--reps", "1",
+                     "--seed", "0", flag, value]) == 64
+        assert capsys.readouterr().err == f"mdgof: error: {message}\n"
+
     def test_emit_data_round_trips(self, tmp_path):
         path = emit_dataset(tmp_path, "mar-null", 7, n=300)
         data = read_csv(path)
@@ -306,6 +318,26 @@ class TestGraphCommand:
         path.write_text(json.dumps({"variables": ["X1"],
                                     "edges": [["R1", "X1"]]}))
         assert main(["graph", "classify", "--graph", str(path)]) == 65
+        # Still a data error when the flags spell a valid query.
+        assert main(["graph", "dsep", "--graph", str(path),
+                     "--x", "R1", "--y", "X1"]) == 65
+
+    @pytest.mark.parametrize("action", ["dsep", "testability"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--x", "R1", "--y", "R1"], "query vertex sets overlap: ['R1']"),
+        (["--x", "Q9", "--y", "X2"], "unknown vertex 'Q9'"),
+        (["--x", "X2", "--y", "R1", "--do", "X1"],
+         "can only intervene on indicators, got 'X1'")])
+    def test_bad_query_is_usage_error(self, graph_json, capsys, action, flags,
+                                      message):
+        assert main(["graph", action, "--graph", graph_json, *flags]) == 64
+        assert capsys.readouterr().err == f"mdgof: error: {message}\n"
+
+    def test_testability(self, graph_json, capsys):
+        code = main(["graph", "testability", "--graph", graph_json, "--x", "R2",
+                     "--y", "X1", "--given", "X1*", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "directly-testable"
 
 
 class TestVerifyCounterexample:

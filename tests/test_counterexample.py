@@ -3,8 +3,9 @@
 import time
 from fractions import Fraction as F
 
-from mdgof.counterexample import (LAW_M1, LAW_M2, full_law, observed_law,
-                                  verify_crisscross_counterexample)
+from mdgof.counterexample import (LAW_M1, LAW_M2,
+                                  _conditional_independences_hold, full_law,
+                                  observed_law, verify_crisscross_counterexample)
 
 
 def test_verified_end_to_end():
@@ -14,6 +15,17 @@ def test_verified_end_to_end():
     assert record.both_normalized
     assert record.both_factorize
     assert record.verified
+
+
+def test_factorization_check_fails_off_the_graph():
+    # 1/100 of mass moved from one cell to its X2 = 1 neighbour leaves a
+    # law that no longer factorizes according to the criss-cross graph.
+    for tables in (LAW_M1, LAW_M2):
+        law = full_law(tables)
+        assert _conditional_independences_hold(law)
+        law[(0, 0, 0, 0)] -= F(1, 100)
+        law[(0, 0, 0, 1)] += F(1, 100)
+        assert not _conditional_independences_hold(law)
 
 
 def test_runs_fast():

@@ -356,6 +356,23 @@ class TestRowPatterns:
         assert np.array_equal(ids, np.arange(data.n))
         assert np.array_equal(counts, np.ones(data.n))
 
+    def test_wide_key_is_ranked_before_it_overflows(self):
+        # 70 indicators make two blocks, 2^62 * 2^8 codes: the key is
+        # ranked down to the 300 distinct rows before it is widened.
+        rng = np.random.default_rng(4)
+        r = (rng.random((300, 70)) < 0.7).astype(np.int8)
+        x = np.where(r == 1, rng.integers(0, 2, size=r.shape), np.nan)
+        rows = rng.permutation(np.repeat(np.arange(300), 3))
+        data = ObservedDataset(tuple(f"X{i}" for i in range(70)), r[rows], x[rows])
+        ids, patterns, counts = estimation._row_patterns(data)
+        table = np.column_stack([data.r, np.nan_to_num(data.xstar)])
+        want, want_ids, want_counts = np.unique(
+            table, axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(
+            np.column_stack([patterns.r, np.nan_to_num(patterns.xstar)]), want)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
            K=st.integers(1, 5), levels=st.integers(1, 40))

@@ -124,6 +124,33 @@ class TestDSeparation:
         with pytest.raises(GraphError):
             IndependenceQuery({"X1"}, {"X1"}, set())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_bidirected_edge_is_a_latent_common_parent(self, seed):
+        # Every query, interventions included, has the answer it has once
+        # each X-X bidirected edge becomes a fresh latent parent of both ends.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=4, max_card=2)
+        xs = g.substantive
+        pairs = [(a, b) for i, a in enumerate(xs) for b in xs[i + 1:]
+                 if rng.random() < 0.5]
+        with_bidirected = MDag(xs, g.directed_edges, pairs)
+        latents = [f"L{i}" for i in range(len(pairs))]
+        with_latents = MDag.create(
+            xs + tuple(latents),
+            graph_to_dict(g)["edges"] + [(u, v) for u, pair in zip(latents, pairs)
+                                         for v in pair])
+        assert not validate_mdag(with_bidirected) and not validate_mdag(with_latents)
+        for _ in range(10):
+            role = rng.integers(0, 4, size=len(g.vertices))
+            sets = [{v for v, r in zip(g.vertices, role) if r == i} for i in range(3)]
+            if not sets[0] or not sets[1]:
+                continue
+            fixed = {v for v in g.indicators
+                     if role[g.vertices.index(v)] == 3 and rng.random() < 0.5}
+            q = IndependenceQuery(*sets, interventions=fixed)
+            assert d_separated(with_bidirected, q) == d_separated(with_latents, q)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_matches_brute_force_on_random_digraphs(self, seed):

@@ -1,4 +1,4 @@
-"""Numerical kernel: expit, chi-square tails, MVN sampling, logistic solver."""
+"""Numerical kernel: expit, chi-square tails, seed streams, logistic solver."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdgof.numerics import (SCORE_TOL, DesignMatrix, chisq_sf, child_rng,
                             expit, fit_weighted_logistic,
-                            fit_weighted_logistic_batch, sample_mvn,
+                            fit_weighted_logistic_batch,
                             weighted_bernoulli_loglik)
 
 import oracles
@@ -70,31 +70,6 @@ class TestChisqTail:
             chisq_sf(-1.0, 1)
         with pytest.raises(ValueError):
             chisq_sf(1.0, 0.0)
-
-
-class TestSampleMvn:
-    def test_moments(self):
-        rng = np.random.default_rng(3)
-        cov = np.array([[1.0, 0.75], [0.75, 1.0]])
-        draws = sample_mvn(200_000, np.zeros(2), cov, rng)
-        assert np.allclose(draws.mean(axis=0), 0.0, atol=0.02)
-        assert np.allclose(np.cov(draws.T), cov, atol=0.02)
-
-    def test_singular_covariance_constant(self):
-        rng = np.random.default_rng(0)
-        draws = sample_mvn(100, np.array([2.0]), np.array([[0.0]]), rng)
-        assert np.allclose(draws, 2.0)
-
-    def test_non_psd_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(np.linalg.LinAlgError):
-            sample_mvn(10, np.zeros(2),
-                       np.array([[1.0, 2.0], [2.0, 1.0]]), rng)
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_mvn(10, np.zeros(2), np.eye(3), rng)
 
 
 class TestChildRng:

@@ -1,5 +1,6 @@
 """Data-generating processes and the replication harness."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,13 @@ class TestFullData:
         idx = np.arange(10)
         lag = np.abs(idx[:, None] - idx[None, :])
         assert np.allclose(emp, np.maximum(0.0, 1.0 - 0.25 * lag), atol=0.02)
+
+    def test_gaussian_correlation_has_a_cholesky_factor(self):
+        # The clamped correlation stays positive definite as K grows.
+        for K in (*range(1, 65), 2000):
+            config = ScenarioConfig(scenario="mar-null", dist="gaussian", K=K, n=3)
+            x = generate_full_data(config, child_rng(0, 0))
+            assert x.shape == (3, K) and np.all(np.isfinite(x))
 
     def test_binary_chain_marginals(self):
         config = ScenarioConfig(scenario="mar-null", dist="binary",
@@ -199,9 +207,17 @@ class TestHarness:
         # row with X1 and X2 both missing and X3 observed.
         for seed in (0, 1, 2):
             config = self.small("bp-null", n=80, reps=1, seed=seed)
-            verdict, _, _, theta, ci = _replicate(config, 0)
+            verdict, _, estimate = _replicate(config, 0)
             assert verdict == "inconclusive"
-            assert theta is None and ci is None
+            assert estimate is None
+
+    def test_all_inconclusive_study_equals_its_rerun(self):
+        # No replication is conclusive, so the acceptance rate is NaN; the
+        # study must still equal a rerun of itself.
+        config = self.small("bp-null", n=80, reps=1, seed=0)
+        study = run_study(config)
+        assert study.inconclusive == 1 and math.isnan(study.acceptance_rate)
+        assert study == run_study(config)
 
     def test_acceptance_rate_over_conclusive_only(self):
         res = run_study(self.small("mar-null"))
