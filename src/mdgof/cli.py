@@ -196,13 +196,14 @@ def cmd_graph(args):
         order = graph.substantive
 
     if args.action in ("dsep", "testability"):
-        if not args.x or not args.y:
-            raise UsageError(f"graph {args.action} requires --x and --y")
+        x, y = _parse_names(args.x or ""), _parse_names(args.y or "")
+        if not x or not y:
+            raise UsageError(f"graph {args.action} requires non-empty --x and --y")
         # The graph file is valid by now, so a GraphError here comes from
         # the query the flags spelled: a usage error.
         try:
             query = IndependenceQuery(
-                _parse_names(args.x), _parse_names(args.y),
+                x, y,
                 _parse_names(args.given) if args.given else frozenset(),
                 _parse_names(args.do) if args.do else frozenset())
             if args.action == "dsep":

@@ -1,10 +1,16 @@
 """Command-line surface: exit codes, formats, round trips, seeds."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdgof
 from mdgof.cli import main
 from mdgof.data import read_csv
 from mdgof.gof import ACCEPTED, REJECTED
@@ -333,6 +339,18 @@ class TestGraphCommand:
         assert main(["graph", action, "--graph", graph_json, *flags]) == 64
         assert capsys.readouterr().err == f"mdgof: error: {message}\n"
 
+    @pytest.mark.parametrize("action", ["dsep", "testability"])
+    @pytest.mark.parametrize("flags", [["--x", ",", "--y", "X2"],
+                                       ["--x", " ", "--y", "X2"],
+                                       ["--x", "R1", "--y", " , "]])
+    def test_empty_vertex_list_is_usage_error(self, graph_json, capsys, action,
+                                              flags):
+        assert main(["graph", action, "--graph", graph_json, *flags]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"mdgof: error: graph {action} requires "
+                                "non-empty --x and --y\n")
+
     def test_testability(self, graph_json, capsys):
         code = main(["graph", "testability", "--graph", graph_json, "--x", "R2",
                      "--y", "X1", "--given", "X1*", "--json"])
@@ -357,3 +375,39 @@ class TestVerifyCounterexample:
         first = capsys.readouterr().out
         main(["verify-counterexample", "--format", "json"])
         assert capsys.readouterr().out == first
+
+
+class TestRuntimeNeedsNumpyAlone:
+    """scipy is a test-only oracle: the package and its CLI never import it."""
+
+    def _run(self, code, tmp_path):
+        src = str(Path(mdgof.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        done = self._run(
+            "import sys, mdgof, mdgof.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))", tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_sequential_test_runs_without_scipy(self, tmp_path):
+        done = self._run(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from mdgof.cli import main\n"
+            "assert main(['simulate', '--scenario', 'mnar-null', '--dist',"
+            " 'gaussian', '--K', '4', '--n', '2000', '--seed', '7',"
+            " '--emit-data', 'data.csv']) == 0\n"
+            "sys.exit(main(['test', '--input', 'data.csv', '--model',"
+            " 'sequential-mnar', '--order', 'X1,X2,X3,X4',"
+            " '--output', 'report.json']))", tmp_path)
+        assert done.returncode <= 2, done.stderr
+        assert (tmp_path / "report.json").exists(), done.stderr
+        steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+        assert steps
+        assert all(math.isfinite(s["p_value"]) for s in steps)

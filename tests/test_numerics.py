@@ -71,6 +71,51 @@ class TestChisqTail:
         with pytest.raises(ValueError):
             chisq_sf(1.0, 0.0)
 
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(0.0, 3000.0), st.floats(0.01, 60.0))
+    def test_matches_gammaincc(self, x, df):
+        want = scipy.special.gammaincc(df / 2.0, x / 2.0)
+        got = chisq_sf(x, df)
+        assert abs(got - want) <= 1e-13
+        if want > 1e-300:
+            assert abs(got - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("df", [0.01, 0.5, 1.0, 1.7, 4.0, 13.3, 60.0])
+    def test_edge_values(self, df):
+        assert chisq_sf(0.0, df) == 1.0
+        assert chisq_sf(5e-324, df) == 1.0
+        assert chisq_sf(np.inf, df) == 0.0
+        assert np.isnan(chisq_sf(np.nan, df))
+        assert np.isnan(chisq_sf(1.0, np.nan))
+
+    @pytest.mark.parametrize("df", [1e-323, 1e-300, 1e-100, 1e-10])
+    def test_tiny_df_as_gammaincc(self, df):
+        for x in (1e-300, 1e-5, 1.0, 2.0, 10.0, 70.0, 1000.0):
+            want = scipy.special.gammaincc(df / 2.0, x / 2.0)
+            assert abs(chisq_sf(x, df) - want) <= 1e-13
+
+    def test_infinite_df_as_gammaincc(self):
+        assert chisq_sf(1.0, np.inf) == scipy.special.gammaincc(np.inf, 0.5) == 1.0
+        assert np.isnan(chisq_sf(np.inf, np.inf))
+
+    @pytest.mark.parametrize("df", [0.01, 1.0, 2.5, 7.0, 31.4, 60.0])
+    def test_either_side_of_the_series_switch(self, df):
+        # The series serves x/2 < df/2 + 1, the continued fraction the rest.
+        switch = df + 2.0
+        for x in (np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf),
+                  switch * (1 - 1e-9), switch * (1 + 1e-9)):
+            want = scipy.special.gammaincc(df / 2.0, x / 2.0)
+            assert abs(chisq_sf(x, df) - want) <= min(1e-13, 1e-10 * want)
+        below, above = chisq_sf(switch * (1 - 1e-6), df), chisq_sf(switch, df)
+        assert below > above
+
+    @pytest.mark.parametrize("df", [0.01, 1.0, 3.3, 60.0])
+    def test_tail_falls_as_x_grows(self, df):
+        p = [chisq_sf(x, df) for x in np.linspace(0.0, 3000.0, 30001)]
+        assert p[0] == 1.0
+        assert all(a >= b for a, b in zip(p, p[1:]))
+        assert p[-1] < 1e-300
+
 
 class TestChildRng:
     def test_deterministic(self):
