@@ -118,11 +118,12 @@ def read_csv(path):
     that parse to a non-finite number (``inf``, ``-inf``, ``nan``) are
     rejected: missingness is written only as the ``NA`` token.  Records are
     parsed in blocks of ``CSV_BLOCK_ROWS``; the first malformed record in
-    the file is the one reported.  A file the ``csv`` module or the text
-    decoder cannot read is a DataError too.
+    the file is the one reported.  The file is read as UTF-8, a leading
+    byte-order mark ignored; a file the ``csv`` module or the text decoder
+    cannot read is a DataError too.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             names, blocks = _read_blocks(csv.reader(fh))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable CSV: {exc}") from exc

@@ -110,9 +110,10 @@ def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
     return np.maximum(fit.predict(design), PROPENSITY_CLIP)
 
 
-def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix, counts):
-    """MAR's full-sample null: R_k's clipped propensities, each row
-    weighted by its count alone."""
+def _full_sample_probs(data: ObservedDataset, k, counts):
+    """MAR's full-sample null: R_k's clipped propensities given the earlier
+    indicators and proxies, each row weighted by its count alone."""
+    design, _ = build_features(data, k, range(k), ())
     fit = fit_weighted_logistic(design, data.r[:, k], counts)
     if not fit.converged:
         raise EstimationError(
@@ -121,36 +122,33 @@ def _full_sample_probs(data: ObservedDataset, k, design: DesignMatrix, counts):
 
 
 def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
-              weights, clipped, full_null, counts):
-    """(tested cascade step ``k``, MAR's full-sample null probabilities of
-    R_k if ``full_null``, else None).
+              weights, clipped, counts):
+    """Tested cascade step ``k``.
 
-    One copy of the design's columns that no row mask restricts -- the
-    intercept, R_j for j < k and the null proxies j < k, which lead the
-    null block -- serves the full-sample null and the stabilizer, the
-    fitted probability of the row mask, which multiplies the masked
-    ``weights`` unless its fit did not converge.  Row i stands for
-    ``counts[i]`` rows: the full-sample null and the stabilizer weight it
-    by its count, and ``weights[i]``, the masked fits' weight, is its
-    inverse-propensity weight times its count.  ``clipped`` counts the
-    clipped propensities in each row's weights.  The masked null is the
-    leading columns: intercept, R_j for j < k, ``null_proxies``.
+    The stabilizer, the fitted probability of the row mask, multiplies the
+    masked ``weights`` unless its fit did not converge; it is fit on the
+    design's columns that no row mask restricts -- the intercept, R_j for
+    j < k and the null proxies j < k, which lead the null block -- and only
+    when the mask drops rows.  Row i stands for ``counts[i]`` rows: the
+    stabilizer weights it by its count, and ``weights[i]``, the masked
+    fits' weight, is its inverse-propensity weight times its count.
+    ``clipped`` counts the clipped propensities in each row's weights.  The
+    masked null is the leading columns: intercept, R_j for j < k,
+    ``null_proxies``.
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
     name = data.names[k]
-    stab_p = 1 + k + sum(j < k for j in null_proxies)
-    lead = _leading(design, stab_p) if full_null or not mask.all() else None
-    probs = _full_sample_probs(data, k, lead, counts) if full_null else None
     w = weights[mask]
     if not np.any(w > 0):
         raise EstimationError(f"all weights vanished before index {name}")
     stabilized = True  # a mask that keeps every row has probability 1
     if not mask.all():
+        lead = _leading(design, 1 + k + sum(j < k for j in null_proxies))
         stab = fit_weighted_logistic(lead, mask.astype(np.int8), counts)
         stabilized = stab.converged
         if stabilized:
             w *= stab.predict(lead)[mask]
-    del lead
+        del lead
     masked = _leading(design, design.p, mask)
     # The step keeps its masked design until it is tested; holding the
     # full-row design through the masked fits as well would raise peak memory.
@@ -164,7 +162,7 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
             raise EstimationError(f"propensity fit for {name} failed: {fit.message}")
     counts = counts[mask]
     return CascadeStep(k, null_fit, alt_fit, masked, w, counts, mask,
-                       int(clipped[mask] @ counts), stabilized), probs
+                       int(clipped[mask] @ counts), stabilized)
 
 
 def mar_steps(data: ObservedDataset, counts=None):
@@ -179,7 +177,8 @@ def mar_steps(data: ObservedDataset, counts=None):
     last index has nothing after it to test against, and a fully observed
     index has a vacuous restriction and a propensity identically one:
     neither is a step.  An index's full-sample null is fit only when a step
-    before it will read it.
+    before it will read it, and only once its own step (if it has one) is
+    accepted.
 
     Two departures from the naive construction keep the test calibrated:
 
@@ -201,17 +200,11 @@ def mar_steps(data: ObservedDataset, counts=None):
     weights = counts.copy()  # count / prod of the later full-sample nulls
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in weights
     for k in reversed(partial):
-        full_null = k > partial[0]
         if k < K - 1:
-            step, probs = _fit_step(data, k, range(k), range(k + 1, K),
-                                    weights, clipped, full_null, counts)
-            yield step
-            del step  # the next step's build and fits need not hold it
-        elif full_null:
-            design, _ = build_features(data, k, range(k), ())
-            probs = _full_sample_probs(data, k, design, counts)
-            del design
-        if full_null:
+            yield _fit_step(data, k, range(k), range(k + 1, K),
+                            weights, clipped, counts)
+        if k > partial[0]:
+            probs = _full_sample_probs(data, k, counts)
             weights /= probs
             clipped += probs <= PROPENSITY_CLIP
             del probs  # the next step's fits need not hold it
@@ -253,8 +246,7 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
         # The likelihood-ratio fits use stabilized weights: omega times the
         # fitted mask probability given the past indicators (the only null
         # features available on every row).  See mar_steps.
-        step, _ = _fit_step(data, k, range(k + 1, K), range(k),
-                            omega, clipped, False, counts)
+        step = _fit_step(data, k, range(k + 1, K), range(k), omega, clipped, counts)
         yield step
         if k == tested[-1]:
             return  # no later step reads the weights
@@ -380,19 +372,14 @@ def step_test(data: ObservedDataset, step: CascadeStep):
 # ---------------------------------------------------------------------------
 
 def _column_codes(data: ObservedDataset):
-    """(base, codes) of each column block of the (R, X*) rows: integer codes
-    in [0, base) that order the rows as the block's values do.  Up to 62
-    indicators make one block, coded arithmetically with the first as the
-    most significant bit.  A proxy column's codes are the ranks of its
+    """(base, codes) of each column of the (R, X*) rows: integer codes in
+    [0, base) that order the rows as the column's values do.  An indicator
+    is its own code, base 2.  A proxy column's codes are the ranks of its
     values, a missing cell ranked last; they are not computed (None) when
     the column has more than n / 2 distinct values."""
     n = data.n
-    for start in range(0, data.K, 62):
-        block = data.r[:, start:start + 62]
-        code = np.zeros(n, dtype=np.int64)
-        for column in block.T:
-            code = 2 * code + column
-        yield 2 ** block.shape[1], code
+    for column in data.r.T:
+        yield 2, column
     for column in data.xstar.T:
         values = np.unique(column)
         yield values.size, (None if values.size > n / 2

@@ -387,15 +387,16 @@ def detect_structures(graph: MDag) -> StructureReport:
     them) and are deliberately ignored here.  Assumes a valid graph (see
     the module docstring).
     """
-    X = graph.substantive
-    edge_set = set(graph.directed_edges)
-    self_cens = tuple((x, indicator_name(x)) for x in X
-                      if (x, indicator_name(x)) in edge_set)
-    colluders, crosses = identification_blockers(graph)
-    paths = []
-    for x in X:
-        paths.extend(_colluding_paths(graph, x, indicator_name(x)))
-    return StructureReport(self_cens, colluders, crosses, tuple(paths))
+    paths = tuple(path for x in graph.substantive
+                  for path in _colluding_paths(graph, x, indicator_name(x)))
+    return StructureReport(_self_censoring_edges(graph),
+                           *identification_blockers(graph), paths)
+
+
+def _self_censoring_edges(graph: MDag):
+    """The edges X -> R_X of ``graph``, in the order of its variables."""
+    edges = set(graph.directed_edges)
+    return tuple(e for e in zip(graph.substantive, graph.indicators) if e in edges)
 
 
 def identification_blockers(graph: MDag):
@@ -517,14 +518,20 @@ def testability_verdict(graph: MDag, query: IndependenceQuery) -> Testability:
     fixed_query = IndependenceQuery(query.left, query.right, query.given,
                                     query.interventions | needed)
     if d_separated(graph, fixed_query):
-        report = detect_structures(graph)
-        if report.clean:
+        # On a valid graph no collider path reaches an indicator.
+        colluders, crosses = identification_blockers(graph)
+        structures = (
+            [f"self-censoring {x} -> {r}" for x, r in _self_censoring_edges(graph)]
+            + [f"colluder {x} -> {rj} <- {ri}" for x, rj, ri in colluders]
+            + [f"criss-cross {a} -> {indicator_name(b)}, {b} -> {indicator_name(a)}"
+               for a, b in map(sorted, crosses)])
+        if not structures:
             return Testability(VERMA,
                                detail=f"holds after do({sorted(needed)} = 1) and all "
                                       "propensities are identified")
         return Testability(UNKNOWN,
                            detail="required intervention distribution may not be "
-                                  f"identified: {report}")
+                                  f"identified: {'; '.join(structures)}")
     return Testability(UNKNOWN, detail="criteria exhausted")
 
 

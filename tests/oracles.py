@@ -433,7 +433,7 @@ def cellwise_to_csv(data, path):
 def cellwise_read_csv(path):
     """``read_csv`` as a loop over records and cells that stops at the
     first malformed one."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -162,6 +162,20 @@ class TestTestCommand:
         assert c1 == c2
         assert open(out1).read() == open(out2).read()
 
+    def test_input_with_a_byte_order_mark(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" starts with a BOM: the header's first
+        # name is still X1, and the report is the one of the file without it.
+        path = emit_dataset(tmp_path, "mar-null", 1, n=1000)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        reports = []
+        for source in (path, str(marked)):
+            out = tmp_path / "report.json"
+            assert main(["test", "--input", source, "--order", "X1,X2,X3",
+                         "--model", "sequential-mar", "--output", str(out)]) in (0, 1)
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
     def test_block_parallel_runs_without_order(self, tmp_path):
         path = emit_dataset(tmp_path, "bp-null", 3, n=2500)
         code = main(["test", "--input", path, "--model", "block-parallel",

@@ -184,6 +184,18 @@ class TestReaderMatchesCellwise:
             else:
                 assert got[0] == "error" and got[1].startswith(message)
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a BOM before the header; it is
+        # not part of the first name.  A BOM anywhere else is a cell's text.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfX1,X2\r\n1,NA\r\n2.5,3\r\n")
+        d = read_csv(str(path))
+        assert d.names == ("X1", "X2")
+        assert np.array_equal(d.xstar, [[1.0, np.nan], [2.5, 3.0]], equal_nan=True)
+        assert assert_reads_alike(path)[1] == ("X1", "X2")
+        path.write_bytes(b"X1,X2\n1,\xef\xbb\xbf2\n")
+        assert assert_reads_alike(path) == ("error", "line 2: cannot parse '\\ufeff2'")
+
     @pytest.mark.parametrize("tail", [
         b"4,5\n" * 3000 + b"4,\xff\n",            # past the first decoded chunk
         b"4," + b"1" * 200_000 + b"\n",              # over the csv field size limit

@@ -357,8 +357,8 @@ class TestRowPatterns:
         assert np.array_equal(counts, np.ones(data.n))
 
     def test_wide_key_is_ranked_before_it_overflows(self):
-        # 70 indicators make two blocks, 2^62 * 2^8 codes: the key is
-        # ranked down to the 300 distinct rows before it is widened.
+        # 70 indicators make 2^70 codes: once the key holds 62 of them it
+        # is ranked down to the 300 distinct rows before it is widened.
         rng = np.random.default_rng(4)
         r = (rng.random((300, 70)) < 0.7).astype(np.int8)
         x = np.where(r == 1, rng.integers(0, 2, size=r.shape), np.nan)

@@ -195,10 +195,14 @@ def _count_calls(monkeypatch, *names):
 
 
 @pytest.mark.parametrize("run, scenario, seed, verdict, fits, builds", [
-    # MAR, K = 4: X4 a full-sample null; X3 and X2 a full-sample null, a
-    # stabilizer, a masked null and an alternative; X1 the last three.
-    (run_sequential_mar, "mar-null", 0, ACCEPTED, 12, 4),
-    (run_sequential_mar, "mar-alt", 2, REJECTED, 5, 2),
+    # MAR, K = 4: X4 a full-sample null; X3 and X2 a stabilizer, a masked
+    # null and an alternative on the step's design, then, once the step is
+    # accepted, a full-sample null on a design of its own; X1 the step's
+    # three fits.  So a rejection at X3 fits no null for X3: 4 fits and 2
+    # builds, where fitting X3's null with its step made 5 and 2, and an
+    # accepted test builds 6 designs where sharing the step's made 4.
+    (run_sequential_mar, "mar-null", 0, ACCEPTED, 12, 6),
+    (run_sequential_mar, "mar-alt", 2, REJECTED, 4, 2),
     # MNAR, K = 4: X4 a null and an alternative (its null fit is its weight
     # update); X3 a stabilizer, a null, an alternative and a weight update;
     # X2 the first three, since no step reads its weight update.
@@ -250,13 +254,70 @@ def test_failure_after_the_first_step(run, scenario, seed, verdict, builds,
              "decision": INCONCLUSIVE, "diagnostics": {"error": "no rows left"}}]
 
 
+def test_mar_fits_no_null_for_a_rejected_step(monkeypatch):
+    # MAR accepts X3 and rejects X2.  X4's and X3's full-sample nulls weight
+    # the steps after them; X2's would weight X1's step, which is never
+    # reached, so it is never fit.
+    data = scenario_dataset("mar-alt", 3000, 1)
+    real = estimation._full_sample_probs
+    nulls = []
+
+    def full_sample_probs(data, k, *args):
+        nulls.append(data.names[k])
+        return real(data, k, *args)
+
+    monkeypatch.setattr(estimation, "_full_sample_probs", full_sample_probs)
+    calls = _count_calls(monkeypatch, "fit_weighted_logistic", "build_features")
+    report = run_sequential_mar(data, data.names)
+    assert [(s.label, s.decision) for s in report.steps] == [
+        ("X3", "accept"), ("X2", "reject")]
+    assert nulls == ["X4", "X3"]
+    assert calls == {"fit_weighted_logistic": 8, "build_features": 4}
+
+
+def test_rejection_stands_when_a_later_null_would_fail(monkeypatch):
+    # Every full-sample null of X3 or an earlier index fails to converge.
+    # The test rejects at X3, and no step reads those nulls, so none is fit
+    # and the rejection stands.
+    data = scenario_dataset("mar-alt", 3000, 2)
+    real = estimation.fit_weighted_logistic
+    real_patterns = gof._row_patterns
+    compressed = []  # the (patterns, counts) the cascade runs on
+    nulls = []  # the column count of every full-sample null fit
+
+    def row_patterns(data):
+        ids, patterns, counts = real_patterns(data)
+        compressed.append((patterns, counts))
+        return ids, patterns, counts
+
+    def fit(design, outcome, weights=None, **kw):
+        result = real(design, outcome, weights, **kw)
+        # A full-sample null is weighted by the counts alone and has an
+        # indicator column for its outcome; index k's has 1 + 2k columns.
+        patterns, counts = compressed[-1]
+        if weights is counts and np.shares_memory(outcome, patterns.r):
+            nulls.append(design.p)
+            if design.p <= 5:
+                return dataclasses.replace(result, converged=False, message="forced")
+        return result
+
+    monkeypatch.setattr(gof, "_row_patterns", row_patterns)
+    monkeypatch.setattr(estimation, "fit_weighted_logistic", fit)
+    report = run_sequential_mar(data, data.names)
+    assert report.verdict == REJECTED
+    assert [(s.label, s.decision) for s in report.steps] == [("X3", "reject")]
+    assert nulls == [7]  # X4's, which X3's step reads
+
+
 def _memory_owner(array):
     while isinstance(array.base, np.ndarray):
         array = array.base
     return array
 
 
-@pytest.mark.parametrize("run, family, builds", [(run_sequential_mar, "mar", 4),
+# MAR builds each full-sample null's design after its step is accepted
+# (6 builds); MNAR builds one design per step (3).
+@pytest.mark.parametrize("run, family, builds", [(run_sequential_mar, "mar", 6),
                                                  (run_sequential_mnar, "mnar", 3)])
 @pytest.mark.parametrize("dist", ["binary", "gaussian"])
 def test_no_design_outlives_its_test(run, family, builds, dist, monkeypatch):

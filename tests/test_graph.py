@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdgof import graph as graph_module
 from mdgof.graph import (GraphError, IndependenceQuery, MDag, _class_queries,
                          _valid_parent_configs, classify_model,
                          count_parameters, count_parameters_no_self_censoring,
                          d_separated, detect_structures, dsep_digraph,
-                         graph_from_dict, graph_to_dict,
+                         graph_from_dict, graph_to_dict, indicator_name,
                          satisfied_model_classes, validate_mdag)
 from mdgof.graph import testability_verdict as verdict_for
 
@@ -29,6 +30,12 @@ def permutation_graph():
 
 def block_parallel_graph():
     return MDag.create(("X1", "X2"), edges=[("X1", "R2"), ("X2", "R1")])
+
+
+def fixing_graph(extra=()):
+    """K=3, X1 -> R2 <- X3 and R2 -> R1, plus the edges ``extra``."""
+    return MDag.create(("X1", "X2", "X3"),
+                       edges=[("X1", "R2"), ("X3", "R2"), ("R2", "R1"), *extra])
 
 
 def crisscross_graph():
@@ -258,12 +265,68 @@ class TestTestability:
         # X1 and X3 are separated, but conditioning on R1 (required to see
         # X1) opens the collider R2 through R2 -> R1; fixing the indicators
         # instead keeps the separation, and all propensities are identified.
-        g = MDag.create(("X1", "X2", "X3"),
-                        edges=[("X1", "R2"), ("X3", "R2"), ("R2", "R1")])
-        q = IndependenceQuery({"X1"}, {"X3"})
-        t = verdict_for(g, q)
+        t = verdict_for(fixing_graph(), IndependenceQuery({"X1"}, {"X3"}))
         assert t.verdict == "testable-as-verma"
         assert "do" in t.detail
+
+    def test_fixing_searches_no_collider_path(self, monkeypatch):
+        # On a valid graph no collider path reaches an indicator, so the
+        # do() route decides from the three structures that can be there.
+        def search(*args):
+            raise AssertionError("colluding-path search")
+
+        monkeypatch.setattr(graph_module, "_colluding_paths", search)
+        t = verdict_for(fixing_graph(), IndependenceQuery({"X1"}, {"X3"}))
+        assert t.verdict == "testable-as-verma"
+
+    @pytest.mark.parametrize("extra, named", [
+        ([("X2", "R2"), ("X1", "R3"), ("R1", "R3")],
+         "self-censoring X2 -> R2; colluder X1 -> R3 <- R1"),
+        ([("X2", "R3"), ("X3", "R2"), ("R2", "R3")],
+         # A criss-cross's edge between its indicators makes a colluder too.
+         "colluder X2 -> R3 <- R2; criss-cross X2 -> R3, X3 -> R2")])
+    def test_fixing_names_the_unidentified_structures(self, extra, named):
+        g = fixing_graph(extra)
+        assert not validate_mdag(g)
+        t = verdict_for(g, IndependenceQuery({"X1"}, {"X3"}))
+        assert t.verdict == "untestable-by-criteria"
+        assert t.detail == ("required intervention distribution may not be "
+                            f"identified: {named}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_fixing_is_testable_exactly_when_the_structure_report_is_clean(
+            self, seed):
+        # The do() route's verdict is the one the full structure report,
+        # collider paths included, gives, on random valid m-DAGs with X-X
+        # bidirected edges and random queries over X and X* given any
+        # vertices; every other route is untouched by the structures.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=4, max_card=2)
+        xs = g.substantive
+        g = MDag(xs, g.directed_edges,
+                 [(a, b) for i, a in enumerate(xs) for b in xs[i + 1:]
+                  if rng.random() < 0.5])
+        assert not validate_mdag(g)
+        clean = detect_structures(g).clean
+        for _ in range(10):
+            role = rng.integers(0, 4, size=len(g.vertices))
+            left, right, given_set = (
+                {v for v, r in zip(g.vertices, role)
+                 if r == i and (i == 2 or v not in g.indicators)} for i in range(3))
+            if not left or not right:
+                continue
+            fixed = {v for v in g.indicators if v not in given_set and rng.random() < 0.3}
+            q = IndependenceQuery(left, right, given_set, fixed)
+            needed = ({indicator_name(v) for v in left | right | given_set if v in xs}
+                      - given_set - fixed)
+            t = verdict_for(g, q)
+            if (needed and not d_separated(g, IndependenceQuery(
+                    left, right, given_set | needed, fixed))
+                    and d_separated(g, IndependenceQuery(
+                        left, right, given_set, fixed | needed))):
+                assert (t.verdict, t.route) == (
+                    ("testable-as-verma" if clean else "untestable-by-criteria"), "")
 
     def test_untestable_with_self_censoring(self):
         g = MDag.create(("X1", "X2"), edges=[("X1", "R1"), ("X2", "R1")])
