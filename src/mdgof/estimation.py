@@ -24,6 +24,12 @@ from .numerics import (DEGENERATE, DesignMatrix, PropensityFit, chisq_sf, expit,
                        fit_weighted_logistic, fit_weighted_logistic_batch)
 
 PROPENSITY_CLIP = 1e-6
+# A step's alternative starts from its null's coefficients, the tested block
+# at zero, unless a null coefficient exceeds this.  Such a null lies on a
+# likelihood ridge: from there the alternative would follow the ridge a few
+# units further than from zeros, towards the separation bound and to where
+# rounding swamps its coefficients.
+WARM_START_BOUND = 8.0
 # The odds-ratio bootstrap needs at least this many usable resamples.
 MIN_BOOTSTRAP = 10
 # Cells (resamples x distinct rows) of one batch of bootstrap fits: binary
@@ -52,7 +58,7 @@ def build_features(data: ObservedDataset, k, null_proxies, tested_proxies):
     if not mask.any():
         raise EstimationError(
             "no rows left after restricting to observed counterfactual columns")
-    values = np.empty((data.n, 1 + k + len(proxies)))
+    values = np.empty((data.n, 1 + k + len(proxies)), order="F")
     values[:, 0] = 1.0
     values[:, 1:k + 1] = data.r[:, :k]
     values[:, k + 1:] = np.nan_to_num(data.xstar[:, proxies], nan=0.0, copy=False)
@@ -62,11 +68,15 @@ def build_features(data: ObservedDataset, k, null_proxies, tested_proxies):
     return DesignMatrix(names, values), mask
 
 
-def _leading(design: DesignMatrix, p, rows=slice(None)):
-    """The first ``p`` columns of ``design`` on ``rows``, C-contiguous for
-    the Newton kernel (a copy unless they already are)."""
-    return DesignMatrix(design.names[:p],
-                        np.ascontiguousarray(design.values[rows, :p]))
+def _leading(design: DesignMatrix, p, rows=None):
+    """The first ``p`` columns of ``design``, on the rows where the boolean
+    mask ``rows`` is True (by default on every row).  A column-major design
+    gives column-major columns: a view on every row, and on masked rows one
+    copy, gathered column by column."""
+    values = design.values[:, :p]
+    if rows is not None:
+        values = values.T.compress(rows, axis=1).T
+    return DesignMatrix(design.names[:p], values)
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,8 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     fits' weight, is its inverse-propensity weight times its count.
     ``clipped`` counts the clipped propensities in each row's weights.  The
     masked null is the leading columns: intercept, R_j for j < k,
-    ``null_proxies``.
+    ``null_proxies``.  The alternative starts from the null (see
+    WARM_START_BOUND).
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
     name = data.names[k]
@@ -154,12 +165,19 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     # full-row design through the masked fits as well would raise peak memory.
     del design
     y = data.r[mask, k]
-    null_fit = fit_weighted_logistic(
-        _leading(masked, 1 + k + len(null_proxies)), y, w)
-    alt_fit = fit_weighted_logistic(masked, y, w)
-    for fit in (null_fit, alt_fit):
+
+    def converged_fit(design, start=None):
+        fit = fit_weighted_logistic(design, y, w, start=start)
         if not fit.converged:
             raise EstimationError(f"propensity fit for {name} failed: {fit.message}")
+        return fit
+
+    p0 = 1 + k + len(null_proxies)
+    null_fit = converged_fit(_leading(masked, p0))
+    start = None
+    if np.abs(null_fit.coefficients).max() <= WARM_START_BOUND:
+        start = np.pad(null_fit.coefficients, (0, masked.p - p0))
+    alt_fit = converged_fit(masked, start)
     counts = counts[mask]
     return CascadeStep(k, null_fit, alt_fit, masked, w, counts, mask,
                        int(clipped[mask] @ counts), stabilized)

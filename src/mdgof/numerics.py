@@ -295,6 +295,14 @@ def fit_weighted_logistic_batch(design: DesignMatrix, outcome, weights,
         raise ValueError("outcome must be binary")
     beta = np.zeros((w.shape[0], x.shape[1]))
     if start is not None:
+        # A NaN start would halve through every iteration, an infinite one
+        # read as separation: refuse both, and a start of the wrong shape.
+        start = np.asarray(start, dtype=float)
+        if start.shape not in (beta.shape[1:], beta.shape):
+            raise ValueError(f"start must have shape {beta.shape[1:]} or "
+                             f"{beta.shape}, got {start.shape}")
+        if not np.all(np.isfinite(start)):
+            raise ValueError("start contains non-finite entries")
         beta[:] = start
     tol = (SCORE_TOL * np.maximum(1.0, w.sum(axis=1)) if tol is None
            else np.full(w.shape[0], tol, dtype=float))

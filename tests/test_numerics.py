@@ -316,6 +316,46 @@ def test_batch_validates_like_single_fit():
         fit_weighted_logistic_batch(design, y, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("start, match", [
+    ([0.0, np.nan], "start contains non-finite"),
+    ([np.inf, 0.0], "start contains non-finite"),
+    ([[0.0, -np.inf]] * 3, "start contains non-finite"),
+    ([0.0, 0.0, 0.0], r"start must have shape \(2,\) or \(3, 2\), got \(3,\)"),
+    ([[0.0, 0.0]] * 2, r"start must have shape \(2,\) or \(3, 2\), got \(2, 2\)"),
+], ids=["nan", "inf", "inf-in-a-row", "wrong-length", "wrong-rows"])
+def test_batch_refuses_a_bad_start(start, match):
+    # Unchecked, a NaN start halves through every iteration, an infinite one
+    # reads as separation, and a misshapen one fails inside numpy.
+    x, y = _logistic_data(np.random.default_rng(3), 50, np.array([0.2, 0.5]))
+    design = DesignMatrix(("c", "a"), x)
+    with pytest.raises(ValueError, match=match):
+        fit_weighted_logistic_batch(design, y, np.ones((3, 50)), start=start)
+    if np.ndim(start) == 1:
+        with pytest.raises(ValueError, match=r"start (contains|must have)"):
+            fit_weighted_logistic(design, y, start=start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 8),
+       n=st.integers(20, 400), weighted=st.booleans())
+def test_column_major_design_fits_as_row_major(seed, p, n, weighted):
+    """A row-major design and its column-major copy give the same fit to
+    1e-12: the layout changes only the order of the kernel's sums."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    beta = rng.normal(scale=0.5, size=p)
+    y = (rng.random(n) < expit(x @ beta)).astype(float)
+    w = rng.uniform(0.2, 5.0, size=n) if weighted else None
+    names = tuple(f"c{i}" for i in range(p))
+    rows = fit_weighted_logistic(DesignMatrix(names, x), y, w)
+    cols = fit_weighted_logistic(DesignMatrix(names, np.asfortranarray(x)), y, w)
+    assert (cols.converged, cols.iterations, cols.message) == (
+        rows.converged, rows.iterations, rows.message)
+    scale = max(1.0, float(np.abs(rows.coefficients).max()))
+    assert np.allclose(cols.coefficients, rows.coefficients, rtol=0, atol=1e-12 * scale)
+    assert cols.weighted_loglik == pytest.approx(rows.weighted_loglik, rel=1e-12, abs=1e-12)
+
+
 class TestWeightedLogistic:
     def test_recovers_coefficients(self):
         rng = np.random.default_rng(11)
