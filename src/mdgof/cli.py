@@ -136,10 +136,12 @@ def cmd_simulate(args):
         # One replication's dataset (replication 0 of the configured stream).
         simulate_dataset(config, 0)[0].to_csv(args.emit_data)
         return EXIT_ACCEPTED
+    # A bad grid is refused before --output is opened, which would empty it.
+    grid = _parse_grid(args.n_grid) if args.n_grid else None
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        if args.n_grid:
-            rows = sweep_curve(config, _parse_grid(args.n_grid), n_jobs=n_jobs)
+        if grid:
+            rows = sweep_curve(config, grid, n_jobs=n_jobs)
             print("n,acceptance_rate,complete_case_pct,inconclusive", file=out)
             for n, rate, cc, inc in rows:
                 print(f"{n},{rate:.4f},{cc:.4f},{inc}", file=out)

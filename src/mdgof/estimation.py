@@ -323,25 +323,22 @@ def weighted_lr_stat(null_fit: PropensityFit, alt_fit: PropensityFit):
 
 def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
                      design: DesignMatrix, outcome, weights, counts=None):
-    """P-value of a weighted likelihood-ratio statistic.
+    """P-value of a weighted likelihood-ratio statistic: P(chi2_df > 2rho / lam*).
 
-    Under weighting the statistic converges to a weighted sum of chi-square(1)
-    variables, not a plain chi-square; the weights are the eigenvalues of the
-    Schur complement of the model information times the sandwich covariance of
-    the tested block.  We approximate that law by a Satterthwaite
-    moment-matched scaled chi-square.  The sandwich middle matrix is computed
-    two ways -- from squared residuals and from the conditional Bernoulli
-    variance -- and for each we also form the stochastic upper bound that
-    refers the statistic scaled by the largest eigenvalue to a plain
-    chi-square(df).  The largest (least significant) of these p-values and
-    the classical chi-square(df) p-value is kept; every candidate is a valid
-    reference asymptotically, and with unit weights all of them collapse to
-    the classical chi-square p-value.  Falls back to the classical reference
-    if the linear algebra degenerates.  ``design`` is the alternative's;
-    the tested block is its columns after the null's, which must lead them.
-    Row i stands for ``counts[i]`` rows with weight ``weights[i]`` (by
-    default, for itself): each sum over rows takes it ``counts[i]`` times,
-    so the squared score is scaled by the count, not by its square.
+    Under weighting the statistic converges to sum_i lam_i Z_i^2, not a
+    plain chi-square(df): the lam_i are the eigenvalues of the Schur
+    complement of the model information times the sandwich covariance of
+    the tested block.  That sum is at most lam_max chi-square(df), so
+    referring 2rho / lam_max to chi-square(df) is a conservative test.  The
+    sandwich middle matrix is computed two ways -- from squared residuals
+    and from the conditional Bernoulli variance -- and lam* is the larger of
+    the two lam_max; with unit weights the model-based lam are all 1.  A
+    singular information matrix, or lam* <= 1e-12, raises EstimationError.
+    ``design`` is the alternative's; the tested block is its columns after
+    the null's, which must lead them.  Row i stands for ``counts[i]`` rows
+    with weight ``weights[i]`` (by default, for itself): each sum over rows
+    takes it ``counts[i]`` times, so the squared score is scaled by the
+    count, not by its square.
     """
     df = _nested_df(null_fit, alt_fit)
     p0 = len(null_fit.column_names)
@@ -350,29 +347,24 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     c = np.ones_like(w) if counts is None else np.asarray(counts, dtype=float)
     x = design.values
     mu = alt_fit.predict(design)
-    fallback = chisq_sf(two_rho, df)
+    a_mat = x.T @ (x * (c * w * mu * (1.0 - mu))[:, None])
+    scores = (np.sqrt(c) * w * (y - mu))[:, None] * x
+    b_emp = scores.T @ scores
+    b_rb = x.T @ (x * (c * w ** 2 * mu * (1.0 - mu))[:, None])
     try:
-        a_mat = x.T @ (x * (c * w * mu * (1.0 - mu))[:, None])
-        scores = (np.sqrt(c) * w * (y - mu))[:, None] * x
-        b_emp = scores.T @ scores
-        b_rb = x.T @ (x * (c * w ** 2 * mu * (1.0 - mu))[:, None])
         schur = a_mat[p0:, p0:] - a_mat[p0:, :p0] @ np.linalg.solve(
             a_mat[:p0, :p0], a_mat[:p0, p0:])
-        pvals = []
-        for b_mat in (b_emp, b_rb):
-            sandwich = np.linalg.solve(a_mat, np.linalg.solve(a_mat, b_mat).T).T
-            lam = np.linalg.eigvals(schur @ sandwich[p0:, p0:]).real
-            lam = lam[lam > 1e-12]
-            if lam.size == 0:
-                continue
-            mean, sumsq = lam.sum(), float(np.sum(lam ** 2))
-            pvals.append(chisq_sf(two_rho * mean / sumsq, mean * mean / sumsq))
-            pvals.append(chisq_sf(two_rho / float(lam.max()), df))
-        if not pvals:
-            return fallback
-        return max(pvals + [fallback])
-    except np.linalg.LinAlgError:
-        return fallback
+        sandwiches = (np.linalg.solve(a_mat, np.linalg.solve(a_mat, b_mat).T).T
+                      for b_mat in (b_emp, b_rb))
+        lam = max(float(np.linalg.eigvals(schur @ v[p0:, p0:]).real.max())
+                  for v in sandwiches)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(
+            f"robust p-value: singular information matrix ({exc})") from exc
+    if not lam > 1e-12:
+        raise EstimationError(
+            f"robust p-value: largest sandwich eigenvalue {lam:.3g} is not positive")
+    return chisq_sf(two_rho / lam, df)
 
 
 def step_test(data: ObservedDataset, step: CascadeStep):

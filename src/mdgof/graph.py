@@ -610,16 +610,33 @@ def count_parameters_no_self_censoring(cardinalities):
 # JSON graph format
 # ---------------------------------------------------------------------------
 
+def _names(value, what, count=None):
+    """``value``, a list of non-empty strings (``count`` of them, if
+    given), as a tuple; otherwise a GraphError naming ``what``."""
+    if (not isinstance(value, (list, tuple))
+            or not all(isinstance(v, str) and v for v in value)
+            or count not in (None, len(value))):
+        names = "a list of non-empty names" if count is None else f"{count} names"
+        raise GraphError(f"{what} must be {names}, got {value!r}")
+    return tuple(value)
+
+
 def graph_from_dict(obj):
     """Parse the on-disk graph format; returns (MDag, order or None)."""
-    try:
-        variables = list(obj["variables"])
-    except (KeyError, TypeError) as exc:
-        raise GraphError("graph JSON must contain a 'variables' list") from exc
-    edges = [tuple(e) for e in obj.get("edges", [])]
-    bidirected = [tuple(p) for p in obj.get("bidirected", [])]
+    if not isinstance(obj, dict) or "variables" not in obj:
+        raise GraphError("graph JSON must contain a 'variables' list")
+    variables = _names(obj["variables"], "'variables'")
+    repeated = sorted({v for v in variables if variables.count(v) > 1})
+    if repeated:
+        raise GraphError(f"'variables' must be distinct: repeated {', '.join(repeated)}")
+    pairs = {}
+    for key in ("edges", "bidirected"):
+        entries = obj.get(key, [])
+        if not isinstance(entries, (list, tuple)):
+            raise GraphError(f"'{key}' must be a list of name pairs, got {entries!r}")
+        pairs[key] = [_names(e, f"each '{key}' entry", 2) for e in entries]
     order = obj.get("order")
-    graph = MDag.create(variables, edges, bidirected)
+    graph = MDag.create(variables, pairs["edges"], pairs["bidirected"])
     violations = validate_mdag(graph)
     if violations:
         raise GraphError("invalid graph: " + "; ".join(violations))

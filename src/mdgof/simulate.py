@@ -16,6 +16,7 @@ range, which is how the complete-case proportion is controlled.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,9 @@ class ScenarioConfig:
         if self.dist not in ("gaussian", "binary"):
             raise ValueError(f"unknown dist {self.dist!r}")
         lo, hi = self.param_range
+        if not all(map(math.isfinite, (lo, hi, hi - lo))):
+            raise ValueError("param_range must have finite bounds and a finite "
+                             f"width, got {self.param_range}")
         if not lo < hi:
             raise ValueError("param_range must be (lo, hi) with lo < hi")
         if self.n < 1 or self.reps < 1 or self.K < 1:

@@ -3,7 +3,8 @@
 Everything here is deliberately written by a different route than the code
 under test: d-separation via exhaustive path enumeration, parent
 configurations of an m-DAG vertex by enumerating them, logistic fits via
-nested grid search, chi-square tails via numerical quadrature, and the
+nested grid search, chi-square tails via numerical quadrature, the robust
+p-value's eigenvalue bound via explicit inverses, and the
 odds-ratio bootstrap by gathering the resampled rows and refitting on them.
 The Newton kernel is also kept in its earlier form (a masked logistic, a
 ``logaddexp`` loglik and a second linear predictor per iteration), as the
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from mdgof.data import MISSING_TOKEN, DataError, ObservedDataset
 from mdgof.estimation import (PROPENSITY_CLIP, EstimationError,
@@ -277,6 +279,30 @@ def chisq_sf_quadrature(x, df):
 
     val, _ = quad(density, x, np.inf, limit=200)
     return val
+
+
+# ---------------------------------------------------------------------------
+# robust likelihood-ratio p-value by explicit inverses
+# ---------------------------------------------------------------------------
+
+def reference_robust_pvalue(two_rho, p0, x, y, w, coefficients, counts=None):
+    """P(chi2_df > 2rho / lam*) of a fit with ``coefficients`` on design
+    ``x``, whose first ``p0`` columns are the null's.  The information and
+    both middle matrices are sums of per-row outer products; the Schur
+    complement is the inverse of the tested block of the inverse
+    information; lam_max of S V, with S = L L' by Cholesky and V the tested
+    block of a sandwich, is the top eigenvalue of the symmetric L' V L.  The
+    tail is scipy's gammaincc."""
+    c = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=float)
+    mu = 1.0 / (1.0 + np.exp(-(x @ coefficients)))
+    outer = np.einsum("ni,nj->nij", x, x)
+    inverse = np.linalg.inv(np.einsum("n,nij->ij", c * w * mu * (1.0 - mu), outer))
+    chol = np.linalg.cholesky(np.linalg.inv(inverse[p0:, p0:]))
+    lam = 0.0
+    for middle in (c * w ** 2 * (y - mu) ** 2, c * w ** 2 * mu * (1.0 - mu)):
+        sandwich = inverse @ np.einsum("n,nij->ij", middle, outer) @ inverse
+        lam = max(lam, np.linalg.eigvalsh(chol.T @ sandwich[p0:, p0:] @ chol)[-1])
+    return float(gammaincc((x.shape[1] - p0) / 2.0, two_rho / lam / 2.0))
 
 
 # ---------------------------------------------------------------------------

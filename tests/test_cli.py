@@ -139,6 +139,29 @@ class TestExitCodes:
 
 
 class TestTestCommand:
+    def test_singular_information_is_inconclusive(self, tmp_path):
+        # X3 is X1 zero-imputed: on step X2 the tested column X[X3] equals
+        # the null column R*Xs[X1], so the robust reference does not exist
+        # and the test ends inconclusive, naming why (exit 2).
+        rng = np.random.default_rng(5)
+        n = 1000
+        x1, x2 = rng.normal(size=(2, n))
+        r1 = rng.random(n) < 0.8
+        r2 = rng.random(n) < 1.0 / (1.0 + np.exp(-0.5 - 0.5 * np.where(r1, x1, 0.0)))
+        rows = [(repr(a) if ra else "NA", repr(b) if rb else "NA",
+                 repr(a if ra else 0.0))
+                for a, b, ra, rb in zip(x1.tolist(), x2.tolist(), r1, r2)]
+        path, out = tmp_path / "dup.csv", tmp_path / "report.json"
+        path.write_text("X1,X2,X3\n" + "".join(f"{','.join(r)}\n" for r in rows))
+        assert main(["test", "--input", str(path), "--model", "sequential-mar",
+                     "--order", "X1,X2,X3", "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "inconclusive"
+        [step] = report["steps"]
+        assert step["decision"] == "inconclusive"
+        assert step["diagnostics"]["error"].startswith(
+            "robust p-value: singular information matrix")
+
     def test_json_report_written(self, tmp_path, capsys):
         path = emit_dataset(tmp_path, "mar-null", 1)
         out = str(tmp_path / "report.json")
@@ -248,14 +271,28 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--param-range", "0", "expected lo,hi range, got '0'"),
         ("--param-range", "0,x", "expected lo,hi range, got '0,x'"),
+        ("--param-range", "0,inf", "param_range must have finite bounds and a "
+                                   "finite width, got (0.0, inf)"),
+        ("--param-range", "-inf,1", "param_range must have finite bounds and a "
+                                    "finite width, got (-inf, 1.0)"),
+        ("--param-range", "-1e308,1e308", "param_range must have finite bounds "
+                                          "and a finite width, got (-1e+308, 1e+308)"),
         ("--n-grid", "10:20:x", "expected integer lo:hi:step grid, got '10:20:x'"),
         ("--n-grid", "0:20:5", "bad grid '0:20:5'"),
         ("--n-grid", "20:10:5", "bad grid '20:10:5'"),
         ("--n-grid", "10:20:0", "bad grid '10:20:0'")])
     def test_bad_range_or_grid_is_usage_error(self, capsys, flag, value, message):
         assert main(["simulate", "--scenario", "mar-null", "--reps", "1",
-                     "--seed", "0", flag, value]) == 64
+                     "--seed", "0", f"{flag}={value}"]) == 64
         assert capsys.readouterr().err == f"mdgof: error: {message}\n"
+
+    def test_bad_grid_leaves_the_output_file_alone(self, tmp_path, capsys):
+        out = tmp_path / "existing.csv"
+        out.write_text("n,acceptance_rate\n")
+        assert main(["simulate", "--scenario", "mar-null", "--reps", "1",
+                     "--seed", "0", "--n-grid", "5:1:1", "--output", str(out)]) == 64
+        assert capsys.readouterr().err == "mdgof: error: bad grid '5:1:1'\n"
+        assert out.read_text() == "n,acceptance_rate\n"
 
     def test_emit_data_round_trips(self, tmp_path):
         path = emit_dataset(tmp_path, "mar-null", 7, n=300)
@@ -332,6 +369,21 @@ class TestGraphCommand:
         assert capsys.readouterr().err == (
             "mdgof: error: --order must be a permutation of the graph "
             f"variables: {defect}\n")
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"edges": [["X1"]]}, "each 'edges' entry must be 2 names, got ['X1']"),
+        ({"edges": "X1X2"}, "'edges' must be a list of name pairs, got 'X1X2'"),
+        ({"variables": [1, 2]},
+         "'variables' must be a list of non-empty names, got [1, 2]"),
+        ({"variables": ["X1", "X1"]}, "'variables' must be distinct: repeated X1"),
+        ({"bidirected": [["X1", "X2", "X1"]]},
+         "each 'bidirected' entry must be 2 names, got ['X1', 'X2', 'X1']")])
+    def test_malformed_graph_is_data_error(self, tmp_path, capsys, entries,
+                                           message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"variables": ["X1", "X2"], **entries}))
+        assert main(["graph", "classify", "--graph", str(path)]) == 65
+        assert capsys.readouterr().err == f"mdgof: error: {message}\n"
 
     def test_invalid_graph_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -19,7 +19,7 @@ from mdgof.numerics import (DesignMatrix, chisq_sf, expit,
 from mdgof.simulate import ScenarioConfig, simulate_dataset
 
 from oracles import (direct_or_functional, homogeneous_or_law,
-                     row_gather_odds_ratio)
+                     reference_robust_pvalue, row_gather_odds_ratio)
 
 
 def scenario_dataset(scenario, n, seed, dist="binary", K=4, rng_out=False,
@@ -385,7 +385,51 @@ class TestLrStatistic:
                                 y[rows], w[rows])
         assert robust_lr_pvalue(two_rho, nf, af, ad, y, w, c) == pytest.approx(
             want, rel=1e-12, abs=1e-12)
-        assert want > chisq_sf(two_rho, 1)  # a robust candidate sets it
+        assert want > chisq_sf(two_rho, 1)  # lam* exceeds 1 here
+
+    @pytest.mark.parametrize("case", ["weighted", "count-weighted", "unit-weight"])
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_pvalue_is_the_eigenvalue_bound(self, case, seed):
+        # One reference: 2rho / lam* against chi-square(df), lam* the larger
+        # top eigenvalue of the two sandwiches, as the oracle computes it.
+        rng = np.random.default_rng(seed)
+        n = 600
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        y = (rng.random(n) < expit(x @ np.array([0.2, 0.5, 0.3, 0.1]))).astype(float)
+        w = (np.ones(n) if case == "unit-weight"
+             else rng.lognormal(0.0, 1.0, size=n))
+        c = (rng.integers(1, 6, size=n).astype(float) if case == "count-weighted"
+             else None)
+        nd = DesignMatrix(("c", "a"), np.ascontiguousarray(x[:, :2]))
+        ad = DesignMatrix(("c", "a", "b", "d"), x)
+        total = w if c is None else w * c
+        nf, af = (fit_weighted_logistic(d, y, total) for d in (nd, ad))
+        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        want = reference_robust_pvalue(two_rho, 2, x, y, w, af.coefficients, c)
+        got = robust_lr_pvalue(two_rho, nf, af, ad, y, w, c)
+        assert abs(got - want) <= 1e-12 * want
+        assert 0.0 < got < 1.0
+
+    @pytest.mark.parametrize("column", ["duplicate", "zero"])
+    def test_singular_information_is_an_error(self, column):
+        # A tested column equal to a null column carries no information of
+        # its own, and a null column of zeros none at all: no reference
+        # exists, and the step is refused rather than given the classical
+        # chi-square tail.
+        nd, ad, nf, af, y, w = self._fits(
+            12, weights=lambda rng, n: rng.uniform(0.2, 5.0, size=n))
+        x = ad.values.copy()
+        if column == "duplicate":
+            x[:, 2] = x[:, 1]
+        else:
+            x[:, 1] = 0.0
+        nd = DesignMatrix(nd.names, np.ascontiguousarray(x[:, :2]))
+        ad = DesignMatrix(ad.names, x)
+        nf, af = (fit_weighted_logistic(d, y, w) for d in (nd, ad))
+        assert nf.converged and af.converged
+        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        with pytest.raises(EstimationError, match="^robust p-value: "):
+            robust_lr_pvalue(two_rho, nf, af, ad, y, w)
 
     def test_non_nested_rejected(self):
         nd, ad, nf, af, y, w = self._fits(3)

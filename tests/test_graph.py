@@ -415,6 +415,31 @@ class TestSerialization:
         with pytest.raises(GraphError):
             graph_from_dict({"edges": []})
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"variables": ["X1", "X2"], "edges": [["X1"]]},
+         "each 'edges' entry must be 2 names, got ['X1']"),
+        ({"variables": ["X1", "X2"], "edges": "X1X2"},
+         "'edges' must be a list of name pairs, got 'X1X2'"),
+        ({"variables": ["X1", "X2"], "edges": [["X1", 2]]},
+         "each 'edges' entry must be 2 names, got ['X1', 2]"),
+        ({"variables": ["X1", "X2"], "bidirected": [["X1"]]},
+         "each 'bidirected' entry must be 2 names, got ['X1']"),
+        ({"variables": ["X1", "X2"], "bidirected": {"X1": "X2"}},
+         "'bidirected' must be a list of name pairs, got {'X1': 'X2'}"),
+        ({"variables": [1, 2]},
+         "'variables' must be a list of non-empty names, got [1, 2]"),
+        ({"variables": ["X1", ""]},
+         "'variables' must be a list of non-empty names, got ['X1', '']"),
+        ({"variables": "X1X2"},
+         "'variables' must be a list of non-empty names, got 'X1X2'"),
+        ({"variables": ["X1", "X2", "X1", "X2"]},
+         "'variables' must be distinct: repeated X1, X2"),
+        (["X1", "X2"], "graph JSON must contain a 'variables' list")])
+    def test_malformed_entry_named(self, obj, message):
+        with pytest.raises(GraphError) as exc:
+            graph_from_dict(obj)
+        assert str(exc.value) == message
+
     def test_bad_order_rejected(self):
         obj = graph_to_dict(mar_graph(), order=("X1", "X2"))
         obj["order"] = ["X1", "X9"]

@@ -147,6 +147,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="mar-null", param_range=(2.0, 0.0))
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0),
+                                        (-1e308, 1e308), (math.nan, 1.0)])
+    def test_non_finite_range(self, bounds):
+        # Generator.uniform overflows on a range without a finite width.
+        with pytest.raises(ValueError, match="^param_range must have finite"):
+            ScenarioConfig(scenario="mar-null", param_range=bounds)
+
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="mar-null", n=0)
