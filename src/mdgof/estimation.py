@@ -14,6 +14,7 @@ why a step's row mask keeps the rows where every later proxy is observed.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,20 @@ NO_VARIATION, NOT_CONVERGED = FAILURE_REASONS = (
 
 
 class EstimationError(ValueError):
-    pass
+    """A quantity the data cannot give.  Raised by a cascade or a step's
+    test, it names in ``index`` the variable whose step, full-sample null
+    or weight-update fit failed."""
+    index = None
+
+
+@contextmanager
+def _at_index(k):
+    """Name cascade index ``k`` on an EstimationError raised inside."""
+    try:
+        yield
+    except EstimationError as exc:
+        exc.index = k
+        raise
 
 
 def build_features(data: ObservedDataset, k, null_proxies, tested_proxies):
@@ -218,14 +232,15 @@ def mar_steps(data: ObservedDataset, counts=None):
     weights = counts.copy()  # count / prod of the later full-sample nulls
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in weights
     for k in reversed(partial):
-        if k < K - 1:
-            yield _fit_step(data, k, range(k), range(k + 1, K),
-                            weights, clipped, counts)
-        if k > partial[0]:
-            probs = _full_sample_probs(data, k, counts)
-            weights /= probs
-            clipped += probs <= PROPENSITY_CLIP
-            del probs  # the next step's fits need not hold it
+        with _at_index(k):
+            if k < K - 1:
+                yield _fit_step(data, k, range(k), range(k + 1, K),
+                                weights, clipped, counts)
+            if k > partial[0]:
+                probs = _full_sample_probs(data, k, counts)
+                weights /= probs
+                clipped += probs <= PROPENSITY_CLIP
+                del probs  # the next step's fits need not hold it
 
 
 def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
@@ -261,32 +276,33 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
     omega = counts.copy()  # count x I(R_succ = 1) / prod of accepted nulls
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in omega
     for k in tested:
-        # The likelihood-ratio fits use stabilized weights: omega times the
-        # fitted mask probability given the past indicators (the only null
-        # features available on every row).  See mar_steps.
-        step = _fit_step(data, k, range(k + 1, K), range(k), omega, clipped, counts)
-        yield step
-        if k == tested[-1]:
-            return  # no later step reads the weights
+        with _at_index(k):
+            # The likelihood-ratio fits use stabilized weights: omega times
+            # the fitted mask probability given the past indicators (the only
+            # null features available on every row).  See mar_steps.
+            step = _fit_step(data, k, range(k + 1, K), range(k), omega, clipped, counts)
+            yield step
+            if k == tested[-1]:
+                return  # no later step reads the weights
 
-        # Weight update from the accepted null, fit under the raw running
-        # weights on the null's columns of the step's design: divide by its
-        # fitted propensity and zero out rows where R_k = 0.  Weights
-        # without a fitted stabilizer are those raw weights, so the step's
-        # null fit is that fit.
-        mask, update_fit, stabilized = step.mask, step.null_fit, step.stabilized
-        null = _leading(step.design, len(update_fit.column_names))
-        del step  # the next step's build and fits need not hold it
-        if not mask.all() and stabilized:
-            update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
-        if not update_fit.converged:
-            raise EstimationError(
-                f"weight-update fit for {data.names[k]} failed: {update_fit.message}")
-        p_full = np.ones(data.n)  # rows off the mask get zero weight below
-        p_full[mask] = _clipped_probs(update_fit, null)
-        del null
-        clipped += p_full <= PROPENSITY_CLIP
-        omega = np.where((data.r[:, k] == 1) & mask, omega / p_full, 0.0)
+            # Weight update from the accepted null, fit under the raw running
+            # weights on the null's columns of the step's design: divide by
+            # its fitted propensity and zero out rows where R_k = 0.  Weights
+            # without a fitted stabilizer are those raw weights, so the
+            # step's null fit is that fit.
+            mask, update_fit, stabilized = step.mask, step.null_fit, step.stabilized
+            null = _leading(step.design, len(update_fit.column_names))
+            del step  # the next step's build and fits need not hold it
+            if not mask.all() and stabilized:
+                update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
+            if not update_fit.converged:
+                raise EstimationError(
+                    f"weight-update fit for {data.names[k]} failed: {update_fit.message}")
+            p_full = np.ones(data.n)  # rows off the mask get zero weight below
+            p_full[mask] = _clipped_probs(update_fit, null)
+            del null
+            clipped += p_full <= PROPENSITY_CLIP
+            omega = np.where((data.r[:, k] == 1) & mask, omega / p_full, 0.0)
 
 
 def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) -> PropensityCascade:
@@ -325,20 +341,19 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
                      design: DesignMatrix, outcome, weights, counts=None):
     """P-value of a weighted likelihood-ratio statistic: P(chi2_df > 2rho / lam*).
 
-    Under weighting the statistic converges to sum_i lam_i Z_i^2, not a
-    plain chi-square(df): the lam_i are the eigenvalues of the Schur
-    complement of the model information times the sandwich covariance of
-    the tested block.  That sum is at most lam_max chi-square(df), so
-    referring 2rho / lam_max to chi-square(df) is a conservative test.  The
-    sandwich middle matrix is computed two ways -- from squared residuals
-    and from the conditional Bernoulli variance -- and lam* is the larger of
-    the two lam_max; with unit weights the model-based lam are all 1.  A
-    singular information matrix, or lam* <= 1e-12, raises EstimationError.
-    ``design`` is the alternative's; the tested block is its columns after
-    the null's, which must lead them.  Row i stands for ``counts[i]`` rows
-    with weight ``weights[i]`` (by default, for itself): each sum over rows
-    takes it ``counts[i]`` times, so the squared score is scaled by the
-    count, not by its square.
+    Under weighting the statistic tends to sum_i lam_i Z_i^2 <= lam_max
+    chi-square(df), so 2rho / lam_max against chi-square(df) is a
+    conservative test.  The lam_i are the eigenvalues of S V: V the tested
+    block of the sandwich A^-1 B A^-1, S the Schur complement of the
+    information A.  With T = A^-1 E, E the tested unit columns, S is the
+    inverse of T's tested rows and V = Z' diag(m) Z for Z = X T and
+    B = X' diag(m) X, so only df x df matrices are formed.  lam* is the
+    larger lam_max of two middle factors m, from squared residuals and from
+    the Bernoulli variance (with unit weights the latter's lam are all 1).
+    A singular A, or lam* <= 1e-12, raises EstimationError.  ``design`` is
+    the alternative's, the null's columns leading.  Row i stands for
+    ``counts[i]`` rows with weight ``weights[i]`` (by default, for itself),
+    so m scales its squared score by the count, not by its square.
     """
     df = _nested_df(null_fit, alt_fit)
     p0 = len(null_fit.column_names)
@@ -348,16 +363,13 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     x = design.values
     mu = alt_fit.predict(design)
     a_mat = x.T @ (x * (c * w * mu * (1.0 - mu))[:, None])
-    scores = (np.sqrt(c) * w * (y - mu))[:, None] * x
-    b_emp = scores.T @ scores
-    b_rb = x.T @ (x * (c * w ** 2 * mu * (1.0 - mu))[:, None])
     try:
-        schur = a_mat[p0:, p0:] - a_mat[p0:, :p0] @ np.linalg.solve(
-            a_mat[:p0, :p0], a_mat[:p0, p0:])
-        sandwiches = (np.linalg.solve(a_mat, np.linalg.solve(a_mat, b_mat).T).T
-                      for b_mat in (b_emp, b_rb))
-        lam = max(float(np.linalg.eigvals(schur @ v[p0:, p0:]).real.max())
-                  for v in sandwiches)
+        t = np.linalg.solve(a_mat, np.eye(design.p)[:, p0:])
+        z = x @ t
+        middles = (c * (w * (y - mu)) ** 2, c * w ** 2 * mu * (1.0 - mu))
+        lam = max(float(np.linalg.eigvals(
+            np.linalg.solve(t[p0:], z.T @ (z * m[:, None]))).real.max())
+                  for m in middles)
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             f"robust p-value: singular information matrix ({exc})") from exc
@@ -370,10 +382,11 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
 def step_test(data: ObservedDataset, step: CascadeStep):
     """(rho, 2*rho, df, p_value) of a cascade step with the robust
     reference distribution, from its fits and the design they ran on."""
-    rho, two_rho, df = weighted_lr_stat(step.null_fit, step.alt_fit)
-    p = robust_lr_pvalue(max(two_rho, 0.0), step.null_fit, step.alt_fit,
-                         step.design, data.r[step.mask, step.k],
-                         step.weights / step.counts, step.counts)
+    with _at_index(step.k):
+        rho, two_rho, df = weighted_lr_stat(step.null_fit, step.alt_fit)
+        p = robust_lr_pvalue(max(two_rho, 0.0), step.null_fit, step.alt_fit,
+                             step.design, data.r[step.mask, step.k],
+                             step.weights / step.counts, step.counts)
     return rho, two_rho, df, p
 
 

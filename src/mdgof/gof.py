@@ -72,8 +72,9 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
     built or fit.  The cascade runs on the distinct (R, X*) rows with their
     counts, as the odds-ratio bootstrap does: every quantity it computes
     for a row depends only on the row's pattern.  A cascade that fails
-    before any rejection makes the test inconclusive, with one record
-    naming the failure."""
+    before any rejection makes the test inconclusive: the report keeps the
+    steps accepted so far and adds one record, labelled with the variable
+    whose step or weight fit failed, that names the failure."""
     check_alpha(alpha)
     order = tuple(order)
     patterns, counts = _row_patterns(data.reorder(order))[1:]
@@ -88,9 +89,10 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
             if decision == "reject":
                 return TestReport(model, order, alpha, tuple(steps), REJECTED)
     except EstimationError as exc:
-        step = StepRecord("cascade", None, None, None, INCONCLUSIVE,
-                          {"error": str(exc)})
-        return TestReport(model, order, alpha, (step,), INCONCLUSIVE)
+        label = "cascade" if exc.index is None else order[exc.index]
+        steps.append(StepRecord(label, None, None, None, INCONCLUSIVE,
+                                {"error": str(exc)}))
+        return TestReport(model, order, alpha, tuple(steps), INCONCLUSIVE)
     return TestReport(model, order, alpha, tuple(steps), ACCEPTED)
 
 

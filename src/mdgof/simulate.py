@@ -31,6 +31,7 @@ from .numerics import child_rng, expit
 
 SCENARIOS = ("mar-null", "mar-alt", "mnar-null", "mnar-alt", "bp-null", "bp-alt")
 COEF_RANGES = ((-1.0, 1.0), (-0.5, 1.5), (0.0, 2.0))
+BP_PAIR = (0, 1)  # the indicator pair a block-parallel study tests: (X1, X2)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class ScenarioConfig:
     alpha: float = 0.05
     seed: int = 0
     n_bootstrap: int = 200          # bp scenarios only
-    bp_pair: tuple = (0, 1)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -62,7 +62,7 @@ class ScenarioConfig:
         check_alpha(self.alpha)
         if self.scenario.startswith("bp"):
             check_n_bootstrap(self.n_bootstrap)
-            check_pair(self.bp_pair, self.K)
+            check_pair(BP_PAIR, self.K)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def _replicate(config: ScenarioConfig, rep):
 
     if config.scenario.startswith("bp"):
         try:
-            est = estimate_odds_ratio(data, config.bp_pair, alpha=config.alpha,
+            est = estimate_odds_ratio(data, BP_PAIR, alpha=config.alpha,
                                       n_bootstrap=config.n_bootstrap, rng=rng)
         except EstimationError:
             return INCONCLUSIVE, cc, None

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdgof import estimation
 from mdgof.data import ObservedDataset
@@ -410,6 +410,30 @@ class TestLrStatistic:
         assert abs(got - want) <= 1e-12 * want
         assert 0.0 < got < 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 8),
+           df=st.integers(1, 3), counted=st.booleans())
+    def test_pvalue_matches_the_oracle(self, seed, p, df, counted):
+        # The tested block alone gives the oracle's lam*, which forms the
+        # full information inverse and both full sandwiches.
+        assume(df < p)
+        rng = np.random.default_rng(seed)
+        n = 400
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        y = (rng.random(n) < expit(x @ rng.normal(0.0, 0.5, size=p))).astype(float)
+        w = rng.lognormal(0.0, 1.0, size=n)
+        c = rng.integers(1, 6, size=n).astype(float) if counted else None
+        names = tuple(f"c{i}" for i in range(p))
+        nd = DesignMatrix(names[:p - df], np.ascontiguousarray(x[:, :p - df]))
+        ad = DesignMatrix(names, x)
+        total = w if c is None else w * c
+        nf, af = (fit_weighted_logistic(d, y, total) for d in (nd, ad))
+        assume(nf.converged and af.converged)
+        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        want = reference_robust_pvalue(two_rho, p - df, x, y, w, af.coefficients, c)
+        got = robust_lr_pvalue(two_rho, nf, af, ad, y, w, c)
+        assert got == pytest.approx(want, rel=1e-10)
+
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
     def test_singular_information_is_an_error(self, column):
         # A tested column equal to a null column carries no information of
@@ -700,9 +724,13 @@ class TestTruncatedFactorization:
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.1, 10.0))
+@example(seed=1227, scale=1.0)
 def test_cascade_weight_scale_invariance(seed, scale):
     """Multiplying a step's weights by a constant leaves the fitted
-    coefficients unchanged and scales the statistic linearly."""
+    coefficients unchanged and scales the statistic linearly.  The
+    alternative is refit from the start the cascade gave it (see
+    WARM_START_BOUND): on a likelihood ridge fits from different starts
+    stop apart at equal loglik, which is no matter of scale."""
     data = scenario_dataset("mar-null", 1500, seed)
     try:
         cascade = fit_cascade_mar(data, data.names)
@@ -716,7 +744,10 @@ def test_cascade_weight_scale_invariance(seed, scale):
     null = DesignMatrix(step.null_fit.column_names,
                         np.ascontiguousarray(step.design.values[:, :p0]))
     null_refit = fit_weighted_logistic(null, y, scale * step.weights)
-    refit = fit_weighted_logistic(step.design, y, scale * step.weights)
+    start = None
+    if np.abs(step.null_fit.coefficients).max() <= estimation.WARM_START_BOUND:
+        start = np.pad(step.null_fit.coefficients, (0, step.design.p - p0))
+    refit = fit_weighted_logistic(step.design, y, scale * step.weights, start=start)
     assert refit.converged and null_refit.converged
     assert np.allclose(refit.coefficients, step.alt_fit.coefficients, atol=1e-4)
     assert np.allclose(null_refit.coefficients, step.null_fit.coefficients,

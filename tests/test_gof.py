@@ -50,6 +50,28 @@ class TestSequentialMar:
         assert all(s.decision == "accept" for s in report.steps)
         assert len(report.steps) == 3
 
+    def test_failure_after_an_accepted_step_keeps_it(self):
+        # X3 is X2, fully observed.  Step X2 tests X3 and accepts; step X1
+        # tests X2 and X3, equal on its rows, so its information is
+        # singular.  The report keeps X2's record and names X1's failure.
+        rng = np.random.default_rng(0)
+        n = 2000
+        x1, x2 = rng.normal(size=(2, n))
+        r1 = rng.random(n) < 0.8
+        r2 = rng.random(n) < 1.0 / (1.0 + np.exp(-0.5 - 0.5 * np.where(r1, x1, 0.0)))
+        r = np.column_stack([r1, r2, np.ones(n, dtype=bool)]).astype(np.int8)
+        data = ObservedDataset(("X1", "X2", "X3"), r,
+                               np.where(r == 1, np.column_stack([x1, x2, x2]), np.nan))
+        report = run_sequential_mar(data, data.names)
+        assert report.verdict == INCONCLUSIVE
+        accepted, failed = report.steps
+        assert (accepted.label, accepted.decision, accepted.df) == ("X2", "accept", 1)
+        assert "error" not in accepted.diagnostics
+        assert (failed.label, failed.decision, failed.statistic) == (
+            "X1", INCONCLUSIVE, None)
+        assert failed.diagnostics["error"].startswith(
+            "robust p-value: singular information matrix")
+
     def test_alt_rejected_with_early_exit(self):
         data = scenario_dataset("mar-alt", 10_000, 0)
         report = run_sequential_mar(data, data.names)
@@ -230,7 +252,9 @@ def test_failure_after_the_first_step(run, scenario, seed, verdict, builds,
                                       monkeypatch):
     # Every build after the first step's fails.  After a rejection nothing
     # is built, so the rejection stands; after an acceptance the failure
-    # makes the test inconclusive, reported as one record of the cascade.
+    # makes the test inconclusive: the report keeps the accepted step and
+    # adds a record of the failure, labelled with the variable of the failed
+    # build, X3's full-sample null (MAR) or X3's step (MNAR).
     data = scenario_dataset(scenario, 3000, seed)
     real = estimation.build_features
     built = []
@@ -249,9 +273,12 @@ def test_failure_after_the_first_step(run, scenario, seed, verdict, builds,
         assert [s.decision for s in report.steps] == ["reject"]
     else:
         assert len(built) == builds + 1
-        assert [s.to_dict() for s in report.steps] == [
-            {"k": "cascade", "statistic": None, "df": None, "p_value": None,
-             "decision": INCONCLUSIVE, "diagnostics": {"error": "no rows left"}}]
+        accepted, failed = report.steps
+        assert (accepted.label, accepted.decision) == ("X4" if scenario == "mnar-null"
+                                                       else "X3", "accept")
+        assert failed.to_dict() == {
+            "k": "X3", "statistic": None, "df": None, "p_value": None,
+            "decision": INCONCLUSIVE, "diagnostics": {"error": "no rows left"}}
 
 
 def test_mar_fits_no_null_for_a_rejected_step(monkeypatch):

@@ -171,13 +171,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             ScenarioConfig(scenario=scenario, alpha=alpha)
 
-    @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
-    def test_bp_pair_must_be_two_distinct_indices(self, pair):
-        with pytest.raises(ValueError, match="two distinct indices"):
-            ScenarioConfig(scenario="bp-null", K=3, bp_pair=pair)
-        ScenarioConfig(scenario="bp-null", K=3, bp_pair=(2, 0))
-        ScenarioConfig(scenario="mar-null", K=3, bp_pair=pair)  # not used there
-
     def test_scenarios_and_ranges_published(self):
         assert "bp-alt" in SCENARIOS
         assert (0.0, 2.0) in COEF_RANGES
