@@ -273,7 +273,7 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
     K = data.K
     counts = np.ones(data.n) if counts is None else counts
     tested = [k for k in range(K - 1, 0, -1) if not np.all(data.r[:, k] == 1)]
-    omega = counts.copy()  # count x I(R_succ = 1) / prod of accepted nulls
+    omega = counts.copy()  # count / prod of accepted nulls, on the rows read next
     clipped = np.zeros(data.n, dtype=int)  # clipped propensities in omega
     for k in tested:
         with _at_index(k):
@@ -286,10 +286,11 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
                 return  # no later step reads the weights
 
             # Weight update from the accepted null, fit under the raw running
-            # weights on the null's columns of the step's design: divide by
-            # its fitted propensity and zero out rows where R_k = 0.  Weights
-            # without a fitted stabilizer are those raw weights, so the
-            # step's null fit is that fit.
+            # weights on the null's columns of the step's design: divide the
+            # step's rows by its fitted propensity.  Every later step's mask
+            # requires R_k = 1 and lies inside this one, so no other row is
+            # read again.  Weights without a fitted stabilizer are those raw
+            # weights, so the step's null fit is that fit.
             mask, update_fit, stabilized = step.mask, step.null_fit, step.stabilized
             null = _leading(step.design, len(update_fit.column_names))
             del step  # the next step's build and fits need not hold it
@@ -298,11 +299,10 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
             if not update_fit.converged:
                 raise EstimationError(
                     f"weight-update fit for {data.names[k]} failed: {update_fit.message}")
-            p_full = np.ones(data.n)  # rows off the mask get zero weight below
-            p_full[mask] = _clipped_probs(update_fit, null)
+            probs = _clipped_probs(update_fit, null)
             del null
-            clipped += p_full <= PROPENSITY_CLIP
-            omega = np.where((data.r[:, k] == 1) & mask, omega / p_full, 0.0)
+            clipped[mask] += probs <= PROPENSITY_CLIP
+            omega[mask] /= probs
 
 
 def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) -> PropensityCascade:

@@ -168,7 +168,12 @@ class Testability:
 def validate_mdag(graph: MDag):
     """Return a list of invariant-violation descriptions (empty iff valid)."""
     violations = []
-    verts = set(graph.vertices)
+    names = graph.vertices
+    repeated = sorted({v for v in names if names.count(v) > 1})
+    if repeated:
+        violations.append("vertex names must be distinct across the three layers: "
+                          f"repeated {', '.join(repeated)}")
+    verts = set(names)
     x_set = set(graph.substantive)
     r_set = set(graph.indicators)
     p_set = set(graph.proxies)
@@ -387,10 +392,9 @@ def detect_structures(graph: MDag) -> StructureReport:
     them) and are deliberately ignored here.  Assumes a valid graph (see
     the module docstring).
     """
-    paths = tuple(path for x in graph.substantive
-                  for path in _colluding_paths(graph, x, indicator_name(x)))
     return StructureReport(_self_censoring_edges(graph),
-                           *identification_blockers(graph), paths)
+                           *identification_blockers(graph),
+                           tuple(_colluding_paths(graph)))
 
 
 def _self_censoring_edges(graph: MDag):
@@ -427,49 +431,41 @@ def identification_blockers(graph: MDag):
     return tuple(colluders), tuple(crosses)
 
 
-def _colluding_paths(graph: MDag, start, end):
-    """Simple paths from ``start`` to ``end`` (over X and R vertices only)
-    on which every intermediate vertex is a collider.  Bidirected edges carry
-    arrowheads at both ends.  The direct edge is excluded (that is
-    self-censoring, reported separately)."""
+def _colluding_paths(graph: MDag):
+    """Simple paths from each variable x to its own indicator R_x, over X
+    and R vertices, on which every interior vertex is a collider, sorted.
+    The direct edge between x and R_x is self-censoring, reported
+    separately.
+
+    A collider has arrowheads on both sides, so every edge after the first
+    is bidirected, the last one into R_x included: a path is a first hop
+    x -> v or x <-> v, then a walk from v to R_x along bidirected edges.  An
+    indicator with no bidirected edge ends no path, and on a graph that
+    :func:`validate_mdag` accepts no indicator has one, so nothing is
+    walked there.
+    """
     xr = set(graph.substantive) | set(graph.indicators)
-    directed = {(s, t) for s, t in graph.directed_edges if s in xr and t in xr}
-    bidirected = set(graph.bidirected_edges)
-
-    # neighbor -> (head_at_v, head_at_neighbor) for each mixed edge at v
-    adj = {v: [] for v in xr}
-    for s, t in directed:
-        adj[s].append((t, False, True))
-        adj[t].append((s, True, False))
-    for pair in bidirected:
-        a, b = sorted(pair)
-        adj[a].append((b, True, True))
-        adj[b].append((a, True, True))
-
+    spouses = {v: [] for v in xr}
+    for a, b in set(graph.bidirected_edges):
+        spouses[a].append(b)
+        spouses[b].append(a)
     found = []
 
-    def walk(path, heads):
-        v = path[-1]
-        for nbr, head_here, head_there in adj[v]:
-            if nbr in path:
-                continue
-            # Intermediate vertices must collect arrowheads on both sides.
-            if len(path) > 1 and not (heads[-1] and head_here):
-                continue
-            if nbr == end:
-                if head_there and len(path) >= 2:
-                    found.append(tuple(path) + (end,))
-                continue
-            path.append(nbr)
-            heads.append(head_there)
-            walk(path, heads)
-            path.pop()
-            heads.pop()
+    def walk(path, end):
+        for w in spouses[path[-1]]:
+            if w == end:
+                found.append((*path, end))
+            elif w not in path:
+                path.append(w)
+                walk(path, end)
+                path.pop()
 
-    walk([start], [False])
-    # Deduplicate in order (an edge pair could be walked twice via parallel
-    # mixed edges).
-    return list(dict.fromkeys(found))
+    for x, r in zip(graph.substantive, graph.indicators):
+        if spouses[r]:
+            hops = {t for s, t in graph.directed_edges if s == x}.union(spouses[x])
+            for v in (hops & xr) - {x, r}:
+                walk([x, v], r)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +632,8 @@ def graph_from_dict(obj):
             raise GraphError(f"'{key}' must be a list of name pairs, got {entries!r}")
         pairs[key] = [_names(e, f"each '{key}' entry", 2) for e in entries]
     order = obj.get("order")
+    if order is not None:
+        order = _names(order, "'order'")
     graph = MDag.create(variables, pairs["edges"], pairs["bidirected"])
     violations = validate_mdag(graph)
     if violations:
@@ -643,7 +641,7 @@ def graph_from_dict(obj):
     defects = "" if order is None else permutation_defects(order, variables)
     if defects:
         raise GraphError(f"'order' must be a permutation of 'variables': {defects}")
-    return graph, tuple(order) if order is not None else None
+    return graph, order
 
 
 def load_graph_json(path):

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written by a different route than the code
 under test: d-separation via exhaustive path enumeration, parent
-configurations of an m-DAG vertex by enumerating them, logistic fits via
+configurations of an m-DAG vertex by enumerating them, colluding paths by
+a depth-first walk over every mixed edge, logistic fits via
 nested grid search, chi-square tails via numerical quadrature, the robust
 p-value's eigenvalue bound via explicit inverses, and the
 odds-ratio bootstrap by gathering the resampled rows and refitting on them.
@@ -131,6 +132,76 @@ def random_mdag(rng, max_k, max_card):
     graph = MDag.create(xs, edges)
     assert not validate_mdag(graph)
     return graph, {x: int(rng.integers(2, max_card + 1)) for x in xs}
+
+
+def random_mixed_graph(rng, max_k=5):
+    """A random mixed graph, valid or not, with 1 to ``max_k`` variables:
+    directed edges among X, R and proxy vertices (the deterministic ones
+    aside), and bidirected edges among X and R.  Some bidirected edges are
+    listed twice, and some run alongside a directed edge from a variable."""
+    K = int(rng.integers(1, max_k + 1))
+    xs = [f"X{i + 1}" for i in range(K)]
+    xr = xs + [indicator_name(x) for x in xs]
+    deterministic = {(u, proxy_name(x)) for x in xs for u in (x, indicator_name(x))}
+    vertices = xr + [proxy_name(x) for x in xs]
+    p_directed, p_bidirected = rng.uniform(0.05, 0.4, size=2)
+    edges = [(s, t) for s in vertices for t in vertices
+             if s != t and (s, t) not in deterministic and rng.random() < p_directed]
+    bidirected = [pair for pair in itertools.combinations(xr, 2)
+                  if rng.random() < p_bidirected]
+    bidirected += [pair[::-1] for pair in bidirected if rng.random() < 0.2]
+    bidirected += [(s, t) for s, t in edges
+                   if s in xs and t in xr and rng.random() < 0.2]
+    return MDag.create(xs, edges, bidirected)
+
+
+def reference_colluding_paths(graph: MDag, start, end):
+    """Simple paths from ``start`` to ``end`` (over X and R vertices only)
+    on which every intermediate vertex is a collider.  Bidirected edges carry
+    arrowheads at both ends.  The direct edge is excluded (that is
+    self-censoring, reported separately).
+
+    A depth-first walk over every mixed edge that tracks the arrowheads at
+    both ends of each edge; it makes no use of the fact that every edge
+    after the first must be bidirected."""
+    xr = set(graph.substantive) | set(graph.indicators)
+    directed = {(s, t) for s, t in graph.directed_edges if s in xr and t in xr}
+    bidirected = set(graph.bidirected_edges)
+
+    # neighbor -> (head_at_v, head_at_neighbor) for each mixed edge at v
+    adj = {v: [] for v in xr}
+    for s, t in directed:
+        adj[s].append((t, False, True))
+        adj[t].append((s, True, False))
+    for pair in bidirected:
+        a, b = sorted(pair)
+        adj[a].append((b, True, True))
+        adj[b].append((a, True, True))
+
+    found = []
+
+    def walk(path, heads):
+        v = path[-1]
+        for nbr, head_here, head_there in adj[v]:
+            if nbr in path:
+                continue
+            # Intermediate vertices must collect arrowheads on both sides.
+            if len(path) > 1 and not (heads[-1] and head_here):
+                continue
+            if nbr == end:
+                if head_there and len(path) >= 2:
+                    found.append(tuple(path) + (end,))
+                continue
+            path.append(nbr)
+            heads.append(head_there)
+            walk(path, heads)
+            path.pop()
+            heads.pop()
+
+    walk([start], [False])
+    # Deduplicate in order (an edge pair could be walked twice via parallel
+    # mixed edges).
+    return list(dict.fromkeys(found))
 
 
 def enumerated_parent_configs(graph: MDag, parent_list, cards):

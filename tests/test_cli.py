@@ -377,13 +377,29 @@ class TestGraphCommand:
          "'variables' must be a list of non-empty names, got [1, 2]"),
         ({"variables": ["X1", "X1"]}, "'variables' must be distinct: repeated X1"),
         ({"bidirected": [["X1", "X2", "X1"]]},
-         "each 'bidirected' entry must be 2 names, got ['X1', 'X2', 'X1']")])
+         "each 'bidirected' entry must be 2 names, got ['X1', 'X2', 'X1']"),
+        ({"order": 5}, "'order' must be a list of non-empty names, got 5"),
+        ({"order": "X1"}, "'order' must be a list of non-empty names, got 'X1'")])
     def test_malformed_graph_is_data_error(self, tmp_path, capsys, entries,
                                            message):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({"variables": ["X1", "X2"], **entries}))
         assert main(["graph", "classify", "--graph", str(path)]) == 65
         assert capsys.readouterr().err == f"mdgof: error: {message}\n"
+
+    @pytest.mark.parametrize("action", ["classify", "count-params", "structures"])
+    @pytest.mark.parametrize("variables, repeated", [
+        (["X1", "R1"], "R1"), (["A", "R_A"], "R_A"), (["X1", "X1*"], "X1*")])
+    def test_colliding_vertex_names_are_data_errors(self, tmp_path, capsys,
+                                                    action, variables, repeated):
+        path = tmp_path / "colliding.json"
+        path.write_text(json.dumps({"variables": variables}))
+        assert main(["graph", action, "--graph", str(path)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "mdgof: error: invalid graph: vertex names must be distinct across "
+            f"the three layers: repeated {repeated}")
 
     def test_invalid_graph_is_data_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Graph layer: validation, d-separation, classification, audits, counting."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,8 @@ from mdgof.graph import (GraphError, IndependenceQuery, MDag, _class_queries,
 from mdgof.graph import testability_verdict as verdict_for
 
 from oracles import (brute_force_dsep, enumerated_parent_configs,
-                     random_digraph_instance, random_mdag)
+                     random_digraph_instance, random_mdag, random_mixed_graph,
+                     reference_colluding_paths)
 
 
 def mar_graph():
@@ -242,6 +245,43 @@ class TestStructureDetection:
         rep = detect_structures(g)
         assert rep.clean
 
+    def test_colluding_paths_match_the_reference_search(self):
+        # Random mixed graphs, most of them invalid: directed edges among all
+        # three layers, bidirected edges among X and R, some listed twice or
+        # alongside a directed edge.  Each path is listed once.
+        rng = np.random.default_rng(2020)
+        with_paths = 0
+        for _ in range(2000):
+            g = random_mixed_graph(rng)
+            got = detect_structures(g).colluding_paths
+            assert len(set(got)) == len(got)
+            assert set(got) == {path for x in g.substantive
+                                for path in reference_colluding_paths(
+                                    g, x, indicator_name(x))}
+            with_paths += bool(got)
+        assert with_paths > 1000
+
+    def test_colluding_paths_come_sorted(self):
+        # Every X_i -> R_j (i != j) and every pair of indicators bidirected.
+        X = [f"X{i}" for i in range(1, 6)]
+        R = [indicator_name(x) for x in X]
+        g = MDag.create(X, [(x, r) for x in X for r in R if r != indicator_name(x)],
+                        [(a, b) for i, a in enumerate(R) for b in R[i + 1:]])
+        paths = detect_structures(g).colluding_paths
+        assert paths and list(paths) == sorted(paths)
+        assert ("X1", "R2", "R1") in paths
+
+    def test_valid_graph_with_a_bidirected_clique_walks_nothing(self):
+        # A chain X1 -> ... -> X10 with every pair of X's bidirected.  No
+        # indicator has a bidirected edge, so no path ends at one.
+        X = [f"X{i}" for i in range(1, 11)]
+        g = MDag.create(X, list(zip(X, X[1:])),
+                        [(a, b) for i, a in enumerate(X) for b in X[i + 1:]])
+        assert validate_mdag(g) == []
+        start = time.perf_counter()
+        assert detect_structures(g).colluding_paths == ()
+        assert time.perf_counter() - start < 5.0
+
 
 class TestTestability:
     def test_direct_when_indicators_already_conditioned(self):
@@ -434,11 +474,25 @@ class TestSerialization:
          "'variables' must be a list of non-empty names, got 'X1X2'"),
         ({"variables": ["X1", "X2", "X1", "X2"]},
          "'variables' must be distinct: repeated X1, X2"),
-        (["X1", "X2"], "graph JSON must contain a 'variables' list")])
+        (["X1", "X2"], "graph JSON must contain a 'variables' list"),
+        ({"variables": ["X1", "X2"], "order": 5},
+         "'order' must be a list of non-empty names, got 5"),
+        ({"variables": ["X1", "X2"], "order": "X1"},
+         "'order' must be a list of non-empty names, got 'X1'")])
     def test_malformed_entry_named(self, obj, message):
         with pytest.raises(GraphError) as exc:
             graph_from_dict(obj)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("variables, repeated", [
+        (["X1", "R1"], "R1"), (["A", "R_A"], "R_A"), (["X1", "X1*"], "X1*")])
+    def test_vertex_names_collide_across_layers(self, variables, repeated):
+        # R1 is X1's indicator, R_A is A's and X1* is X1's proxy.
+        with pytest.raises(GraphError) as exc:
+            graph_from_dict({"variables": variables})
+        assert str(exc.value).startswith(
+            "invalid graph: vertex names must be distinct across the three "
+            f"layers: repeated {repeated}")
 
     def test_bad_order_rejected(self):
         obj = graph_to_dict(mar_graph(), order=("X1", "X2"))
