@@ -13,9 +13,8 @@ why a step's row mask keeps the rows where every later proxy is observed.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,9 @@ PROPENSITY_CLIP = 1e-6
 # A step's alternative starts from its null's coefficients, the tested block
 # at zero, unless a null coefficient exceeds this.  Such a null lies on a
 # likelihood ridge: from there the alternative would follow the ridge a few
-# units further than from zeros, towards the separation bound and to where
-# rounding swamps its coefficients.
+# units further than from zeros, across the separation bound.  The bound
+# guards against the ridge itself, not against rounding: with 1 - mu
+# computed without cancellation, as many more fits separate without it.
 WARM_START_BOUND = 8.0
 # The odds-ratio bootstrap needs at least this many usable resamples.
 MIN_BOOTSTRAP = 10
@@ -115,14 +115,15 @@ class PropensityCascade:
 @dataclass(frozen=True)
 class OddsRatioEstimate:
     theta_hat: float
-    pair: tuple
     bootstrap_ci: tuple
     n_bootstrap: int
-    alpha: float
-    n_failed_resamples: int = 0
-    n_patterns: int = 0         # distinct (R, X*) rows the fits ran on
-    numerator_cell: int = 0     # rows with R_{-kj} = 1 and R_k = R_j = 0
-    failed_by_reason: dict = field(default_factory=dict)  # FAILURE_REASONS
+    n_patterns: int             # distinct (R, X*) rows the fits ran on
+    numerator_cell: int         # rows with R_{-kj} = 1 and R_k = R_j = 0
+    failed_by_reason: dict      # resamples without an estimate, per FAILURE_REASONS
+
+    @property
+    def n_failed_resamples(self):
+        return sum(self.failed_by_reason.values())
 
     @property
     def ci_excludes_one(self):
@@ -459,13 +460,14 @@ class _PairEquation:
 
     The designs take the proxies zero-imputed; rows entering each propensity
     fit have the needed variables observed, so the imputation never leaks in.
-    What depends only on the rows -- the row subsets, both propensity
-    designs and their complete-case designs -- is built once; a bootstrap
-    resample changes only the counts, which enter the fits as frequency
-    weights, and every row of counts is fit in one batched Newton solve.  A
-    row with a zero count stays in each fit at weight 0: on continuous data
-    about a third of the rows are absent from a resample, yet gathering the
-    present rows for every fit measured slower than carrying them.
+    What depends only on the rows -- the row subsets, each target's design
+    on its conditioning rows and that design's complete-case rows -- is
+    built once; a bootstrap resample changes only the counts, which enter
+    the fits as frequency weights, and every row of counts is fit in one
+    batched Newton solve.  A row with a zero count stays in each fit at
+    weight 0: on continuous data about a third of the rows are absent from
+    a resample, yet gathering the present rows for every fit measured
+    slower than carrying them.
     """
 
     def __init__(self, patterns: ObservedDataset, k, j):
@@ -483,9 +485,12 @@ class _PairEquation:
             columns = ("intercept",) + tuple(f"X[{self.names[i]}]" for i in rest)
             design = DesignMatrix(
                 columns, np.column_stack([np.ones(cond.size), xz[cond][:, rest]]))
-            cc_x = np.column_stack([np.ones(self.complete.size),
-                                    xz[self.complete][:, rest]])
-            self.targets.append((target, cond, r[cond, target], design, cc_x))
+            # Among the conditioning rows, the complete ones are those with
+            # R_target = 1; their covariates are kept transposed, as the odds
+            # factors read them.
+            y = r[cond, target]
+            cc_xt = design.values.T.compress(y == 1, axis=1)
+            self.targets.append((target, cond, y, design, cc_xt))
 
     def theta(self, counts, warm=None):
         """(theta, failure, coefficients) of every row of the counts
@@ -497,7 +502,7 @@ class _PairEquation:
         failure = [None] * counts.shape[0]
         ratio = np.take(counts, self.complete, axis=1)
         coefs = {}
-        for target, cond, y, design, cc_x in self.targets:
+        for target, cond, y, design, cc_xt in self.targets:
             w = np.take(counts, cond, axis=1)
             name = self.names[target]
             tol = None if warm is None else 1e-5 * np.maximum(1.0, w.sum(axis=1))
@@ -513,7 +518,7 @@ class _PairEquation:
                         (NOT_CONVERGED, f"propensity fit for {name} failed: "
                                         f"{fit.messages[b]}"))
             coefs[target] = fit.coefficients
-            p = np.clip(expit(fit.coefficients @ cc_x.T),
+            p = np.clip(expit(fit.coefficients @ cc_xt),
                         PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
             ratio *= (1.0 - p) / p
         # The clipped odds factors are positive, and a resample without a
@@ -610,8 +615,7 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
         raise EstimationError(
             f"bootstrap collapsed: only {len(draws)}/{n_bootstrap} resamples usable")
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return OddsRatioEstimate(theta, (k, j), (float(lo), float(hi)),
-                             n_bootstrap, alpha, sum(failed.values()),
+    return OddsRatioEstimate(theta, (float(lo), float(hi)), n_bootstrap,
                              counts.size, numerator_cell, failed)
 
 
@@ -619,47 +623,34 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
 # Population-level evaluation on enumerated discrete laws
 # ---------------------------------------------------------------------------
 
-def enumerate_binary_states(K):
-    return list(itertools.product((0, 1), repeat=K))
-
-
 def population_odds_ratio(law, K, pair):
     """Evaluate the odds-ratio estimating equation with expectations under an
-    enumerated full law ``law``: mapping (r_tuple, x_tuple) -> probability.
+    enumerated full law ``law``: mapping (r_tuple, x_tuple) -> probability,
+    the x values on any finite support.
 
-    The conditional propensities p(R_t = 1 | R_{-t} = 1, X_{-t}) are computed
-    exactly from the law, so this is the n -> infinity limit of
-    :func:`estimate_odds_ratio`'s point estimate.
+    Each conditional propensity p(R_t = 1 | R_{-t} = 1, X_{-t}) is computed
+    exactly from the law, in one pass over its cells, so this is the
+    n -> infinity limit of :func:`estimate_odds_ratio`'s point estimate.  A
+    complete cell of zero probability adds nothing to the expectation, so
+    its propensity is never needed.
     """
+    check_pair(pair, K)
     k, j = pair
-    others = [i for i in range(K) if i not in (k, j)]
-    states = enumerate_binary_states(K)
-
-    def propensity(target, x):
+    keys, probs = zip(*law.items())
+    r, x = (np.array(side) for side in zip(*keys))
+    p = np.array(probs, dtype=float)
+    complete = np.flatnonzero(np.all(r == 1, axis=1) & (p > 0))
+    ratio = p[complete]
+    for target in (k, j):
         rest = [i for i in range(K) if i != target]
-        num = den = 0.0
-        for r in states:
-            if any(r[i] != 1 for i in rest):
-                continue
-            for xs in states:
-                if any(xs[i] != x[i] for i in rest):
-                    continue
-                p = law.get((r, xs), 0.0)
-                den += p
-                if r[target] == 1:
-                    num += p
-        if den == 0:
-            raise EstimationError("conditioning event has zero probability")
-        return num / den
-
-    num = den = 0.0
-    for (r, x), p in law.items():
-        if all(r[i] == 1 for i in others) and r[k] == 0 and r[j] == 0:
-            num += p
-        if all(ri == 1 for ri in r):
-            wk = propensity(k, x)
-            wj = propensity(j, x)
-            den += p * (1.0 - wk) * (1.0 - wj) / (wk * wj)
+        _, level = np.unique(x[:, rest], axis=0, return_inverse=True)
+        cond = p * np.all(r[:, rest] == 1, axis=1)
+        # A complete cell is among its own level's conditioning cells, with
+        # R_t = 1, so its propensity is positive.
+        w = (np.bincount(level, cond * r[:, target])[level[complete]]
+             / np.bincount(level, cond)[level[complete]])
+        ratio *= (1.0 - w) / w
+    den = ratio.sum()
     if den == 0:
         raise EstimationError("zero denominator in population estimating equation")
-    return num / den
+    return float(p @ _numerator_cell(r, k, j) / den)

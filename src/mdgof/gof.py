@@ -74,12 +74,16 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
     for a row depends only on the row's pattern.  A cascade that fails
     before any rejection makes the test inconclusive: the report keeps the
     steps accepted so far and adds one record, labelled with the variable
-    whose step or weight fit failed, that names the failure."""
+    whose step or weight fit failed, that names the failure.  A dataset
+    without rows is such a failure, labelled "cascade": every column would
+    count as fully observed, and the test would accept on no evidence."""
     check_alpha(alpha)
     order = tuple(order)
     patterns, counts = _row_patterns(data.reorder(order))[1:]
     steps = []
     try:
+        if not data.n:
+            raise EstimationError("the dataset has no rows")
         for step in cascade_steps(patterns, counts):
             rho, two_rho, df, p = step_test(patterns, step)
             decision = "reject" if p < alpha else "accept"

@@ -25,7 +25,8 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from mdgof.data import MISSING_TOKEN, DataError, ObservedDataset
-from mdgof.estimation import (PROPENSITY_CLIP, EstimationError,
+from mdgof.estimation import (FAILURE_REASONS, NO_VARIATION, NOT_CONVERGED,
+                              PROPENSITY_CLIP, EstimationError,
                               OddsRatioEstimate)
 from mdgof.graph import MDag, indicator_name, proxy_name, validate_mdag
 from mdgof.numerics import (MAX_ITER, SCORE_TOL, SEPARATION_BOUND,
@@ -384,17 +385,18 @@ def binary_states(K):
     return list(itertools.product((0, 1), repeat=K))
 
 
-def homogeneous_or_law(K, pair, theta, rng):
-    """Full law over (R, X), binary, with the conditional odds ratio of the
-    chosen indicator pair equal to ``theta`` for every X and every value of
-    the remaining indicators."""
+def homogeneous_or_law(K, pair, theta, rng, levels=2):
+    """Full law over (R, X), each X taking the values 0 .. ``levels`` - 1,
+    with the conditional odds ratio of the chosen indicator pair equal to
+    ``theta`` for every X and every value of the remaining indicators."""
     k, j = pair
     states = binary_states(K)
-    px = {x: float(p) for x, p in zip(states, rng.dirichlet(np.ones(2 ** K)))}
+    support = list(itertools.product(range(levels), repeat=K))
+    px = {x: float(p) for x, p in zip(support, rng.dirichlet(np.ones(len(support))))}
     intercepts = rng.uniform(-0.5, 0.5, size=K)
     slopes = rng.uniform(-0.5, 0.5, size=(K, K))
     law = {}
-    for x in states:
+    for x in support:
         # Each propensity base depends on every variable except its own, so
         # the pair's conditional odds ratio is theta at any conditioning level.
         base = {}
@@ -418,7 +420,8 @@ def homogeneous_or_law(K, pair, theta, rng):
 
 def direct_or_functional(law, K, pair):
     """The pairwise odds-ratio functional evaluated by straight enumeration,
-    written independently of the library's estimating-equation form."""
+    written independently of the library's estimating-equation form.  The
+    sums run over the x values present in ``law``, in their order there."""
     k, j = pair
     rest = [i for i in range(K) if i not in (k, j)]
 
@@ -429,11 +432,12 @@ def direct_or_functional(law, K, pair):
                 total += p
         return total
 
+    support = dict.fromkeys(xs for _, xs in law)
     num = 0.0
-    for x in binary_states(K):
+    for x in support:
         num += joint(0, 0, x)
     den = 0.0
-    for x in binary_states(K):
+    for x in support:
         p11 = joint(1, 1, x)
         if p11 > 0:
             den += joint(0, 1, x) * joint(1, 0, x) / p11
@@ -460,7 +464,7 @@ def _row_gather_theta(r, xz, names, k, j, warm=None):
         cond = np.all(r[:, rest] == 1, axis=1)
         y = r[cond, target]
         if y.size == 0 or y.min() == y.max():
-            raise EstimationError("no variation")
+            raise EstimationError(NO_VARIATION)
         design = DesignMatrix(
             ("intercept",) + tuple(f"X[{names[i]}]" for i in rest),
             np.column_stack([np.ones(int(cond.sum())), xz[cond][:, rest]]))
@@ -468,7 +472,7 @@ def _row_gather_theta(r, xz, names, k, j, warm=None):
             design, y, start=None if warm is None else warm[target],
             tol=None if warm is None else 1e-5 * max(1.0, float(y.size)))
         if not fit.converged:
-            raise EstimationError(fit.message)
+            raise EstimationError(NOT_CONVERGED)
         coefs[target] = fit.coefficients
         cc_design = DesignMatrix(
             design.names,
@@ -483,27 +487,32 @@ def _row_gather_theta(r, xz, names, k, j, warm=None):
 
 def row_gather_odds_ratio(data, pair, alpha=0.05, n_bootstrap=200, rng=None):
     """Percentile-bootstrap odds-ratio estimate that refits every resample
-    on its gathered rows ``r[rows]``, ``xz[rows]``."""
+    on its gathered rows ``r[rows]``, ``xz[rows]``, and counts the failed
+    resamples by the reason it raised."""
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
     xz = np.nan_to_num(data.xstar, nan=0.0)
     theta, coefs = _row_gather_theta(data.r, xz, data.names, k, j)
     draws = []
-    failed = 0
+    failed = dict.fromkeys(FAILURE_REASONS, 0)
     for _ in range(n_bootstrap):
         rows = rng.integers(0, data.n, size=data.n)
         try:
             draw, _ = _row_gather_theta(data.r[rows], xz[rows], data.names,
                                         k, j, warm=coefs)
             draws.append(draw)
-        except EstimationError:
-            failed += 1
+        except EstimationError as exc:
+            failed[str(exc)] += 1
     if len(draws) < max(10, n_bootstrap // 2):
         raise EstimationError("bootstrap collapsed")
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return OddsRatioEstimate(theta, (k, j), (float(lo), float(hi)),
-                             n_bootstrap, alpha, failed)
+    # No rows are compressed: every observation is a pattern of its own.
+    others = [i for i in range(data.K) if i not in (k, j)]
+    cell = (np.all(data.r[:, others] == 1, axis=1)
+            & (data.r[:, k] == 0) & (data.r[:, j] == 0))
+    return OddsRatioEstimate(theta, (float(lo), float(hi)), n_bootstrap,
+                             data.n, int(cell.sum()), failed)
 
 
 # ---------------------------------------------------------------------------

@@ -575,7 +575,7 @@ class TestOddsRatio:
                                      rng=np.random.default_rng(seed))
         assert got.theta_hat == pytest.approx(want.theta_hat, rel=1e-10)
         assert got.bootstrap_ci == pytest.approx(want.bootstrap_ci, rel=1e-9)
-        assert got.n_failed_resamples == want.n_failed_resamples
+        assert got.failed_by_reason == want.failed_by_reason
         if n < 100:
             assert got.n_failed_resamples > 0
 
@@ -701,6 +701,28 @@ class TestPopulationOddsRatio:
         a = population_odds_ratio(law, 3, (1, 2))
         b = population_odds_ratio(law, 3, (2, 1))
         assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("K, pair, theta", [(3, (0, 1), 2.5), (3, (2, 0), 0.4),
+                                                (4, (1, 3), 1.7)])
+    def test_ternary_law_recovers_designed_theta(self, K, pair, theta):
+        law = homogeneous_or_law(K, pair, theta, np.random.default_rng(11), levels=3)
+        got = population_odds_ratio(law, K, pair)
+        assert got == pytest.approx(theta, abs=1e-12)
+        assert got == pytest.approx(direct_or_functional(law, K, pair), abs=1e-12)
+
+    def test_x_values_without_mass_are_not_needed(self):
+        # Every cell with X2 = X3 = 1 has probability 0: X1's propensity is
+        # undefined there, and the complete cells there add nothing.
+        law = homogeneous_or_law(3, (0, 1), 2.5, np.random.default_rng(1))
+        law = {(r, x): 0.0 if x[1:] == (1, 1) else p for (r, x), p in law.items()}
+        assert population_odds_ratio(law, 3, (0, 1)) == pytest.approx(2.5, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 5), (-1, 2)])
+    def test_pair_must_be_two_distinct_indices(self, pair):
+        law = homogeneous_or_law(3, (0, 1), 2.5, np.random.default_rng(1))
+        with pytest.raises(ValueError, match=r"two distinct indices in 0\.\.2") as info:
+            population_odds_ratio(law, 3, pair)
+        assert not isinstance(info.value, EstimationError)
 
 
 class TestTruncatedFactorization:

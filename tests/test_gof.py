@@ -547,6 +547,19 @@ class TestBlockParallel:
         assert report.verdict == INCONCLUSIVE
         assert all("error" in s.diagnostics for s in report.steps)
 
+    @pytest.mark.parametrize("run", [run_sequential_mar, run_sequential_mnar])
+    def test_sequential_empty_dataset_inconclusive(self, run):
+        # With no rows every column would count as fully observed, and the
+        # cascade would have no step to reject.
+        data = ObservedDataset(("X1", "X2", "X3"), np.zeros((0, 3)),
+                               np.zeros((0, 3)))
+        report = run(data, ("X3", "X1", "X2"))
+        assert report.verdict == INCONCLUSIVE
+        assert [s.to_dict() for s in report.steps] == [
+            {"k": "cascade", "statistic": None, "df": None, "p_value": None,
+             "decision": INCONCLUSIVE,
+             "diagnostics": {"error": "the dataset has no rows"}}]
+
     def test_seed_determinism(self):
         data = scenario_dataset("bp-null", 3000, 2)
         a = run_block_parallel(data, seed=5, n_bootstrap=60).to_json()
