@@ -546,6 +546,25 @@ def _pairwise_theta(data: ObservedDataset, k, j):
     return _PairEquation(patterns, k, j).point_estimate(counts)[0]
 
 
+def _resample_counts(rng, counts, n, size):
+    """Pattern counts of ``size`` bootstrap resamples of the n rows that
+    the distinct rows with counts ``counts`` stand for, one per matrix row.
+
+    n uniform row draws, counted by pattern, are one Multinomial(n,
+    counts / n) draw, and that is the law of every row.  When the rows
+    compress (m = counts.size < n), it is drawn as such: m binomials per
+    resample, not n bounded integers.  When every row is its own pattern
+    (m = n, as :func:`_row_patterns` decides), the n row draws counted are
+    the cheaper way to draw it: a multinomial then costs n binomials.
+    """
+    if counts.size < n:
+        return rng.multinomial(n, counts / n, size=size).astype(float)
+    resamples = np.empty((size, n))
+    for row in resamples:
+        row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    return resamples
+
+
 def check_alpha(alpha):
     """A test level lies strictly between 0 and 1 (NaN does not)."""
     if not 0.0 < alpha < 1.0:
@@ -573,12 +592,14 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     odds ratio between two missingness indicators.
 
     The estimating equation sees a row only through its (R, X*) pattern, so
-    the data are compressed once to distinct rows with counts.  Each
-    resample draws n row indices and is applied as the counts of their
-    patterns: the random stream and the estimate are those of refitting on
-    the drawn rows, at the cost of fitting on the distinct rows only.  The
-    resamples' counts fill the rows of a matrix of at most
-    BOOTSTRAP_CHUNK_CELLS cells, whose fits run as one batch.
+    the data are compressed once to distinct rows with counts.  A resample
+    is applied as the counts of its patterns, drawn from Multinomial(n,
+    counts / n): the law of n row draws, so the estimate is that of
+    refitting on drawn rows, at the cost of fitting on the distinct rows
+    only.  Continuous data, every row its own pattern, still draw n rows
+    (see :func:`_resample_counts`).  The resamples' counts fill the rows of
+    a matrix of at most BOOTSTRAP_CHUNK_CELLS cells, whose fits run as one
+    batch.
 
     An empty numerator cell (no rows with R_k = R_j = 0 and every other
     indicator observed) raises: the estimate would be 0 with a degenerate
@@ -587,25 +608,31 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
     check_pair(pair, data.K)
-    k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
-    ids, patterns, counts = _row_patterns(data)
+    _, patterns, counts = _row_patterns(data)
+    return _pattern_odds_ratio(patterns, counts, data.n, pair, alpha,
+                               n_bootstrap, rng)
+
+
+def _pattern_odds_ratio(patterns: ObservedDataset, counts, n, pair, alpha,
+                        n_bootstrap, rng) -> OddsRatioEstimate:
+    """:func:`estimate_odds_ratio` of the n rows that :func:`_row_patterns`
+    compressed to the distinct rows ``patterns`` with ``counts``, its
+    arguments already checked."""
+    k, j = pair
     equation = _PairEquation(patterns, k, j)
     numerator_cell = int(counts @ equation.numerator)
     if numerator_cell == 0:
         raise EstimationError(
-            f"empty numerator cell: no rows with {data.names[k]} and "
-            f"{data.names[j]} both missing and every other variable observed")
+            f"empty numerator cell: no rows with {patterns.names[k]} and "
+            f"{patterns.names[j]} both missing and every other variable observed")
     theta, coefs = equation.point_estimate(counts)
     draws = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
     chunk = max(1, BOOTSTRAP_CHUNK_CELLS // counts.size)
     for first in range(0, n_bootstrap, chunk):
-        resamples = np.empty((min(chunk, n_bootstrap - first), counts.size))
-        for row in resamples:
-            rows = rng.integers(0, data.n, size=data.n)
-            row[:] = np.bincount(ids[rows], minlength=counts.size)
+        resamples = _resample_counts(rng, counts, n, min(chunk, n_bootstrap - first))
         thetas, failure, _ = equation.theta(resamples, warm=coefs)
         draws.extend(thetas[~np.isnan(thetas)])
         for f in failure:

@@ -6,9 +6,9 @@ import json
 from dataclasses import dataclass, field
 
 from .data import ObservedDataset
-from .estimation import (EstimationError, _row_patterns, check_alpha,
-                         check_n_bootstrap, estimate_odds_ratio, mar_steps,
-                         mnar_steps, step_test)
+from .estimation import (EstimationError, _pattern_odds_ratio, _row_patterns,
+                         check_alpha, check_n_bootstrap, mar_steps, mnar_steps,
+                         step_test)
 from .graph import MDag
 from .numerics import child_rng
 
@@ -105,18 +105,19 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
     """Pairwise odds-ratio tests of the block-parallel restrictions.
 
     All pairs are evaluated (no early exit) so the report names every
-    failing pair; a pair rejects when its bootstrap CI excludes 1.
+    failing pair; a pair rejects when its bootstrap CI excludes 1.  The
+    data are compressed to distinct (R, X*) rows once, for every pair.
     """
     check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
+    patterns, counts = _row_patterns(data)[1:]
     steps = []
     for k in range(data.K):
         for j in range(k + 1, data.K):
             label = f"{data.names[k]}~{data.names[j]}"
             try:
-                est = estimate_odds_ratio(data, (k, j), alpha=alpha,
-                                          n_bootstrap=n_bootstrap,
-                                          rng=child_rng(seed, k, j))
+                est = _pattern_odds_ratio(patterns, counts, data.n, (k, j),
+                                          alpha, n_bootstrap, child_rng(seed, k, j))
             except EstimationError as exc:
                 steps.append(StepRecord(label, None, None, None, INCONCLUSIVE,
                                         {"error": str(exc)}))

@@ -488,16 +488,29 @@ def _row_gather_theta(r, xz, names, k, j, warm=None):
 def row_gather_odds_ratio(data, pair, alpha=0.05, n_bootstrap=200, rng=None):
     """Percentile-bootstrap odds-ratio estimate that refits every resample
     on its gathered rows ``r[rows]``, ``xz[rows]``, and counts the failed
-    resamples by the reason it raised."""
+    resamples by the reason it raised.
+
+    A resample draws its rows as the estimator's bootstrap does.  When the
+    distinct (R, zero-imputed X*) rows, ranked as ``np.unique`` ranks them,
+    are at most n / 2, it draws their counts from Multinomial(n, counts / n)
+    and repeats a row of each that many times; otherwise it draws n row
+    indices."""
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
     xz = np.nan_to_num(data.xstar, nan=0.0)
+    _, ids, counts = np.unique(np.column_stack([data.r, xz]), axis=0,
+                               return_inverse=True, return_counts=True)
+    row_of = np.empty(counts.size, dtype=np.intp)
+    row_of[ids] = np.arange(data.n)
     theta, coefs = _row_gather_theta(data.r, xz, data.names, k, j)
     draws = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
     for _ in range(n_bootstrap):
-        rows = rng.integers(0, data.n, size=data.n)
+        if counts.size <= data.n / 2:
+            rows = np.repeat(row_of, rng.multinomial(data.n, counts / data.n))
+        else:
+            rows = rng.integers(0, data.n, size=data.n)
         try:
             draw, _ = _row_gather_theta(data.r[rows], xz[rows], data.names,
                                         k, j, warm=coefs)

@@ -533,6 +533,34 @@ class TestRowPatterns:
             assert np.array_equal(patterns.xstar[ids], d.xstar, equal_nan=True)
 
 
+class TestResampleCounts:
+    def test_compressed_counts_follow_the_law_of_n_row_draws(self):
+        # n row draws counted over patterns with these counts: every
+        # resample sums to n, with mean n p and covariance n (diag p - p p').
+        counts, n, size = np.array([5.0, 1.0, 3.0, 11.0]), 20, 4000
+        draws = estimation._resample_counts(np.random.default_rng(5), counts, n, size)
+        assert draws.shape == (size, counts.size)
+        assert np.all(draws.sum(axis=1) == n)
+        p = counts / n
+        centred = draws - n * p
+        mean_se = np.sqrt(n * p * (1.0 - p) / size)
+        assert np.all(np.abs(centred.mean(axis=0)) < 4 * mean_se)
+        products = centred[:, :, None] * centred[:, None, :]
+        cov_se = products.std(axis=0) / np.sqrt(size)
+        cov = n * (np.diag(p) - np.outer(p, p))
+        assert np.all(np.abs(products.mean(axis=0) - cov) < 4 * cov_se)
+
+    def test_uncompressed_counts_are_row_draws(self):
+        # Every row its own pattern: the counts of n uniform row draws, from
+        # the same generator stream.
+        n, size = 50, 3
+        got = estimation._resample_counts(
+            np.random.default_rng(3), np.broadcast_to(1.0, n), n, size)
+        rng = np.random.default_rng(3)
+        want = [np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(size)]
+        assert np.array_equal(got, want)
+
+
 class TestOddsRatio:
     def test_symmetry_exact(self):
         data = scenario_dataset("bp-null", 3000, 8)

@@ -560,6 +560,31 @@ class TestBlockParallel:
              "decision": INCONCLUSIVE,
              "diagnostics": {"error": "the dataset has no rows"}}]
 
+    @pytest.mark.parametrize("scenario, dist", [("bp-alt", "binary"),
+                                                ("bp-null", "gaussian")])
+    def test_data_compressed_once_for_every_pair(self, monkeypatch, scenario, dist):
+        data = scenario_dataset(scenario, 1500, 3, dist=dist)
+        real_patterns = estimation._row_patterns
+        calls = []
+
+        def row_patterns(rows):
+            calls.append(rows)
+            return real_patterns(rows)
+
+        monkeypatch.setattr(gof, "_row_patterns", row_patterns)
+        monkeypatch.setattr(estimation, "_row_patterns", row_patterns)
+        report = run_block_parallel(data, alpha=0.1, seed=5, n_bootstrap=30)
+        assert len(calls) == 1
+        # The report is that of estimating each pair on the data alone,
+        # compressed anew for every pair.
+        monkeypatch.setattr(
+            gof, "_pattern_odds_ratio",
+            lambda patterns, counts, n, pair, alpha, n_bootstrap, rng:
+                estimation.estimate_odds_ratio(data, pair, alpha, n_bootstrap, rng))
+        per_pair = run_block_parallel(data, alpha=0.1, seed=5, n_bootstrap=30)
+        assert len(calls) == 2 + len(report.steps)
+        assert report.to_json() == per_pair.to_json()
+
     def test_seed_determinism(self):
         data = scenario_dataset("bp-null", 3000, 2)
         a = run_block_parallel(data, seed=5, n_bootstrap=60).to_json()
