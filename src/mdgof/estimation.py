@@ -21,7 +21,8 @@ import numpy as np
 from .data import ObservedDataset, permutation_defects
 from .graph import GraphError, MDag, identification_blockers
 from .numerics import (DEGENERATE, DesignMatrix, PropensityFit, chisq_sf, expit,
-                       fit_weighted_logistic, fit_weighted_logistic_batch)
+                       fit_weighted_logistic, fit_weighted_logistic_batch,
+                       weighted_gram)
 
 PROPENSITY_CLIP = 1e-6
 # A step's alternative starts from its null's coefficients, the tested block
@@ -351,6 +352,8 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     B = X' diag(m) X, so only df x df matrices are formed.  lam* is the
     larger lam_max of two middle factors m, from squared residuals and from
     the Bernoulli variance (with unit weights the latter's lam are all 1).
+    A and both V are :func:`weighted_gram` products, summed over row
+    blocks; Z keeps its n x df form, and both V are one call on Z.
     A singular A, or lam* <= 1e-12, raises EstimationError.  ``design`` is
     the alternative's, the null's columns leading.  Row i stands for
     ``counts[i]`` rows with weight ``weights[i]`` (by default, for itself),
@@ -363,14 +366,13 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     c = np.ones_like(w) if counts is None else np.asarray(counts, dtype=float)
     x = design.values
     mu = alt_fit.predict(design)
-    a_mat = x.T @ (x * (c * w * mu * (1.0 - mu))[:, None])
+    a_mat = weighted_gram(x, (c * w * mu * (1.0 - mu))[None])[0]
     try:
         t = np.linalg.solve(a_mat, np.eye(design.p)[:, p0:])
         z = x @ t
-        middles = (c * (w * (y - mu)) ** 2, c * w ** 2 * mu * (1.0 - mu))
-        lam = max(float(np.linalg.eigvals(
-            np.linalg.solve(t[p0:], z.T @ (z * m[:, None]))).real.max())
-                  for m in middles)
+        middles = np.stack((c * (w * (y - mu)) ** 2, c * w ** 2 * mu * (1.0 - mu)))
+        lam = max(float(np.linalg.eigvals(np.linalg.solve(t[p0:], v)).real.max())
+                  for v in weighted_gram(z, middles))
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             f"robust p-value: singular information matrix ({exc})") from exc
@@ -413,18 +415,17 @@ def _column_codes(data: ObservedDataset):
 def _row_patterns(data: ObservedDataset):
     """Distinct (R, X*) rows of ``data``.
 
-    Returns (pattern id of every row, the patterns as a dataset, counts),
-    the last two one row per pattern, in the lexicographic order of the
-    (R, zero-imputed X*) rows.  The column codes are folded into one
-    mixed-radix code per row, ranked at the end or when it would overflow;
-    a missing cell needs no imputation, since the indicators tell it apart.
-    When the distinct rows exceed n / 2, every row is its own pattern, with
-    count 1: ``data`` itself, whose ids are the row numbers.  A proxy column
-    with more than n / 2 values shows it before any of its codes is looked
-    up, and so does a ranking, so the columns after it are not read.  A
-    partition finer than the patterns is still exact, and the distinct
-    count only grows from column to column, so whether the data are
-    compressed does not depend on the column order.
+    Returns (the patterns as a dataset, counts), one row per pattern, in
+    the lexicographic order of the (R, zero-imputed X*) rows.  The column
+    codes are folded into one mixed-radix code per row, ranked at the end
+    or when it would overflow; a missing cell needs no imputation, since
+    the indicators tell it apart.  When the distinct rows exceed n / 2,
+    every row is its own pattern, with count 1: ``data`` itself.  A proxy
+    column with more than n / 2 values shows it before any of its codes is
+    looked up, and so does a ranking, so the columns after it are not
+    read.  A partition finer than the patterns is still exact, and the
+    distinct count only grows from column to column, so whether the data
+    are compressed does not depend on the column order.
     """
     n = data.n
     key, size = np.zeros(n, dtype=np.int64), 1  # the rows' codes, < size
@@ -443,9 +444,9 @@ def _row_patterns(data: ObservedDataset):
             first = np.empty(distinct.size, dtype=np.intp)
             first[ids] = np.arange(n)
             patterns = ObservedDataset(data.names, data.r[first], data.xstar[first])
-            return ids, patterns, np.bincount(ids, minlength=distinct.size).astype(float)
+            return patterns, np.bincount(ids, minlength=distinct.size).astype(float)
     # Counts of one as a read-only view: nothing n long is stored for them.
-    return np.arange(n), data, np.broadcast_to(1.0, n)
+    return data, np.broadcast_to(1.0, n)
 
 
 def _numerator_cell(r, k, j):
@@ -542,7 +543,7 @@ class _PairEquation:
 
 def _pairwise_theta(data: ObservedDataset, k, j):
     """Point estimate of the pairwise conditional odds ratio."""
-    _, patterns, counts = _row_patterns(data)
+    patterns, counts = _row_patterns(data)
     return _PairEquation(patterns, k, j).point_estimate(counts)[0]
 
 
@@ -610,7 +611,7 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     check_pair(pair, data.K)
     if rng is None:
         rng = np.random.default_rng(0)
-    _, patterns, counts = _row_patterns(data)
+    patterns, counts = _row_patterns(data)
     return _pattern_odds_ratio(patterns, counts, data.n, pair, alpha,
                                n_bootstrap, rng)
 

@@ -15,6 +15,9 @@ from .numerics import child_rng
 ACCEPTED = "accepted"
 REJECTED = "rejected"
 INCONCLUSIVE = "inconclusive"
+# Version of the JSON report's layout, its first key: it changes when a key
+# is renamed, removed or changes meaning.
+REPORT_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,8 @@ class TestReport:
     verdict: str
 
     def to_dict(self):
-        return {"model": self.model, "order": list(self.order),
-                "alpha": self.alpha,
+        return {"schema": REPORT_SCHEMA, "model": self.model,
+                "order": list(self.order), "alpha": self.alpha,
                 "steps": [s.to_dict() for s in self.steps],
                 "verdict": self.verdict}
 
@@ -79,7 +82,7 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
     count as fully observed, and the test would accept on no evidence."""
     check_alpha(alpha)
     order = tuple(order)
-    patterns, counts = _row_patterns(data.reorder(order))[1:]
+    patterns, counts = _row_patterns(data.reorder(order))
     steps = []
     try:
         if not data.n:
@@ -110,7 +113,7 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
     """
     check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
-    patterns, counts = _row_patterns(data)[1:]
+    patterns, counts = _row_patterns(data)
     steps = []
     for k in range(data.K):
         for j in range(k + 1, data.K):

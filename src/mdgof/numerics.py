@@ -20,6 +20,11 @@ SCORE_TOL = 1e-8
 MAX_ITER = 100
 MAX_HALVINGS = 30
 SEPARATION_BOUND = 30.0
+# Cells (rows x columns) of one row block of a weighted Gram product.  A
+# block's scaled copy of the design, 1 MB, stays in a 2 MB L2 cache instead
+# of streaming n x p cells back through the product, while every design of
+# the paper's size (n = 10 000, p <= 7) is one block.
+GRAM_BLOCK_CELLS = 1 << 17
 
 
 def _logistic(eta, e):
@@ -37,6 +42,20 @@ def _weighted_loglik(eta, y, w):
     e = np.exp(-np.abs(eta))
     terms = y * eta - (np.maximum(eta, 0.0) + np.log1p(e))
     return (w * terms).sum(axis=-1), e
+
+
+def weighted_gram(x, d):
+    """sum_i d[b, i] x_i x_i' for every row b of ``d`` (B, n): (B, p, p).
+
+    The sum runs over blocks of GRAM_BLOCK_CELLS // p rows, so the rows per
+    block do not depend on B; a design that fits in one block is the one
+    product x' (d x)."""
+    rows = max(1, GRAM_BLOCK_CELLS // x.shape[1])
+    gram = x[:rows].T @ (d[:, :rows, None] * x[:rows])
+    for first in range(rows, x.shape[0], rows):
+        xb = x[first:first + rows]
+        gram += xb.T @ (d[:, first:first + rows, None] * xb)
+    return gram
 
 
 def expit(x):
@@ -183,7 +202,8 @@ def _newton(x, y, w, beta, tol):
     coefficients past SEPARATION_BOUND after the previous step, the
     iteration limit, a score below tolerance.  Only then are the active
     arrays compacted, so a batch where every fit is active and takes its
-    full step does no gather.
+    full step does no gather.  Each Hessian is :func:`weighted_gram`'s
+    blocked sum, which at the paper's size is one product.
     Returns (coefficients (B, p), converged, iterations, loglik, messages).
     """
     B = w.shape[0]
@@ -219,8 +239,7 @@ def _newton(x, y, w, beta, tol):
             keep = ~done
             idx, w, tol, beta, ll, mu, score = (
                 a[keep] for a in (idx, w, tol, beta, ll, mu, score))
-        wvar = w * mu * (1.0 - mu)
-        step = _solve(x.T @ (wvar[..., None] * x), score)
+        step = _solve(weighted_gram(x, w * mu * (1.0 - mu)), score)
         # Step halving: never accept a move that lowers the weighted loglik,
         # except the last halving, which is taken whatever its loglik.  A
         # NaN loglik fails the test and halves.  Fits still halving share

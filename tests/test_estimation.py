@@ -1,12 +1,13 @@
 """Estimation layer: feature building, cascades, LR statistics, odds ratios."""
 
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mdgof import estimation
+from mdgof import estimation, numerics
 from mdgof.data import ObservedDataset
 from mdgof.estimation import (FAILURE_REASONS, EstimationError, _pairwise_theta,
                               build_features, estimate_odds_ratio,
@@ -416,6 +417,20 @@ class TestLrStatistic:
     def test_pvalue_matches_the_oracle(self, seed, p, df, counted):
         # The tested block alone gives the oracle's lam*, which forms the
         # full information inverse and both full sandwiches.
+        self._assert_pvalue_matches_the_oracle(seed, p, df, counted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 8),
+           df=st.integers(1, 3), counted=st.booleans(),
+           cells=st.integers(8, 399))
+    def test_blocked_pvalue_matches_the_oracle(self, seed, p, df, counted, cells):
+        # The information and both middle matrices summed over blocks of
+        # cells // p and cells // df of the 400 rows, as at large n.
+        with mock.patch.object(numerics, "GRAM_BLOCK_CELLS", cells):
+            self._assert_pvalue_matches_the_oracle(seed, p, df, counted)
+
+    @staticmethod
+    def _assert_pvalue_matches_the_oracle(seed, p, df, counted):
         assume(df < p)
         rng = np.random.default_rng(seed)
         n = 400
@@ -476,22 +491,19 @@ class TestRowPatterns:
     @pytest.mark.parametrize("scenario", ["mar-null", "mnar-alt", "bp-alt"])
     def test_binary_rows_compress_exactly(self, scenario):
         data = scenario_dataset(scenario, 5000, 3)
-        ids, patterns, counts = estimation._row_patterns(data)
+        patterns, counts = estimation._row_patterns(data)
         assert counts.size <= 3 ** data.K
-        assert counts.sum() == data.n
-        assert np.array_equal(counts, np.bincount(ids))
-        # Every row is its pattern, and the patterns are distinct.
-        assert np.array_equal(patterns.r[ids], data.r)
-        assert np.array_equal(patterns.xstar[ids], data.xstar, equal_nan=True)
-        rows = {tuple(row) for row in
-                np.column_stack([data.r, np.nan_to_num(data.xstar)])}
-        assert counts.size == len(rows)
+        # The patterns are the distinct rows, in order, with their counts.
+        table = np.column_stack([data.r, np.nan_to_num(data.xstar)])
+        want, want_counts = np.unique(table, axis=0, return_counts=True)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(
+            np.column_stack([patterns.r, np.nan_to_num(patterns.xstar)]), want)
 
     def test_gaussian_rows_are_their_own_patterns(self):
         data = scenario_dataset("mar-null", 2000, 3, dist="gaussian")
-        ids, patterns, counts = estimation._row_patterns(data)
+        patterns, counts = estimation._row_patterns(data)
         assert patterns is data
-        assert np.array_equal(ids, np.arange(data.n))
         assert np.array_equal(counts, np.ones(data.n))
 
     def test_wide_key_is_ranked_before_it_overflows(self):
@@ -502,11 +514,9 @@ class TestRowPatterns:
         x = np.where(r == 1, rng.integers(0, 2, size=r.shape), np.nan)
         rows = rng.permutation(np.repeat(np.arange(300), 3))
         data = ObservedDataset(tuple(f"X{i}" for i in range(70)), r[rows], x[rows])
-        ids, patterns, counts = estimation._row_patterns(data)
+        patterns, counts = estimation._row_patterns(data)
         table = np.column_stack([data.r, np.nan_to_num(data.xstar)])
-        want, want_ids, want_counts = np.unique(
-            table, axis=0, return_inverse=True, return_counts=True)
-        assert np.array_equal(ids, want_ids)
+        want, want_counts = np.unique(table, axis=0, return_counts=True)
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(
             np.column_stack([patterns.r, np.nan_to_num(patterns.xstar)]), want)
@@ -528,9 +538,16 @@ class TestRowPatterns:
         moved = ObservedDataset(tuple(data.names[i] for i in perm),
                                 r[:, perm], x[:, perm])
         for d in (data, moved):
-            ids, patterns, counts = estimation._row_patterns(d)
+            patterns, counts = estimation._row_patterns(d)
             assert counts.size == patterns.n == want
-            assert np.array_equal(patterns.xstar[ids], d.xstar, equal_nan=True)
+            if want == n:
+                assert patterns is d and np.array_equal(counts, np.ones(n))
+                continue
+            table = np.column_stack([d.r, np.nan_to_num(d.xstar)])
+            rows, row_counts = np.unique(table, axis=0, return_counts=True)
+            assert np.array_equal(counts, row_counts)
+            assert np.array_equal(
+                np.column_stack([patterns.r, np.nan_to_num(patterns.xstar)]), rows)
 
 
 class TestResampleCounts:
@@ -617,7 +634,7 @@ class TestOddsRatio:
                                                 dist, n, K, seed):
         """60 resamples fit in batches of 1, 7 and 60 give one estimate."""
         data = scenario_dataset(scenario, n, seed, dist=dist, K=K)
-        m = estimation._row_patterns(data)[2].size
+        m = estimation._row_patterns(data)[1].size
         got = []
         for rows in (1, 7, 60):
             monkeypatch.setattr(estimation, "BOOTSTRAP_CHUNK_CELLS", rows * m)
@@ -641,7 +658,7 @@ class TestOddsRatio:
     def test_resample_failures_in_checking_order(self):
         """Batched, the first failing check names a resample's failure."""
         data = scenario_dataset("bp-null", 400, 1, K=3)
-        _, patterns, counts = estimation._row_patterns(data)
+        patterns, counts = estimation._row_patterns(data)
         r = patterns.r
         equation = estimation._PairEquation(patterns, 0, 1)
         no_k = counts * (r[:, 0] == 1)      # every row left has R1 = 1

@@ -176,9 +176,9 @@ class TestSequentialReports:
         forced = []
 
         def row_patterns(data):
-            ids, patterns, counts = real_patterns(data)
+            patterns, counts = real_patterns(data)
             compressed.append((patterns, counts))
-            return ids, patterns, counts
+            return patterns, counts
 
         def fit(design, outcome, weights=None, **kw):
             result = real(design, outcome, weights, **kw)
@@ -313,9 +313,9 @@ def test_rejection_stands_when_a_later_null_would_fail(monkeypatch):
     nulls = []  # the column count of every full-sample null fit
 
     def row_patterns(data):
-        ids, patterns, counts = real_patterns(data)
+        patterns, counts = real_patterns(data)
         compressed.append((patterns, counts))
-        return ids, patterns, counts
+        return patterns, counts
 
     def fit(design, outcome, weights=None, **kw):
         result = real(design, outcome, weights, **kw)
@@ -477,6 +477,17 @@ def test_report_invariant_to_row_order(run, family, seed, alt, dist, perm_seed):
         assert g.statistic == pytest.approx(w.statistic, rel=1e-9, abs=1e-9)
         assert g.p_value == pytest.approx(w.p_value, rel=1e-9, abs=1e-9)
         assert g.diagnostics == pytest.approx(w.diagnostics, rel=1e-9)
+
+
+@pytest.mark.parametrize("model, run", [
+    ("sequential-MAR", lambda data: run_sequential_mar(data, data.names)),
+    ("sequential-MNAR", lambda data: run_sequential_mnar(data, data.names)),
+    ("block-parallel", lambda data: run_block_parallel(data, n_bootstrap=20)),
+], ids=["mar", "mnar", "bp"])
+def test_json_report_states_its_schema(model, run):
+    report = json.loads(run(scenario_dataset("mar-null", 1000, 1)).to_json())
+    assert list(report) == ["schema", "model", "order", "alpha", "steps", "verdict"]
+    assert (report["schema"], report["model"]) == (1, model)
 
 
 class TestBlockParallel:

@@ -1,15 +1,18 @@
 """Numerical kernel: expit, chi-square tails, seed streams, logistic solver."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from mdgof import numerics
 from mdgof.numerics import (SCORE_TOL, DesignMatrix, chisq_sf, child_rng,
                             expit, fit_weighted_logistic,
                             fit_weighted_logistic_batch,
-                            weighted_bernoulli_loglik)
+                            weighted_bernoulli_loglik, weighted_gram)
 
 import oracles
 from oracles import (chisq_sf_quadrature, grid_search_logistic, masked_expit,
@@ -253,15 +256,20 @@ def _assert_batch_matches_single_fits(design, y, rows):
     return batch
 
 
-@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
-def test_batch_columns_match_single_fits(case):
-    """Each case's fit, batched between two default fits on its design."""
+def _assert_case_batches_as_single_fits(case):
+    """The case's fit, batched between two default fits on its design."""
     _, design, y, w, start, tol = case
     ones = np.ones(design.n)
     spread = np.random.default_rng(4).uniform(0.5, 2.0, size=design.n)
     _assert_batch_matches_single_fits(
         design, y, [(ones, None, None), (ones if w is None else w, start, tol),
                     (spread, None, None)])
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+def test_batch_columns_match_single_fits(case):
+    """Each case's fit, batched between two default fits on its design."""
+    _assert_case_batches_as_single_fits(case)
 
 
 def test_mixed_batch_exits_fit_by_fit():
@@ -369,6 +377,71 @@ def test_column_major_design_fits_as_row_major(seed, p, n, weighted):
     scale = max(1.0, float(np.abs(rows.coefficients).max()))
     assert np.allclose(cols.coefficients, rows.coefficients, rtol=0, atol=1e-12 * scale)
     assert cols.weighted_loglik == pytest.approx(rows.weighted_loglik, rel=1e-12, abs=1e-12)
+
+
+def small_gram_blocks(cells):
+    """Weighted Gram products summed over blocks of ``cells`` // p rows, so
+    a few hundred rows cross several block boundaries."""
+    return mock.patch.object(numerics, "GRAM_BLOCK_CELLS", cells)
+
+
+def _unblocked_gram(x, d):
+    return x.T @ (d[..., None] * x)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_gram_of_one_block_is_the_unblocked_product(B):
+    """A design of the paper's size (n = 10 000, p = 7) is one block under
+    the default constant, and so is a small one under a small constant: the
+    product is the unblocked one, bit for bit."""
+    rng = np.random.default_rng(B)
+    x, d = rng.normal(size=(10_000, 7)), rng.uniform(0.0, 2.0, size=(B, 10_000))
+    assert np.array_equal(weighted_gram(x, d), _unblocked_gram(x, d))
+    x, d = x[:30, :3], d[:, :30]
+    with small_gram_blocks(90):
+        assert np.array_equal(weighted_gram(x, d), _unblocked_gram(x, d))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("p", [1, 3, 7])
+def test_gram_across_blocks_matches_the_unblocked_product(p, B, order):
+    """1001 rows in blocks of 100 // p rows, the last block short: the sum
+    over blocks is the one product up to rounding."""
+    rng = np.random.default_rng(p * B)
+    x = np.asarray(rng.normal(size=(1001, p)), order=order)
+    d = np.where(rng.random((B, 1001)) < 0.2, 0.0, rng.uniform(0.0, 3.0, (B, 1001)))
+    assert 1001 % (100 // p)
+    with small_gram_blocks(100):
+        got = weighted_gram(x, d)
+    want = _unblocked_gram(x, d)
+    assert got.shape == (B, p, p)
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+def test_blocked_kernel_matches_reference(case):
+    """Every kernel case with its Hessians summed over blocks of 21 to 32
+    rows takes the reference's path: the same iterations, flags and
+    messages, and coefficients within 1e-10."""
+    _, design, y, w, start, tol = case
+    with small_gram_blocks(64):
+        got = fit_weighted_logistic(design, y, w, start=start, tol=tol)
+    want = reference_fit_weighted_logistic(design, y, w, start=start, tol=tol)
+    assert (got.iterations, got.converged, got.message) == (
+        want.iterations, want.converged, want.message)
+    scale = max(1.0, float(np.abs(want.coefficients).max()))
+    np.testing.assert_allclose(got.coefficients, want.coefficients,
+                               rtol=1e-10, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+def test_blocked_batch_columns_match_single_fits(case):
+    """Rows per block do not depend on the batch size, so a batched fit's
+    Hessian is its single fit's blocked product."""
+    with small_gram_blocks(64):
+        _assert_case_batches_as_single_fits(case)
 
 
 class TestWeightedLogistic:
