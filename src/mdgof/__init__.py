@@ -2,8 +2,8 @@
 
 from .counterexample import verify_crisscross_counterexample
 from .data import DataError, MISSING_TOKEN, ObservedDataset, read_csv
-from .estimation import (EstimationError, estimate_odds_ratio, fit_cascade_mar,
-                         fit_cascade_mnar, population_odds_ratio)
+from .estimation import (EstimationError, estimate_odds_ratio,
+                         population_odds_ratio)
 from .gof import (ACCEPTED, INCONCLUSIVE, REJECTED, StepRecord, TestReport,
                   test_block_parallel, test_sequential_mar,
                   test_sequential_mnar)
@@ -25,10 +25,9 @@ __all__ = [
     "StepRecord", "StructureReport", "StudyResult", "TestReport",
     "Testability", "classify_model", "count_parameters",
     "count_parameters_no_self_censoring", "d_separated", "detect_structures",
-    "estimate_odds_ratio", "fit_cascade_mar", "fit_cascade_mnar",
-    "fit_weighted_logistic", "graph_from_dict", "graph_to_dict",
-    "load_graph_json", "population_odds_ratio", "read_csv", "run_study",
-    "satisfied_model_classes", "sweep_curve", "test_block_parallel",
-    "test_sequential_mar", "test_sequential_mnar", "testability_verdict",
-    "validate_mdag", "verify_crisscross_counterexample",
+    "estimate_odds_ratio", "fit_weighted_logistic", "graph_from_dict",
+    "graph_to_dict", "load_graph_json", "population_odds_ratio", "read_csv",
+    "run_study", "satisfied_model_classes", "sweep_curve",
+    "test_block_parallel", "test_sequential_mar", "test_sequential_mnar",
+    "testability_verdict", "validate_mdag", "verify_crisscross_counterexample",
 ]

@@ -109,11 +109,6 @@ class CascadeStep:
 
 
 @dataclass(frozen=True)
-class PropensityCascade:
-    steps: tuple  # the tested CascadeSteps, in fitting order
-
-
-@dataclass(frozen=True)
 class OddsRatioEstimate:
     theta_hat: float
     bootstrap_ci: tuple
@@ -132,19 +127,22 @@ class OddsRatioEstimate:
         return not (lo <= 1.0 <= hi)
 
 
-def _clipped_probs(fit: PropensityFit, design: DesignMatrix):
-    return np.maximum(fit.predict(design), PROPENSITY_CLIP)
-
-
-def _full_sample_probs(data: ObservedDataset, k, counts):
-    """MAR's full-sample null: R_k's clipped propensities given the earlier
-    indicators and proxies, each row weighted by its count alone."""
-    design, _ = build_features(data, k, range(k), ())
-    fit = fit_weighted_logistic(design, data.r[:, k], counts)
+def _converged(fit: PropensityFit, what):
+    """``fit``, unless it did not converge: then an EstimationError that
+    names ``what`` and the fit's message."""
     if not fit.converged:
-        raise EstimationError(
-            f"null propensity fit for {data.names[k]} failed: {fit.message}")
-    return _clipped_probs(fit, design)
+        raise EstimationError(f"{what} failed: {fit.message}")
+    return fit
+
+
+def _divide_weights(weights, clipped, fit: PropensityFit, design: DesignMatrix,
+                    rows=slice(None)):
+    """Divide the running ``weights`` on ``rows`` by ``fit``'s propensities on
+    ``design`` (those rows), clipped below at PROPENSITY_CLIP, and add each
+    row's clipped propensity to its count in ``clipped``."""
+    probs = np.maximum(fit.predict(design), PROPENSITY_CLIP)
+    weights[rows] /= probs
+    clipped[rows] += probs <= PROPENSITY_CLIP
 
 
 def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
@@ -164,10 +162,7 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     WARM_START_BOUND).
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
-    name = data.names[k]
     w = weights[mask]
-    if not np.any(w > 0):
-        raise EstimationError(f"all weights vanished before index {name}")
     stabilized = True  # a mask that keeps every row has probability 1
     if not mask.all():
         lead = _leading(design, 1 + k + sum(j < k for j in null_proxies))
@@ -181,19 +176,13 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     # full-row design through the masked fits as well would raise peak memory.
     del design
     y = data.r[mask, k]
-
-    def converged_fit(design, start=None):
-        fit = fit_weighted_logistic(design, y, w, start=start)
-        if not fit.converged:
-            raise EstimationError(f"propensity fit for {name} failed: {fit.message}")
-        return fit
-
+    what = f"propensity fit for {data.names[k]}"
     p0 = 1 + k + len(null_proxies)
-    null_fit = converged_fit(_leading(masked, p0))
+    null_fit = _converged(fit_weighted_logistic(_leading(masked, p0), y, w), what)
     start = None
     if np.abs(null_fit.coefficients).max() <= WARM_START_BOUND:
         start = np.pad(null_fit.coefficients, (0, masked.p - p0))
-    alt_fit = converged_fit(masked, start)
+    alt_fit = _converged(fit_weighted_logistic(masked, y, w, start=start), what)
     counts = counts[mask]
     return CascadeStep(k, null_fit, alt_fit, masked, w, counts, mask,
                        int(clipped[mask] @ counts), stabilized)
@@ -239,15 +228,13 @@ def mar_steps(data: ObservedDataset, counts=None):
                 yield _fit_step(data, k, range(k), range(k + 1, K),
                                 weights, clipped, counts)
             if k > partial[0]:
-                probs = _full_sample_probs(data, k, counts)
-                weights /= probs
-                clipped += probs <= PROPENSITY_CLIP
-                del probs  # the next step's fits need not hold it
-
-
-def fit_cascade_mar(data: ObservedDataset, order) -> PropensityCascade:
-    """Every step of :func:`mar_steps` under ``order``."""
-    return PropensityCascade(tuple(mar_steps(data.reorder(order))))
+                # The full-sample null: R_k given the earlier indicators and
+                # proxies, each row weighted by its count alone.
+                design = build_features(data, k, range(k), ())[0]
+                fit = _converged(fit_weighted_logistic(design, data.r[:, k], counts),
+                                 f"null propensity fit for {data.names[k]}")
+                _divide_weights(weights, clipped, fit, design)
+                del design  # the next step's fits need not hold it
 
 
 def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
@@ -298,18 +285,9 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
             del step  # the next step's build and fits need not hold it
             if not mask.all() and stabilized:
                 update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
-            if not update_fit.converged:
-                raise EstimationError(
-                    f"weight-update fit for {data.names[k]} failed: {update_fit.message}")
-            probs = _clipped_probs(update_fit, null)
+            _converged(update_fit, f"weight-update fit for {data.names[k]}")
+            _divide_weights(omega, clipped, update_fit, null, mask)
             del null
-            clipped[mask] += probs <= PROPENSITY_CLIP
-            omega[mask] /= probs
-
-
-def fit_cascade_mnar(data: ObservedDataset, order, graph: MDag | None = None) -> PropensityCascade:
-    """Every step of :func:`mnar_steps` under ``order``."""
-    return PropensityCascade(tuple(mnar_steps(data.reorder(order), graph)))
 
 
 def _nested_df(null_fit: PropensityFit, alt_fit: PropensityFit):

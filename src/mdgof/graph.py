@@ -586,20 +586,19 @@ def _valid_parent_configs(graph: MDag, parent_list, cards):
 
 def count_parameters_no_self_censoring(cardinalities):
     """(full-law, saturated-observed-law) counts for the no-self-censoring
-    model via its odds-ratio parameterization.
+    model, which are equal at every K: the model is saturated.
 
     The model is a chain graph, not an m-DAG, so it gets its own counter.
-    Interaction (odds-ratio) terms are counted as functions of the
-    indicators alone, which is exact for two variables.
+    Its restriction R_k _||_ X_k | R_{-k}, X_{-k} lets the log-linear term
+    of each nonempty indicator set S in p(R | X) depend on X_{-S}, so
+    p(R | X) has sum over S of prod_{j not in S} c_j free parameters and
+    the full law, with the prod c_k - 1 of p(X), has prod (1 + c_k) - 1:
+    the saturated observed-law count.  Sadinle & Reiter (2017, Biometrika)
+    call the model itemwise conditionally independent nonresponse and show
+    that it is nonparametrically saturated.
     """
-    cards = list(cardinalities.values())
-    K = len(cards)
-    full = math.prod(cards) - 1
-    for k in range(K):
-        # p(R_k = 1 | R_{-k} = 1, X_{-k})
-        full += math.prod(cards[:k] + cards[k + 1:])
-    full += 2 ** K - K - 1  # odds-ratio interactions among the indicators
-    return full, _saturated_observed_count(cards)
+    saturated = _saturated_observed_count(cardinalities.values())
+    return saturated, saturated
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written by a different route than the code
 under test: d-separation via exhaustive path enumeration, parent
-configurations of an m-DAG vertex by enumerating them, colluding paths by
+configurations of an m-DAG vertex and the no-self-censoring model's
+parameters by enumerating them, colluding paths by
 a depth-first walk over every mixed edge, logistic fits via
 nested grid search, chi-square tails via numerical quadrature, the robust
 p-value's eigenvalue bound via explicit inverses, and the
@@ -226,6 +227,26 @@ def enumerated_parent_configs(graph: MDag, parent_list, cards):
             for v in parent_list if graph.kind(v) == "proxy"
             for r in [indicator_name(graph.base_variable(v))] if r in assign)
     return count
+
+
+def enumerated_no_self_censoring_counts(cards):
+    """(full-law, observed-law) free parameters of the no-self-censoring
+    model over variables of cardinalities ``cards``, by enumeration.  The
+    full law: p(X), one per X cell less one, and for each nonempty
+    indicator set S one log-linear term of p(R | X) per distinct X_{-S}
+    among the X cells, since R_k _||_ X_k | R_{-k}, X_{-k} for k in S lets
+    the term depend on X_{-S} alone.  The observed law: one per (R, X*)
+    cell, each observed variable taking a value and each missing one "?",
+    less one."""
+    K = len(cards)
+    cells = list(itertools.product(*(range(c) for c in cards)))
+    full = len(cells) - 1
+    for size in range(1, K + 1):
+        for s in itertools.combinations(range(K), size):
+            full += len({tuple(x[j] for j in range(K) if j not in s) for x in cells})
+    observed = sum(1 for _ in itertools.product(*(list(range(c)) + ["?"]
+                                                   for c in cards))) - 1
+    return full, observed
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from mdgof.counterexample import verify_crisscross_counterexample
 from mdgof.data import ObservedDataset
-from mdgof.estimation import (_pairwise_theta, fit_cascade_mar,
+from mdgof.estimation import (_pairwise_theta, mar_steps,
                               population_odds_ratio, weighted_lr_stat)
 from mdgof.graph import (MDag, count_parameters,
                          count_parameters_no_self_censoring, dsep_digraph)
@@ -150,9 +150,8 @@ def test_criterion_8_property_suite():
 
     # Nesting: the weighted likelihood-ratio statistic is nonnegative.
     data = _scenario_dataset("mar-null", 4000, 3)
-    cascade = fit_cascade_mar(data, data.names)
     from mdgof.estimation import step_test
-    for step in cascade.steps:
+    for step in mar_steps(data):
         if step.alt_fit is None:
             continue
         rho, two_rho, df, p = step_test(data, step)

@@ -10,10 +10,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mdgof import estimation, numerics
 from mdgof.data import ObservedDataset
 from mdgof.estimation import (FAILURE_REASONS, EstimationError, _pairwise_theta,
-                              build_features, estimate_odds_ratio,
-                              fit_cascade_mar, fit_cascade_mnar,
-                              population_odds_ratio, robust_lr_pvalue,
-                              step_test, weighted_lr_stat)
+                              build_features, estimate_odds_ratio, mar_steps,
+                              mnar_steps, population_odds_ratio,
+                              robust_lr_pvalue, step_test, weighted_lr_stat)
 from mdgof.graph import MDag
 from mdgof.numerics import (DesignMatrix, chisq_sf, expit,
                             fit_weighted_logistic, weighted_bernoulli_loglik)
@@ -29,6 +28,11 @@ def scenario_dataset(scenario, n, seed, dist="binary", K=4, rng_out=False,
                             param_range=param_range, seed=seed)
     data, rng = simulate_dataset(config, 0)
     return (data, rng) if rng_out else data
+
+
+def cascade_steps(family, data):
+    """The tested steps of ``data``'s sequential-MAR or -MNAR cascade."""
+    return tuple(mar_steps(data) if family == "mar" else mnar_steps(data, None))
 
 
 FIXTURE_R = np.array([[1, 1], [1, 0], [0, 1], [1, 1], [0, 0], [1, 1]],
@@ -78,8 +82,8 @@ class TestBuildFeatures:
         with pytest.raises(EstimationError, match="no rows left"):
             build_features(data, 0, (1,), ())
 
-    @pytest.mark.parametrize("fit_cascade", [fit_cascade_mar, fit_cascade_mnar])
-    def test_cascade_fails_before_an_empty_mask(self, fit_cascade):
+    @pytest.mark.parametrize("family", ["mar", "mnar"])
+    def test_cascade_fails_before_an_empty_mask(self, family):
         # X2 and X3 are never observed together, so step X1's mask is empty;
         # but step X2 sees no observed X2 on its mask (X3 observed) and its
         # fit fails first, so a cascade never reaches an empty mask.
@@ -90,7 +94,21 @@ class TestBuildFeatures:
                                np.where(r == 1, rng.normal(size=r.shape), np.nan))
         with pytest.raises(EstimationError,
                            match="fit for X2 failed: degenerate outcome"):
-            fit_cascade(data, data.names)
+            cascade_steps(family, data)
+
+    @pytest.mark.parametrize("family", ["mar", "mnar"])
+    def test_zero_counts_fail_as_a_degenerate_fit(self, family):
+        # Rows that stand for no rows leave the first fit, MAR's full-sample
+        # null of X4 or MNAR's null of X4, zero total weight: the Newton
+        # solve's degenerate exit, which the cascade names.
+        data = scenario_dataset(f"{family}-null", 500, 0)
+        zero = np.zeros(data.n)
+        steps = (mar_steps(data, zero) if family == "mar"
+                 else mnar_steps(data, None, zero))
+        with pytest.raises(EstimationError,
+                           match="fit for X4 failed: degenerate outcome") as info:
+            tuple(steps)
+        assert info.value.index == 3
 
 
 class TestMarCascade:
@@ -98,8 +116,7 @@ class TestMarCascade:
         # Under the null mechanism the future-value coefficients of every
         # alternative fit are zero in population.
         data = scenario_dataset("mar-null", 40_000, 17)
-        cascade = fit_cascade_mar(data, data.names)
-        for step in cascade.steps:
+        for step in mar_steps(data):
             for name, coef in zip(step.alt_fit.column_names,
                                   step.alt_fit.coefficients):
                 if name.startswith("X["):
@@ -108,9 +125,9 @@ class TestMarCascade:
     def test_step_shapes(self):
         # The last index has nothing after it to test against: no step.
         data = scenario_dataset("mar-null", 4000, 3)
-        cascade = fit_cascade_mar(data, data.names)
-        assert [s.k for s in cascade.steps] == [2, 1, 0]
-        for step in cascade.steps:
+        steps = tuple(mar_steps(data))
+        assert [s.k for s in steps] == [2, 1, 0]
+        for step in steps:
             assert all(getattr(step, f.name) is not None for f in fields(step))
             assert (step.design.n == step.weights.shape[0] == step.counts.shape[0]
                     == int(step.mask.sum()))
@@ -122,8 +139,7 @@ class TestMarCascade:
         r[:, 2] = 1
         x = np.where(r == 1, np.nan_to_num(data.xstar, nan=0.33), np.nan)
         full = ObservedDataset(data.names, r, x)
-        cascade = fit_cascade_mar(full, full.names)
-        assert [s.k for s in cascade.steps] == [1, 0]
+        assert [s.k for s in mar_steps(full)] == [1, 0]
 
     def test_fully_observed_column_is_not_fit(self, monkeypatch):
         # K = 4 with X3 fully observed: X4 gets its full-sample null fit; X3
@@ -142,16 +158,15 @@ class TestMarCascade:
             return fits[-1]
 
         monkeypatch.setattr(estimation, "fit_weighted_logistic", counting)
-        cascade = fit_cascade_mar(full, full.names)
+        steps = tuple(mar_steps(full))
         assert len(fits) == 8
         assert all(fit.converged for fit in fits)
-        assert [s.k for s in cascade.steps] == [1, 0]
+        assert [s.k for s in steps] == [1, 0]
 
     def test_nonnegative_statistic(self):
         for seed in (0, 1, 2, 3, 4):
             data = scenario_dataset("mar-null", 3000, seed)
-            cascade = fit_cascade_mar(data, data.names)
-            for step in cascade.steps:
+            for step in mar_steps(data):
                 rho, two_rho, df, p = step_test(data, step)
                 assert two_rho >= -1e-6
                 assert df >= 1
@@ -161,9 +176,9 @@ class TestMarCascade:
 class TestMnarCascade:
     def test_step_count_and_df(self):
         data = scenario_dataset("mnar-null", 5000, 2)
-        cascade = fit_cascade_mnar(data, data.names)
-        assert [s.k for s in cascade.steps] == [3, 2, 1]
-        for step in cascade.steps:
+        steps = tuple(mnar_steps(data, None))
+        assert [s.k for s in steps] == [3, 2, 1]
+        for step in steps:
             rho, two_rho, df, p = step_test(data, step)
             # The alternative adds one proxy product per earlier variable.
             assert df == step.k
@@ -174,7 +189,7 @@ class TestMnarCascade:
         # step counts the clipped ones over its masked rows, as MAR does.
         monkeypatch.setattr("mdgof.estimation.PROPENSITY_CLIP", 0.9)
         data = scenario_dataset("mnar-null", 5000, 2)
-        steps = fit_cascade_mnar(data, data.names).steps
+        steps = tuple(mnar_steps(data, None))
         assert steps[0].clip_events == 0  # no weight update precedes it
         assert all(s.clip_events > 0 for s in steps[1:])
 
@@ -184,34 +199,31 @@ class TestMnarCascade:
                         edges=[("X1", "X2"), ("X2", "R1"), ("X1", "R2"),
                                ("R1", "R2")])
         with pytest.raises(EstimationError):
-            fit_cascade_mnar(data, data.names, graph=g)
+            tuple(mnar_steps(data, g))
 
     def test_colluder_graph_refused(self):
         data = scenario_dataset("mnar-null", 1000, 0, K=2)
         g = MDag.create(("X1", "X2"), edges=[("X1", "R2"), ("R1", "R2")])
         with pytest.raises(EstimationError):
-            fit_cascade_mnar(data, data.names, graph=g)
+            tuple(mnar_steps(data, g))
 
     def test_clean_graph_accepted(self):
         data = scenario_dataset("mnar-null", 2000, 0, K=2)
         g = MDag.create(("X1", "X2"), edges=[("X1", "X2"), ("X2", "R1")])
-        cascade = fit_cascade_mnar(data, data.names, graph=g)
-        assert len(cascade.steps) == 1
+        assert len(tuple(mnar_steps(data, g))) == 1
 
 
-@pytest.mark.parametrize("fit_cascade, scenario", [
-    (fit_cascade_mar, "mar-null"), (fit_cascade_mnar, "mnar-null")],
-    ids=["mar", "mnar"])
-def test_step_test_uses_the_cascade_designs(fit_cascade, scenario, monkeypatch):
+@pytest.mark.parametrize("family", ["mar", "mnar"])
+def test_step_test_uses_the_cascade_designs(family, monkeypatch):
     # Each step's design is the builder's one design on the step mask, its
     # null fit ran on the leading columns, and the columns are the ones the
     # test names here: MAR's null takes the earlier proxies and tests the
     # later ones, MNAR's the reverse.  step_test builds nothing.
-    data = scenario_dataset(scenario, 3000, 1)
-    cascade = fit_cascade(data, data.names)
-    assert cascade.steps
-    mar = fit_cascade is fit_cascade_mar
-    for step in cascade.steps:
+    data = scenario_dataset(f"{family}-null", 3000, 1)
+    steps = cascade_steps(family, data)
+    assert steps
+    mar = family == "mar"
+    for step in steps:
         k, v = step.k, data.names
         base = ("intercept",) + tuple(f"R[{x}]" for x in v[:k])
         earlier = tuple(f"R*Xs[{x}]" for x in v[:k])
@@ -239,18 +251,18 @@ def test_step_test_uses_the_cascade_designs(fit_cascade, scenario, monkeypatch):
         raise AssertionError("step_test rebuilt a design")
 
     monkeypatch.setattr("mdgof.estimation.build_features", no_rebuild)
-    for step in cascade.steps:
+    for step in steps:
         step_test(data, step)
 
 
-@pytest.mark.parametrize("fit_cascade, scenario, dist, n, seed, cold", [
-    (fit_cascade_mar, "mar-null", "gaussian", 3000, 2, 0),
-    (fit_cascade_mnar, "mnar-null", "gaussian", 3000, 2, 0),
+@pytest.mark.parametrize("family, dist, n, seed, cold", [
+    ("mar", "gaussian", 3000, 2, 0),
+    ("mnar", "gaussian", 3000, 2, 0),
     # Step X3's null has a coefficient of 11.7, on a likelihood ridge.
-    (fit_cascade_mar, "mar-null", "binary", 1500, 1512, 1)],
+    ("mar", "binary", 1500, 1512, 1)],
     ids=["mar", "mnar", "mar-ridge"])
-def test_alternative_starts_from_its_null(fit_cascade, scenario, dist, n, seed,
-                                          cold, monkeypatch):
+def test_alternative_starts_from_its_null(family, dist, n, seed, cold,
+                                          monkeypatch):
     # Every fit given a start is a step's alternative, and its start is the
     # step's null coefficients followed by zeros for the tested block.  An
     # alternative whose null has a coefficient past WARM_START_BOUND starts
@@ -263,12 +275,12 @@ def test_alternative_starts_from_its_null(fit_cascade, scenario, dist, n, seed,
         return fit
 
     monkeypatch.setattr("mdgof.estimation.fit_weighted_logistic", recording)
-    data = scenario_dataset(scenario, n, seed, dist=dist)
-    cascade = fit_cascade(data, data.names)
-    assert cascade.steps
+    data = scenario_dataset(f"{family}-null", n, seed, dist=dist)
+    steps = cascade_steps(family, data)
+    assert steps
     starts = {id(fit): start for start, fit in calls}
     warm = 0
-    for step in cascade.steps:
+    for step in steps:
         start = starts[id(step.alt_fit)]
         if np.abs(step.null_fit.coefficients).max() > estimation.WARM_START_BOUND:
             assert start is None
@@ -277,7 +289,7 @@ def test_alternative_starts_from_its_null(fit_cascade, scenario, dist, n, seed,
         df = len(step.alt_fit.column_names) - len(step.null_fit.column_names)
         assert np.array_equal(
             start, np.concatenate([step.null_fit.coefficients, np.zeros(df)]))
-    assert len(cascade.steps) - warm == cold
+    assert len(steps) - warm == cold
     assert sum(start is not None for start, _ in calls) == warm
 
 
@@ -289,19 +301,17 @@ def test_alternative_starts_from_its_null(fit_cascade, scenario, dist, n, seed,
 WARM_COLD_LOGLIK_GAP = 1e-4
 
 
-@pytest.mark.parametrize("fit_cascade, family", [(fit_cascade_mar, "mar"),
-                                                 (fit_cascade_mnar, "mnar")],
-                         ids=["mar", "mnar"])
+@pytest.mark.parametrize("family", ["mar", "mnar"])
 @pytest.mark.parametrize("alt", [False, True], ids=["null", "alt"])
 @pytest.mark.parametrize("dist", ["binary", "gaussian"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_warm_alternative_matches_a_cold_refit(fit_cascade, family, alt, dist, seed):
+def test_warm_alternative_matches_a_cold_refit(family, alt, dist, seed):
     """Refit from zeros on the step's design and weights, each alternative
     reaches the same decision and the same loglik within
     WARM_COLD_LOGLIK_GAP."""
     data = scenario_dataset(f"{family}-{'alt' if alt else 'null'}", 2000, seed,
                             dist=dist)
-    for step in fit_cascade(data, data.names).steps:
+    for step in cascade_steps(family, data):
         cold = fit_weighted_logistic(step.design, data.r[step.mask, step.k],
                                      step.weights)
         assert cold.converged
@@ -800,12 +810,12 @@ def test_cascade_weight_scale_invariance(seed, scale):
     stop apart at equal loglik, which is no matter of scale."""
     data = scenario_dataset("mar-null", 1500, seed)
     try:
-        cascade = fit_cascade_mar(data, data.names)
+        steps = tuple(mar_steps(data))
     except EstimationError:
         # Small samples with extreme coefficient draws can separate; the
         # property only concerns cascades that fit at all.
         assume(False)
-    step = cascade.steps[0]
+    step = steps[0]
     y = data.r[step.mask, step.k]
     p0 = len(step.null_fit.column_names)
     null = DesignMatrix(step.null_fit.column_names,
@@ -824,13 +834,11 @@ def test_cascade_weight_scale_invariance(seed, scale):
         scale * rho, rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("fit_cascade, family", [(fit_cascade_mar, "mar"),
-                                                 (fit_cascade_mnar, "mnar")],
-                         ids=["mar", "mnar"])
+@pytest.mark.parametrize("family", ["mar", "mnar"])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), alt=st.booleans(),
        dist=st.sampled_from(("binary", "gaussian")))
-def test_duplicated_rows_double_the_statistic(fit_cascade, family, seed, alt, dist):
+def test_duplicated_rows_double_the_statistic(family, seed, alt, dist):
     """Duplicating every row leaves each step's fits unchanged and doubles
     2*rho, which is read from the fits' log-likelihoods.
 
@@ -843,15 +851,15 @@ def test_duplicated_rows_double_the_statistic(fit_cascade, family, seed, alt, di
     doubled = ObservedDataset(data.names, np.vstack([data.r, data.r]),
                               np.vstack([data.xstar, data.xstar]))
     try:
-        cascade = fit_cascade(data, data.names)
+        steps = cascade_steps(family, data)
     except EstimationError as exc:
         with pytest.raises(EstimationError) as info:
-            fit_cascade(doubled, doubled.names)
+            cascade_steps(family, doubled)
         assert str(info.value) == str(exc)
         return
-    twice = fit_cascade(doubled, doubled.names)
-    assert [s.k for s in twice.steps] == [s.k for s in cascade.steps]
-    for one, two in zip(cascade.steps, twice.steps):
+    twice = cascade_steps(family, doubled)
+    assert [s.k for s in twice] == [s.k for s in steps]
+    for one, two in zip(steps, twice):
         p0 = len(one.null_fit.column_names)
         for a, b, x in ((one.null_fit, two.null_fit, one.design.values[:, :p0]),
                         (one.alt_fit, two.alt_fit, one.design.values)):

@@ -286,14 +286,15 @@ def test_mar_fits_no_null_for_a_rejected_step(monkeypatch):
     # the steps after them; X2's would weight X1's step, which is never
     # reached, so it is never fit.
     data = scenario_dataset("mar-alt", 3000, 1)
-    real = estimation._full_sample_probs
+    real = estimation.build_features
     nulls = []
 
-    def full_sample_probs(data, k, *args):
-        nulls.append(data.names[k])
-        return real(data, k, *args)
+    def build_features(data, k, null_proxies, tested_proxies):
+        if not tested_proxies:  # a full-sample null's design
+            nulls.append(data.names[k])
+        return real(data, k, null_proxies, tested_proxies)
 
-    monkeypatch.setattr(estimation, "_full_sample_probs", full_sample_probs)
+    monkeypatch.setattr(estimation, "build_features", build_features)
     calls = _count_calls(monkeypatch, "fit_weighted_logistic", "build_features")
     report = run_sequential_mar(data, data.names)
     assert [(s.label, s.decision) for s in report.steps] == [

@@ -15,9 +15,9 @@ from mdgof.graph import (GraphError, IndependenceQuery, MDag, _class_queries,
                          satisfied_model_classes, validate_mdag)
 from mdgof.graph import testability_verdict as verdict_for
 
-from oracles import (brute_force_dsep, enumerated_parent_configs,
-                     random_digraph_instance, random_mdag, random_mixed_graph,
-                     reference_colluding_paths)
+from oracles import (brute_force_dsep, enumerated_no_self_censoring_counts,
+                     enumerated_parent_configs, random_digraph_instance,
+                     random_mdag, random_mixed_graph, reference_colluding_paths)
 
 
 def mar_graph():
@@ -384,6 +384,18 @@ class TestParameterCounting:
 
     def test_no_self_censoring_binary(self):
         assert count_parameters_no_self_censoring({"X1": 2, "X2": 2}) == (8, 8)
+
+    @pytest.mark.parametrize("cards, counts", [
+        ((2, 2, 2), (26, 26)), ((2, 2, 2, 2), (80, 80)), ((2, 3, 4), (59, 59)),
+        ((3, 2), None), ((4, 2, 3), None), ((3, 2, 4, 2), None)])
+    def test_no_self_censoring_is_saturated(self, cards, counts):
+        # Every indicator set's log-linear term may depend on the X's outside
+        # it, so the full law has exactly the observed law's parameters at
+        # every K, as the enumeration counts them.
+        got = count_parameters_no_self_censoring(
+            {f"X{i + 1}": c for i, c in enumerate(cards)})
+        assert got == enumerated_no_self_censoring_counts(cards)
+        assert counts is None or got == counts
 
     def test_saturated_count_is_distribution_free(self):
         # The observed-law cell count only depends on cardinalities.
