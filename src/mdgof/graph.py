@@ -18,11 +18,14 @@ and on a graph built without validation the answers carry no guarantee.
 
 from __future__ import annotations
 
+import collections
 import graphlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from types import MappingProxyType
 
 from .data import permutation_defects
 
@@ -88,38 +91,66 @@ class MDag:
         object.__setattr__(self, "bidirected_edges",
                            tuple(frozenset(p) for p in self.bidirected_edges))
 
-    @property
+    # The graph is immutable, so everything below is computed on first read
+    # and kept; equality, hashing, repr and pickling see the fields alone.
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
     def indicators(self):
         return tuple(indicator_name(v) for v in self.substantive)
 
-    @property
+    @cached_property
     def proxies(self):
         return tuple(proxy_name(v) for v in self.substantive)
 
-    @property
+    @cached_property
     def vertices(self):
         return self.substantive + self.indicators + self.proxies
 
+    @cached_property
+    def indicator_of(self):
+        """Read-only map from each variable to its indicator."""
+        return MappingProxyType(dict(zip(self.substantive, self.indicators)))
+
+    @cached_property
+    def _vertex_table(self):
+        """vertex -> (kind, base variable).  A name in several layers is
+        resolved as a substantive variable first, then as an indicator; its
+        base variable is the first variable whose indicator or proxy it is."""
+        base = {}
+        for x in reversed(self.substantive):
+            base[indicator_name(x)] = base[proxy_name(x)] = x
+        table = {v: ("proxy", base[v]) for v in self.proxies}
+        table.update((v, ("R", base[v])) for v in self.indicators)
+        table.update((x, ("X", x)) for x in self.substantive)
+        return table
+
+    @cached_property
+    def _parents_of(self):
+        parents = {}
+        for s, t in self.directed_edges:
+            parents.setdefault(t, set()).add(s)
+        return {t: tuple(ps) for t, ps in parents.items()}
+
+    @cached_property
+    def _surgeries(self):
+        return {}  # frozenset of interventions -> _surgered_structure's result
+
     def parents(self, v):
-        return {s for s, t in self.directed_edges if t == v}
+        return set(self._parents_of.get(v, ()))
+
+    def _vertex_entry(self, v):
+        if v not in self._vertex_table:
+            raise GraphError(f"unknown vertex {v!r}")
+        return self._vertex_table[v]
 
     def kind(self, v):
-        if v in self.substantive:
-            return "X"
-        if v in self.indicators:
-            return "R"
-        if v in self.proxies:
-            return "proxy"
-        raise GraphError(f"unknown vertex {v!r}")
+        return self._vertex_entry(v)[0]
 
     def base_variable(self, v):
         """Substantive variable underlying a vertex of any layer."""
-        if v in self.substantive:
-            return v
-        for x in self.substantive:
-            if v in (indicator_name(x), proxy_name(x)):
-                return x
-        raise GraphError(f"unknown vertex {v!r}")
+        return self._vertex_entry(v)[1]
 
 
 @dataclass(frozen=True)
@@ -168,12 +199,11 @@ class Testability:
 def validate_mdag(graph: MDag):
     """Return a list of invariant-violation descriptions (empty iff valid)."""
     violations = []
-    names = graph.vertices
-    repeated = sorted({v for v in names if names.count(v) > 1})
+    repeated = sorted(v for v, n in collections.Counter(graph.vertices).items() if n > 1)
     if repeated:
         violations.append("vertex names must be distinct across the three layers: "
                           f"repeated {', '.join(repeated)}")
-    verts = set(names)
+    verts = graph._vertex_table
     x_set = set(graph.substantive)
     r_set = set(graph.indicators)
     p_set = set(graph.proxies)
@@ -189,14 +219,13 @@ def validate_mdag(graph: MDag):
         if s in p_set and t in r_set and graph.base_variable(s) == graph.base_variable(t):
             violations.append(f"forbidden edge {s} -> {t}: a proxy may not point at its own indicator")
 
-    for v in graph.substantive:
-        px = proxy_name(v)
-        expected = {v, indicator_name(v)}
-        pa = graph.parents(px)
+    for v, r, px in zip(graph.substantive, graph.indicators, graph.proxies):
+        expected = {v, r}
+        pa = set(graph._parents_of.get(px, ()))
         extra = pa - expected
         missing = expected - pa
         for e in sorted(extra):
-            violations.append(f"proxy {px} has extra parent {e}; its only parents are {v} and {indicator_name(v)}")
+            violations.append(f"proxy {px} has extra parent {e}; its only parents are {v} and {r}")
         for m in sorted(missing):
             violations.append(f"proxy {px} is missing its deterministic parent {m}")
 
@@ -259,24 +288,21 @@ def dsep_digraph(parents, children, left, right, given):
     return True
 
 
-def _surgered_structure(graph: MDag, interventions):
-    """Digraph after do(R=1) on ``interventions``: edges into the fixed
-    indicators deleted, the fixed indicators dropped (they are constants),
-    and each proxy of a fixed indicator merged with its substantive variable.
+def _surgered_structure(graph: MDag, interventions: frozenset):
+    """Digraph after do(R=1) on the indicators ``interventions``: edges into
+    the fixed indicators deleted, the fixed indicators dropped (they are
+    constants), and each proxy of a fixed indicator merged with its
+    substantive variable.
 
-    Bidirected edges are expanded into explicit latent common parents.
-    Returns (parents, children, name_map) where name_map sends merged proxy
-    names to the surviving substantive vertex.
+    Bidirected edges are expanded into explicit latent common parents, named
+    by tuples so that no vertex name can meet them.  Returns (parents,
+    children, name_map): tuples of the neighbours of each vertex that has
+    any, and a map sending merged proxy names to the surviving substantive
+    vertex.  Built once per graph and intervention set, and never changed.
     """
-    r_set = set(graph.indicators)
-    for v in interventions:
-        if v not in r_set:
-            raise GraphError(f"can only intervene on indicators, got {v!r}")
-
-    name_map = {}
-    for r in interventions:
-        x = graph.base_variable(r)
-        name_map[proxy_name(x)] = x
+    if interventions in graph._surgeries:
+        return graph._surgeries[interventions]
+    name_map = {proxy_name(x): x for x in map(graph.base_variable, interventions)}
 
     def resolve(v):
         return name_map.get(v, v)
@@ -294,7 +320,7 @@ def _surgered_structure(graph: MDag, interventions):
     nodes = {resolve(v) for v in graph.vertices if v not in interventions}
     for i, pair in enumerate(graph.bidirected_edges):
         a, b = sorted(pair)
-        u = f"__latent_{i}"
+        u = ("latent", i)
         nodes.add(u)
         edges.add((u, a))
         edges.add((u, b))
@@ -304,18 +330,29 @@ def _surgered_structure(graph: MDag, interventions):
     for s, t in edges:
         parents[t].add(s)
         children[s].add(t)
-    return parents, children, name_map
+    graph._surgeries[interventions] = result = (
+        {v: tuple(ps) for v, ps in parents.items() if ps},
+        {v: tuple(cs) for v, cs in children.items() if cs}, name_map)
+    return result
+
+
+def _check_query(graph: MDag, query: IndependenceQuery):
+    """Raise GraphError for a vertex ``graph`` lacks or a non-indicator fixed."""
+    table = graph._vertex_table
+    for s in (query.left, query.right, query.given, query.interventions):
+        for v in s:
+            if v not in table:
+                raise GraphError(f"unknown vertex {v!r}")
+    for v in query.interventions:
+        if table[v][0] != "R":
+            raise GraphError(f"can only intervene on indicators, got {v!r}")
 
 
 def d_separated(graph: MDag, query: IndependenceQuery):
     """True iff every path between the query sets is blocked, evaluated on
     the graph after applying the query's interventions.  Assumes a valid
     graph (see the module docstring)."""
-    verts = set(graph.vertices)
-    for s in (query.left, query.right, query.given, query.interventions):
-        for v in s:
-            if v not in verts:
-                raise GraphError(f"unknown vertex {v!r}")
+    _check_query(graph, query)
     parents, children, name_map = _surgered_structure(graph, query.interventions)
 
     def mapped(vs):
@@ -337,7 +374,7 @@ def _class_queries(graph: MDag, order):
         raise GraphError(f"order must be a permutation of the graph variables: {defects}")
     order = tuple(order)
     K = len(order)
-    R = [indicator_name(v) for v in order]
+    R = [graph.indicator_of[v] for v in order]
     P = [proxy_name(v) for v in order]
     X = list(order)
 
@@ -399,8 +436,8 @@ def detect_structures(graph: MDag) -> StructureReport:
 
 def _self_censoring_edges(graph: MDag):
     """The edges X -> R_X of ``graph``, in the order of its variables."""
-    edges = set(graph.directed_edges)
-    return tuple(e for e in zip(graph.substantive, graph.indicators) if e in edges)
+    return tuple((x, r) for x, r in zip(graph.substantive, graph.indicators)
+                 if x in graph._parents_of.get(r, ()))
 
 
 def identification_blockers(graph: MDag):
@@ -410,23 +447,22 @@ def identification_blockers(graph: MDag):
     A colluder (Xi, Rj, Ri) is Xi -> Rj <- Ri; a criss-cross {Xi, Xj} is
     Xi -> Rj and Xj -> Ri with an edge between Ri and Rj.
     """
-    X = graph.substantive
-    edge_set = set(graph.directed_edges)
+    X, R, parents = graph.substantive, graph.indicator_of, graph._parents_of
 
     colluders = []
     for xi in X:
         for xj in X:
             if xi == xj:
                 continue
-            rj, ri = indicator_name(xj), indicator_name(xi)
-            if (xi, rj) in edge_set and (ri, rj) in edge_set:
+            rj, ri = R[xj], R[xi]
+            if xi in parents.get(rj, ()) and ri in parents.get(rj, ()):
                 colluders.append((xi, rj, ri))
 
     crosses = []
     for xi, xj in itertools.combinations(X, 2):
-        ri, rj = indicator_name(xi), indicator_name(xj)
-        if ((xi, rj) in edge_set and (xj, ri) in edge_set
-                and ((ri, rj) in edge_set or (rj, ri) in edge_set)):
+        ri, rj = R[xi], R[xj]
+        pi, pj = parents.get(ri, ()), parents.get(rj, ())
+        if xi in pj and xj in pi and (ri in pj or rj in pi):
             crosses.append(frozenset({xi, xj}))
     return tuple(colluders), tuple(crosses)
 
@@ -479,19 +515,18 @@ def testability_verdict(graph: MDag, query: IndependenceQuery) -> Testability:
     never that untestability is proven.  Assumes a valid graph (see the
     module docstring).
     """
-    x_set = set(graph.substantive)
+    _check_query(graph, query)
     relation = query.left | query.right | query.given
-    involved = {v for v in relation if v in x_set}
-    needed = {indicator_name(v) for v in involved} - query.given - query.interventions
+    R = graph.indicator_of
+    needed = {R[v] for v in relation & R.keys()} - query.given - query.interventions
 
     blocked = needed & (query.left | query.right)
     if blocked:
         # Cannot condition on or fix an indicator inside the relation.  The
         # odds-ratio route of the block-parallel test still applies when the
         # relation is between a pair of indicators.
-        r_set = set(graph.indicators)
         if (len(query.left) == 1 and len(query.right) == 1
-                and query.left <= r_set and query.right <= r_set
+                and all(graph.kind(v) == "R" for v in query.left | query.right)
                 and d_separated(graph, query)):
             return Testability(VERMA, route="odds-ratio",
                                detail="pairwise indicator independence; test via "
@@ -519,7 +554,7 @@ def testability_verdict(graph: MDag, query: IndependenceQuery) -> Testability:
         structures = (
             [f"self-censoring {x} -> {r}" for x, r in _self_censoring_edges(graph)]
             + [f"colluder {x} -> {rj} <- {ri}" for x, rj, ri in colluders]
-            + [f"criss-cross {a} -> {indicator_name(b)}, {b} -> {indicator_name(a)}"
+            + [f"criss-cross {a} -> {graph.indicator_of[b]}, {b} -> {graph.indicator_of[a]}"
                for a, b in map(sorted, crosses)])
         if not structures:
             return Testability(VERMA,
@@ -574,12 +609,12 @@ def _valid_parent_configs(graph: MDag, parent_list, cards):
     its proxy is (whose "?" state fixes R_x), or else 2 if R_x is."""
     parents = set(parent_list)
     count = 1
-    for x in graph.substantive:
+    for x, r, px in zip(graph.substantive, graph.indicators, graph.proxies):
         if x in parents:
             count *= cards[x]
-        if proxy_name(x) in parents:
+        if px in parents:
             count *= cards[x] + 1
-        elif indicator_name(x) in parents:
+        elif r in parents:
             count *= 2
     return count
 

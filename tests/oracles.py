@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written by a different route than the code
-under test: d-separation via exhaustive path enumeration, parent
+under test: d-separation via exhaustive path enumeration, an m-DAG's vertex
+layers, parent sets, validation and do() surgery by scanning its edge and
+layer lists on every call, parent
 configurations of an m-DAG vertex and the no-self-censoring model's
 parameters by enumerating them, colluding paths by
 a depth-first walk over every mixed edge, logistic fits via
@@ -247,6 +249,88 @@ def enumerated_no_self_censoring_counts(cards):
     observed = sum(1 for _ in itertools.product(*(list(range(c)) + ["?"]
                                                    for c in cards))) - 1
     return full, observed
+
+
+# ---------------------------------------------------------------------------
+# m-DAG vertex tables, validation and surgery by scanning on every call
+# ---------------------------------------------------------------------------
+
+def scanned_vertex(graph: MDag, v):
+    """(kind, base variable, parents) of ``v``, found by scanning the layer
+    and edge lists: a name in several layers is a substantive variable
+    before an indicator before a proxy, and its base variable is the first
+    variable whose indicator or proxy it is."""
+    xs = list(graph.substantive)
+    indicators = [indicator_name(x) for x in xs]
+    proxies = [proxy_name(x) for x in xs]
+    kind = ("X" if v in xs else "R" if v in indicators
+            else "proxy" if v in proxies else None)
+    base = v if v in xs else next(
+        (x for x in xs if v in (indicator_name(x), proxy_name(x))), None)
+    return kind, base, {s for s, t in graph.directed_edges if t == v}
+
+
+def scanned_validate_mdag(graph: MDag):
+    """The invariant violations of ``graph``, in the order and wording of
+    :func:`mdgof.graph.validate_mdag`, from scanned tables."""
+    xs = list(graph.substantive)
+    indicators = [indicator_name(x) for x in xs]
+    proxies = [proxy_name(x) for x in xs]
+    names = xs + indicators + proxies
+    violations = []
+    repeated = sorted({v for v in names if names.count(v) > 1})
+    if repeated:
+        violations.append("vertex names must be distinct across the three layers: "
+                          f"repeated {', '.join(repeated)}")
+    known = [(s, t) for s, t in graph.directed_edges if s in names and t in names]
+    for s, t in graph.directed_edges:
+        if (s, t) not in known:
+            violations.append(f"edge ({s}, {t}) references unknown vertex")
+            continue
+        if t in xs and s not in xs:
+            violations.append(f"forbidden edge {s} -> {t}: nothing may point into a "
+                              "substantive variable except another substantive variable")
+        if (s in proxies and t in indicators
+                and scanned_vertex(graph, s)[1] == scanned_vertex(graph, t)[1]):
+            violations.append(f"forbidden edge {s} -> {t}: a proxy may not point at its own indicator")
+    for x, r, px in zip(xs, indicators, proxies):
+        pa = scanned_vertex(graph, px)[2]
+        for e in sorted(pa - {x, r}):
+            violations.append(f"proxy {px} has extra parent {e}; its only parents are {x} and {r}")
+        for m in sorted({x, r} - pa):
+            violations.append(f"proxy {px} is missing its deterministic parent {m}")
+    for pair in graph.bidirected_edges:
+        if not all(v in xs for v in pair):
+            violations.append(f"bidirected edge {set(pair)} must connect two substantive variables")
+        if len(pair) != 2:
+            violations.append(f"bidirected edge {set(pair)} is not a pair")
+    # A cycle exists iff repeatedly deleting vertices without a parent
+    # leaves some vertex.
+    left = set(itertools.chain.from_iterable(known))
+    while any(not any(s in left for s, t in known if t == v) for v in left):
+        left = {v for v in left if any(s in left for s, t in known if t == v)}
+    if left:
+        violations.append("directed edges contain a cycle")
+    return violations
+
+
+def surgered_digraph(graph: MDag, fixed):
+    """(parents, children, rename) of the digraph after do(R = 1) on the
+    indicators ``fixed``: the fixed indicators and every edge at them are
+    gone, each of their proxies is renamed to its variable, and each
+    bidirected edge is a latent parent of its ends, named by a string that
+    is no vertex's name."""
+    rename = {proxy_name(x): x for x in graph.substantive if indicator_name(x) in fixed}
+    edges = {(rename.get(s, s), rename.get(t, t)) for s, t in graph.directed_edges
+             if s not in fixed and t not in fixed}
+    nodes = {rename.get(v, v) for v in graph.vertices if v not in fixed}
+    for pair in graph.bidirected_edges:
+        latent = "L" + "".join(sorted(nodes))
+        nodes.add(latent)
+        edges |= {(latent, v) for v in pair}
+    parents = {v: {s for s, t in edges if t == v and s != v} for v in nodes}
+    children = {v: {t for s, t in edges if s == v and t != v} for v in nodes}
+    return parents, children, rename
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ import pytest
 
 from mdgof.counterexample import verify_crisscross_counterexample
 from mdgof.data import ObservedDataset
-from mdgof.estimation import (_pairwise_theta, mar_steps,
-                              population_odds_ratio, weighted_lr_stat)
+from mdgof.estimation import _pairwise_theta, mar_steps, population_odds_ratio
 from mdgof.graph import (MDag, count_parameters,
                          count_parameters_no_self_censoring, dsep_digraph)
 from mdgof.numerics import (DesignMatrix, chisq_sf, child_rng, expit,
@@ -152,8 +151,6 @@ def test_criterion_8_property_suite():
     data = _scenario_dataset("mar-null", 4000, 3)
     from mdgof.estimation import step_test
     for step in mar_steps(data):
-        if step.alt_fit is None:
-            continue
         rho, two_rho, df, p = step_test(data, step)
         assert two_rho >= -1e-6
 

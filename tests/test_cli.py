@@ -415,6 +415,11 @@ class TestGraphCommand:
         (["--x", "R1", "--y", "R1"], "query vertex sets overlap: ['R1']"),
         (["--x", "Q9", "--y", "X2"], "unknown vertex 'Q9'"),
         (["--x", "X2", "--y", "R1", "--do", "X1"],
+         "can only intervene on indicators, got 'X1'"),
+        # Every indicator the relation needs is given or none is needed, so
+        # testability asks no d-separation; the query is still checked.
+        (["--x", "X1", "--y", "Zed", "--given", "R1,R2"], "unknown vertex 'Zed'"),
+        (["--x", "R1", "--y", "R2", "--do", "X1"],
          "can only intervene on indicators, got 'X1'")])
     def test_bad_query_is_usage_error(self, graph_json, capsys, action, flags,
                                       message):

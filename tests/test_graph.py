@@ -1,5 +1,7 @@
 """Graph layer: validation, d-separation, classification, audits, counting."""
 
+import itertools
+import pickle
 import time
 
 import numpy as np
@@ -17,7 +19,8 @@ from mdgof.graph import testability_verdict as verdict_for
 
 from oracles import (brute_force_dsep, enumerated_no_self_censoring_counts,
                      enumerated_parent_configs, random_digraph_instance,
-                     random_mdag, random_mixed_graph, reference_colluding_paths)
+                     random_mdag, random_mixed_graph, reference_colluding_paths,
+                     scanned_validate_mdag, scanned_vertex, surgered_digraph)
 
 
 def mar_graph():
@@ -45,6 +48,42 @@ def crisscross_graph():
     return MDag.create(("X1", "X2"),
                        edges=[("X1", "X2"), ("X2", "R1"), ("X1", "R2"),
                               ("R1", "R2")])
+
+
+def with_bidirected(rng, g, p=0.5):
+    """``g`` plus each X-X bidirected edge with probability ``p``."""
+    xs = g.substantive
+    return MDag(xs, g.directed_edges, [(a, b) for i, a in enumerate(xs)
+                                       for b in xs[i + 1:] if rng.random() < p])
+
+
+def renamed(g, names):
+    """(``g`` with its variables renamed by ``names``, each indicator and
+    proxy following its variable; the map of every vertex's new name)."""
+    full = {}
+    for x in g.substantive:
+        y = names.get(x, x)
+        full.update({x: y, indicator_name(x): indicator_name(y), f"{x}*": f"{y}*"})
+    return MDag(tuple(full[x] for x in g.substantive),
+                [(full[s], full[t]) for s, t in g.directed_edges],
+                [{full[v] for v in pair} for pair in g.bidirected_edges]), full
+
+
+def random_named_graph(rng):
+    """A graph, valid or not, whose variables are drawn with repeats from
+    names that collide across the layers (R1 is X1's indicator and R_A is
+    A's; R_A* is both A*'s indicator and R_A's proxy), with random edges
+    (some at a vertex no layer holds), deterministic edges dropped at
+    random, and random bidirected pairs."""
+    pool = ["X1", "X2", "R1", "X1*", "A", "R_A", "A*", "R_A*"]
+    xs = tuple(str(v) for v in rng.choice(pool, size=int(rng.integers(1, 5))))
+    names = sorted({*xs, *map(indicator_name, xs), *(f"{x}*" for x in xs), "Q"})
+    edges = [(x, f"{x}*") for x in xs] + [(indicator_name(x), f"{x}*") for x in xs]
+    edges = [e for e in edges if rng.random() < 0.9]
+    edges += [(s, t) for s in names for t in names if rng.random() < 0.08]
+    bidirected = [(s, t) for s in names for t in names
+                  if s < t and rng.random() < 0.05]
+    return MDag(xs, edges, bidirected)
 
 
 class TestValidation:
@@ -90,6 +129,106 @@ class TestValidation:
         assert g.parents("X2*") == {"X2", "R2"}
 
 
+class TestStoredTables:
+    """A graph's layers, vertex table, parent sets and post-surgery digraphs
+    are computed once per graph object; every answer is the one the
+    definitions, scanned afresh on every call, give."""
+
+    @staticmethod
+    def check_tables(g):
+        xs = g.substantive
+        assert g.indicators == tuple(map(indicator_name, xs))
+        assert g.proxies == tuple(f"{x}*" for x in xs)
+        assert g.vertices == xs + g.indicators + g.proxies
+        assert g.indicator_of == {x: indicator_name(x) for x in xs}
+        for v in {*g.vertices, *(t for _, t in g.directed_edges), "Q9"}:
+            kind, base, parents = scanned_vertex(g, v)
+            assert g.parents(v) == parents
+            if kind is None:
+                for method in (g.kind, g.base_variable):
+                    with pytest.raises(GraphError, match=f"^unknown vertex {v!r}$"):
+                        method(v)
+            else:
+                assert (g.kind(v), g.base_variable(v)) == (kind, base)
+        assert validate_mdag(g) == scanned_validate_mdag(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_tables_match_the_scanned_definitions(self, seed):
+        # Valid m-DAGs, and graphs, mostly invalid, whose names repeat within
+        # and across the layers.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=4, max_card=2)
+        for g in (with_bidirected(rng, g, 0.3), random_named_graph(rng)):
+            self.check_tables(g)
+
+    def test_names_in_several_layers_resolve_as_they_always_have(self):
+        # R_A* is A*'s indicator and R_A's proxy: an indicator, whose base is
+        # the first variable it belongs to.  R_A is a variable and A's
+        # indicator: a variable.
+        g = MDag.create(("R_A", "A*"))
+        assert (g.kind("R_A*"), g.base_variable("R_A*")) == ("R", "R_A")
+        g = MDag.create(("A", "R_A", "A"))
+        assert (g.kind("R_A"), g.base_variable("R_A")) == ("X", "R_A")
+        assert validate_mdag(g)[0] == ("vertex names must be distinct across "
+                                       "the three layers: repeated A, A*, R_A")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_one_graph_answers_interleaved_interventions(self, seed):
+        # One graph object answers queries whose intervention sets, drawn
+        # from a few, come in random order; each answer is brute force's on
+        # the digraph built afresh for that query.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=3, max_card=2)
+        g = with_bidirected(rng, g)
+        pool = [frozenset()] + [frozenset(r for r in g.indicators if rng.random() < 0.5)
+                                for _ in range(3)]
+        for _ in range(20):
+            fixed = pool[rng.integers(len(pool))]
+            free = [v for v in g.vertices if v not in fixed]
+            role = rng.integers(0, 4, size=len(free))
+            sets = [{v for v, r in zip(free, role) if r == i} for i in range(3)]
+            if not sets[0] or not sets[1]:
+                continue
+            parents, children, rename = surgered_digraph(g, fixed)
+            left, right, given_set = ({rename.get(v, v) for v in vs} for vs in sets)
+            if left & right or (left | right) & given_set:
+                continue  # a proxy and its variable merged across two sets
+            assert d_separated(g, IndependenceQuery(*sets, interventions=fixed)) == \
+                brute_force_dsep(parents, children, left, right, given_set)
+
+    def test_returned_tables_cannot_change_an_answer(self):
+        g, twin = crisscross_graph(), crisscross_graph()
+        for v in g.vertices:
+            g.parents(v).add("X2")
+        g.parents("R2").clear()
+        assert g.parents("R2") == {"X1", "R1"}
+        with pytest.raises(TypeError):
+            g.indicator_of["X1"] = "R2"
+        assert validate_mdag(g) == []
+        assert detect_structures(g) == detect_structures(twin)
+        assert count_parameters(g, {"X1": 2, "X2": 3}) == \
+            count_parameters(twin, {"X1": 2, "X2": 3})
+        q = IndependenceQuery({"X1"}, {"X2"}, {"R2"}, {"R1"})
+        assert d_separated(g, q) == d_separated(twin, q)
+        assert verdict_for(g, q) == verdict_for(twin, q)
+
+    def test_equality_hash_and_pickle_ignore_the_tables(self):
+        warm, cold = crisscross_graph(), crisscross_graph()
+        state = pickle.dumps(warm)
+        assert validate_mdag(warm) == []
+        classify_model(warm, ("X1", "X2"))
+        detect_structures(warm)
+        verdict_for(warm, IndependenceQuery({"X1"}, {"X2"}))
+        assert len(vars(warm)) > len(vars(cold))  # the tables are stored
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert pickle.dumps(warm) == state == pickle.dumps(cold)
+        copy = pickle.loads(pickle.dumps(warm))
+        assert vars(copy) == vars(cold)
+        assert classify_model(copy, ("X1", "X2")) == classify_model(warm, ("X1", "X2"))
+
+
 class TestDSeparation:
     def test_collider_opened_by_conditioning_on_descendant(self):
         # R1 -> X1* <- X1 -> X2 with R2 a descendant of X1*: conditioning on
@@ -129,6 +268,47 @@ class TestDSeparation:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(GraphError):
             d_separated(mar_graph(), IndependenceQuery({"X9"}, {"X2"}))
+
+    def test_unknown_vertex_rejected_by_testability(self):
+        # The indicators X1 needs are given, so no d-separation is asked.
+        with pytest.raises(GraphError, match="^unknown vertex 'Zed'$"):
+            verdict_for(mar_graph(), IndependenceQuery({"X1"}, {"Zed"}, {"R1", "R2"}))
+        with pytest.raises(GraphError, match="^can only intervene on indicators"):
+            verdict_for(mar_graph(), IndependenceQuery({"R1"}, {"R2"}, {"X1*"}, {"X2"}))
+
+    def test_latent_vertices_take_no_variable_name(self):
+        # A variable named like a generated latent vertex is a variable.
+        for name in ("__latent_0", "L"):
+            g, _ = graph_from_dict({"variables": [name, "X2", "X3"],
+                                    "bidirected": [["X2", "X3"]]})
+            assert d_separated(g, IndependenceQuery({name}, {"X2"}))
+            assert not d_separated(g, IndependenceQuery({"X3"}, {"X2"}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_renaming_variables_to_latent_names_changes_no_answer(self, seed):
+        # Up to two variables renamed __latent_0 and __latent_1, the names
+        # the first two bidirected edges' latent vertices once had; every
+        # pair of vertices asked given nothing and given a random set, each
+        # with random indicators fixed.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=4, max_card=2)
+        g = with_bidirected(rng, g)
+        h, new = renamed(g, {x: f"__latent_{i}" for i, x in enumerate(g.substantive[:2])})
+        assert not validate_mdag(h)
+        order = tuple(rng.permutation(g.substantive))
+        assert classify_model(g, order) == classify_model(h, [new[x] for x in order])
+        for a, b in itertools.combinations(g.vertices, 2):
+            rest = [v for v in g.vertices if v not in (a, b)]
+            for given_set in (set(), {v for v in rest if rng.random() < 0.3}):
+                fixed = {v for v in rest if v in g.indicators and v not in given_set
+                         and rng.random() < 0.3}
+                q = IndependenceQuery({a}, {b}, given_set, fixed)
+                q2 = IndependenceQuery(*({new[v] for v in vs} for vs in (
+                    q.left, q.right, q.given, q.interventions)))
+                assert d_separated(g, q) == d_separated(h, q2)
+                t, t2 = verdict_for(g, q), verdict_for(h, q2)
+                assert (t.verdict, t.route) == (t2.verdict, t2.route)
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(GraphError):
