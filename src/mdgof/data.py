@@ -9,14 +9,16 @@ format is a plain CSV with a header of variable names and the literal token
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
 MISSING_TOKEN = "NA"
-CSV_BLOCK_ROWS = 1 << 12  # records per block in read_csv and to_csv
+CSV_BLOCK_ROWS = 1 << 12  # records per block in to_csv
 
 
 class DataError(ValueError):
@@ -109,90 +111,86 @@ def read_csv(path):
     Columns with zero missingness are accepted (always-observed variables);
     a column that is entirely missing is rejected as fully latent.  Cells
     that parse to a non-finite number (``inf``, ``-inf``, ``nan``) are
-    rejected: missingness is written only as the ``NA`` token.  Records are
-    parsed in blocks of ``CSV_BLOCK_ROWS``; the first malformed record in
-    the file is the one reported.  The file is read as UTF-8, a leading
-    byte-order mark ignored; a file the ``csv`` module or the text decoder
-    cannot read is a DataError too.
+    rejected: missingness is written only as the ``NA`` token.  The header
+    is read by the ``csv`` module, the records by one ``np.loadtxt`` pass
+    that parses each cell with Python's ``float``; a file that pass refuses
+    is scanned by :func:`_record_fault` for the error to raise.  The file is
+    read as UTF-8, a leading byte-order mark ignored.
     """
+    limit = csv.field_size_limit()
+
+    def cell(text):
+        value = text.strip()
+        if value == MISSING_TOKEN:
+            return np.nan
+        value = float(value)
+        if len(text) > limit or not math.isfinite(value):
+            raise ValueError("non-finite or over-long cell")
+        return value
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        names = _read_header(fh)
+        try:
+            with warnings.catch_warnings():  # no rows is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                xs = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                ndmin=2, encoding=None, converters=cell)
+        except ValueError as exc:
+            raise _record_fault(path, names, exc) from None
+    if not len(xs):
+        raise DataError("CSV contains no data rows")
+    if xs.shape[1] != len(names):
+        raise _record_fault(path, names, "cell counts differ from the header's")
+    observed = ~np.isnan(xs)
+    dead = [name for name, seen in zip(names, observed.any(axis=0)) if not seen]
+    if dead:
+        raise DataError("fully latent column(s) with no observed values: "
+                        + ", ".join(dead))
+    return ObservedDataset(names, observed, xs)
+
+
+def _read_header(fh):
+    """The variable names in the first record of ``fh``."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            names, blocks = _read_blocks(csv.reader(fh))
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise DataError("empty CSV") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable CSV: {exc}") from exc
-    if not sum(len(linenos) for _, _, linenos in blocks):
-        raise DataError("CSV contains no data rows")
-    r, xs, linenos = map(np.concatenate, zip(*blocks))
-    bad = np.argwhere((r == 1) & ~np.isfinite(xs))
-    if bad.size:
-        i, k = bad[0]
-        raise DataError(f"line {linenos[i]}, column {names[k]}: non-finite "
-                        f"value {float(xs[i, k])} (missing cells are written "
-                        f"{MISSING_TOKEN})")
-    dead = np.where(r.sum(axis=0) == 0)[0]
-    if dead.size:
-        raise DataError(
-            "fully latent column(s) with no observed values: "
-            + ", ".join(names[j] for j in dead))
-    return ObservedDataset(names, r, xs)
-
-
-def _read_blocks(reader):
-    """The header's names and the parsed blocks of the records after it."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty CSV")
     names = tuple(h.strip() for h in header)
     if len(set(names)) != len(names) or any(not n for n in names):
         raise DataError("header must contain unique, nonempty variable names")
-    blocks = []
-    lineno = 2  # record number of the block's first row, header = 1
-    while True:
-        block = []
-        try:
-            block.extend(islice(reader, CSV_BLOCK_ROWS))
-        except (csv.Error, UnicodeDecodeError):
-            # ``extend`` keeps the records read before the unreadable one,
-            # and a malformed record among them is reported first.
-            _parse_block(block, names, lineno)
-            raise
-        if not block:
-            return names, blocks
-        blocks.append(_parse_block(block, names, lineno))
-        lineno += len(block)
+    return names
 
 
-def _parse_block(block, names, first_lineno):
-    """Indicators, proxies and record numbers of a block of CSV records;
-    blank records are skipped.  Raises the DataError of the block's first
-    malformed record: a wrong cell count or a cell ``float`` cannot parse."""
+def _record_fault(path, names, reason):
+    """The DataError of a file ``read_csv``'s numpy pass refused, found by a
+    ``csv`` scan of its records (blank ones skipped, the header line 1): the
+    first record with a wrong cell count or a cell ``float`` cannot parse,
+    else the first non-finite cell.  A record the ``csv`` module or the text
+    decoder cannot read, a cell over ``csv.field_size_limit()`` among them,
+    makes the file unreadable; so does a fault the scan does not see, as
+    ``reason`` words it."""
     K = len(names)
-    lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
-    wrong = np.flatnonzero((lengths != K) & (lengths != 0))
-    stop = int(wrong[0]) if wrong.size else len(block)
-    rows = list(filter(None, block[:stop]))
-    cells = list(map(str.strip, chain.from_iterable(rows)))
-    observed = np.fromiter(map(MISSING_TOKEN.__ne__, cells), dtype=bool,
-                           count=len(cells))
-    xs = np.full(len(cells), np.nan)
+    non_finite = None
     try:
-        xs[observed] = np.fromiter(map(float, filter(MISSING_TOKEN.__ne__, cells)),
-                                   dtype=float, count=np.count_nonzero(observed))
-    except ValueError:
-        for offset, row in enumerate(block[:stop]):
-            for cell in map(str.strip, row):
-                if cell == MISSING_TOKEN:
-                    continue
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(f"line {first_lineno + offset}: "
-                                    f"cannot parse {cell!r}") from None
-        raise
-    if wrong.size:
-        raise DataError(f"line {first_lineno + stop}: expected {K} cells, "
-                        f"got {lengths[stop]}")
-    return (observed.view(np.int8).reshape(len(rows), K),
-            xs.reshape(len(rows), K),
-            first_lineno + np.flatnonzero(lengths))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = enumerate(csv.reader(fh), start=1)
+            next(records)
+            for lineno, row in records:
+                if row and len(row) != K:
+                    return DataError(f"line {lineno}: expected {K} cells, got {len(row)}")
+                for name, cell in zip(names, map(str.strip, row)):
+                    if cell == MISSING_TOKEN:
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        return DataError(f"line {lineno}: cannot parse {cell!r}")
+                    if non_finite is None and not math.isfinite(value):
+                        non_finite = DataError(
+                            f"line {lineno}, column {name}: non-finite value "
+                            f"{value} (missing cells are written {MISSING_TOKEN})")
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return DataError(f"unreadable CSV: {exc}")
+    return non_finite or DataError(f"unreadable CSV: {reason}")

@@ -519,12 +519,6 @@ class _PairEquation:
         return float(theta[0]), {t: c[0] for t, c in coefs.items()}
 
 
-def _pairwise_theta(data: ObservedDataset, k, j):
-    """Point estimate of the pairwise conditional odds ratio."""
-    patterns, counts = _row_patterns(data)
-    return _PairEquation(patterns, k, j).point_estimate(counts)[0]
-
-
 def _resample_counts(rng, counts, n, size):
     """Pattern counts of ``size`` bootstrap resamples of the n rows that
     the distinct rows with counts ``counts`` stand for, one per matrix row.

@@ -319,11 +319,10 @@ def _surgered_structure(graph: MDag, interventions: frozenset):
 
     nodes = {resolve(v) for v in graph.vertices if v not in interventions}
     for i, pair in enumerate(graph.bidirected_edges):
-        a, b = sorted(pair)
         u = ("latent", i)
         nodes.add(u)
-        edges.add((u, a))
-        edges.add((u, b))
+        # do() cuts every edge into a fixed indicator, a latent's included.
+        edges.update((u, resolve(v)) for v in pair if v not in interventions)
 
     parents = {v: set() for v in nodes}
     children = {v: set() for v in nodes}
@@ -337,15 +336,17 @@ def _surgered_structure(graph: MDag, interventions: frozenset):
 
 
 def _check_query(graph: MDag, query: IndependenceQuery):
-    """Raise GraphError for a vertex ``graph`` lacks or a non-indicator fixed."""
+    """Raise GraphError for a vertex ``graph`` lacks or a non-indicator fixed,
+    naming the least such vertex so that the message does not depend on set
+    iteration order."""
     table = graph._vertex_table
     for s in (query.left, query.right, query.given, query.interventions):
-        for v in s:
-            if v not in table:
-                raise GraphError(f"unknown vertex {v!r}")
-    for v in query.interventions:
-        if table[v][0] != "R":
-            raise GraphError(f"can only intervene on indicators, got {v!r}")
+        unknown = s.difference(table)
+        if unknown:
+            raise GraphError(f"unknown vertex {min(unknown)!r}")
+    fixed = [v for v in query.interventions if table[v][0] != "R"]
+    if fixed:
+        raise GraphError(f"can only intervene on indicators, got {min(fixed)!r}")
 
 
 def d_separated(graph: MDag, query: IndependenceQuery):

@@ -167,10 +167,6 @@ class PropensityFit:
         return expit(design.values @ self.coefficients)
 
 
-def weighted_bernoulli_loglik(beta, x, y, w):
-    return float(_weighted_loglik(x @ beta, y, w)[0])
-
-
 DEGENERATE = "degenerate outcome: one class has zero total weight"
 _SEPARATED = "complete separation suspected (coefficients diverging)"
 _EXHAUSTED = "maximum iterations reached"

@@ -13,8 +13,12 @@ odds-ratio bootstrap by gathering the resampled rows and refitting on them.
 The Newton kernel is also kept in its earlier form (a masked logistic, a
 ``logaddexp`` loglik and a second linear predictor per iteration), as the
 reference the fused kernel must reproduce bit for bit, and CSV read and
-write in their cell-by-cell form, which the blocked versions must match
-byte for byte and error for error.
+write in their cell-by-cell form, which the blocked writer and the
+``np.loadtxt`` reader must match byte for byte and error for error.
+
+Two helpers at the end are not independent: the weighted Bernoulli loglik
+and a pair's odds-ratio point estimate, which only the tests call, built on
+the library's own kernels so that exact comparisons with it stay exact.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from scipy.special import gammaincc
 from mdgof.data import MISSING_TOKEN, DataError, ObservedDataset
 from mdgof.estimation import (FAILURE_REASONS, NO_VARIATION, NOT_CONVERGED,
                               PROPENSITY_CLIP, EstimationError,
-                              OddsRatioEstimate)
+                              OddsRatioEstimate, _PairEquation, _row_patterns)
 from mdgof.graph import MDag, indicator_name, proxy_name, validate_mdag
 from mdgof.numerics import (MAX_ITER, SCORE_TOL, SEPARATION_BOUND,
-                            DesignMatrix, PropensityFit, fit_weighted_logistic,
-                            weighted_bernoulli_loglik)
+                            DesignMatrix, PropensityFit, _weighted_loglik,
+                            fit_weighted_logistic)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +331,7 @@ def surgered_digraph(graph: MDag, fixed):
     for pair in graph.bidirected_edges:
         latent = "L" + "".join(sorted(nodes))
         nodes.add(latent)
-        edges |= {(latent, v) for v in pair}
+        edges |= {(latent, rename.get(v, v)) for v in pair if v not in fixed}
     parents = {v: {s for s, t in edges if t == v and s != v} for v in nodes}
     children = {v: {t for s, t in edges if s == v and t != v} for v in nodes}
     return parents, children, rename
@@ -703,3 +707,17 @@ def cellwise_read_csv(path):
             "fully latent column(s) with no observed values: "
             + ", ".join(names[j] for j in dead))
     return ObservedDataset(names, r, xs)
+
+
+# ---------------------------------------------------------------------------
+# helpers on the library's own kernels, called by the tests alone
+# ---------------------------------------------------------------------------
+
+def weighted_bernoulli_loglik(beta, x, y, w):
+    return float(_weighted_loglik(x @ beta, y, w)[0])
+
+
+def _pairwise_theta(data: ObservedDataset, k, j):
+    """Point estimate of the pairwise conditional odds ratio."""
+    patterns, counts = _row_patterns(data)
+    return _PairEquation(patterns, k, j).point_estimate(counts)[0]

@@ -13,16 +13,16 @@ import pytest
 
 from mdgof.counterexample import verify_crisscross_counterexample
 from mdgof.data import ObservedDataset
-from mdgof.estimation import _pairwise_theta, mar_steps, population_odds_ratio
+from mdgof.estimation import mar_steps, population_odds_ratio
 from mdgof.graph import (MDag, count_parameters,
                          count_parameters_no_self_censoring, dsep_digraph)
 from mdgof.numerics import (DesignMatrix, chisq_sf, child_rng, expit,
-                            fit_weighted_logistic, weighted_bernoulli_loglik)
+                            fit_weighted_logistic)
 from mdgof.simulate import ScenarioConfig, run_study
 
-from oracles import (brute_force_dsep, chisq_sf_quadrature,
+from oracles import (_pairwise_theta, brute_force_dsep, chisq_sf_quadrature,
                      grid_search_logistic, homogeneous_or_law,
-                     random_digraph_instance)
+                     random_digraph_instance, weighted_bernoulli_loglik)
 
 
 def study(scenario, dist, param_range=(0.0, 2.0), seed=0, **kw):

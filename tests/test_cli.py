@@ -426,6 +426,18 @@ class TestGraphCommand:
         assert main(["graph", action, "--graph", graph_json, *flags]) == 64
         assert capsys.readouterr().err == f"mdgof: error: {message}\n"
 
+    def test_unknown_vertex_named_alike_under_any_hash_seed(self, graph_json,
+                                                             tmp_path):
+        src = str(Path(mdgof.__file__).resolve().parent.parent)
+        for seed in ("0", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "mdgof.cli", "graph", "dsep", "--graph",
+                 graph_json, "--x", "Q7,Q8,Q9", "--y", "X1"],
+                cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            assert (done.returncode, done.stderr) == (
+                64, "mdgof: error: unknown vertex 'Q7'\n")
+
     @pytest.mark.parametrize("action", ["dsep", "testability"])
     @pytest.mark.parametrize("flags", [["--x", ",", "--y", "X2"],
                                        ["--x", " ", "--y", "X2"],

@@ -9,17 +9,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mdgof import estimation, numerics
 from mdgof.data import ObservedDataset
-from mdgof.estimation import (FAILURE_REASONS, EstimationError, _pairwise_theta,
-                              build_features, estimate_odds_ratio, mar_steps,
-                              mnar_steps, population_odds_ratio,
-                              robust_lr_pvalue, step_test, weighted_lr_stat)
+from mdgof.estimation import (FAILURE_REASONS, EstimationError, build_features,
+                              estimate_odds_ratio, mar_steps, mnar_steps,
+                              population_odds_ratio, robust_lr_pvalue,
+                              step_test, weighted_lr_stat)
 from mdgof.graph import MDag
 from mdgof.numerics import (DesignMatrix, chisq_sf, expit,
-                            fit_weighted_logistic, weighted_bernoulli_loglik)
+                            fit_weighted_logistic)
 from mdgof.simulate import ScenarioConfig, simulate_dataset
 
-from oracles import (direct_or_functional, homogeneous_or_law,
-                     reference_robust_pvalue, row_gather_odds_ratio)
+from oracles import (_pairwise_theta, direct_or_functional, homogeneous_or_law,
+                     reference_robust_pvalue, row_gather_odds_ratio,
+                     weighted_bernoulli_loglik)
 
 
 def scenario_dataset(scenario, n, seed, dist="binary", K=4, rng_out=False,

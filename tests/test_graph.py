@@ -260,6 +260,46 @@ class TestDSeparation:
         # normalizes to separation.
         assert d_separated(g, q1)
 
+    def test_surgery_cuts_a_latent_edge_into_a_fixed_indicator(self):
+        # do(R1 = 1) deletes every edge into R1, the one from the latent
+        # parent R1 shares with R2 included.
+        g = MDag.create(("X1", "X2"), bidirected=[("R1", "R2")])
+        assert d_separated(g, IndependenceQuery({"X1"}, {"X2"}, interventions={"R1"}))
+        assert d_separated(g, IndependenceQuery({"X1"}, {"R2"}, interventions={"R1"}))
+        assert not d_separated(g, IndependenceQuery({"R1"}, {"R2"}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_bidirected_edges_at_any_vertex_match_brute_force(self, seed):
+        # Graphs validate_mdag rejects, with bidirected edges at indicators
+        # and proxies too, are still answered as do() defines: brute force's
+        # answer on the digraph built afresh for the query.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=3, max_card=2)
+        pairs = [p for p in itertools.combinations(g.vertices, 2) if rng.random() < 0.15]
+        g = MDag(g.substantive, g.directed_edges, pairs)
+        for _ in range(10):
+            fixed = {r for r in g.indicators if rng.random() < 0.5}
+            free = [v for v in g.vertices if v not in fixed]
+            role = rng.integers(0, 4, size=len(free))
+            sets = [{v for v, r in zip(free, role) if r == i} for i in range(3)]
+            parents, children, rename = surgered_digraph(g, fixed)
+            left, right, given_set = ({rename.get(v, v) for v in vs} for vs in sets)
+            if not left or not right or left & right or (left | right) & given_set:
+                continue
+            assert d_separated(g, IndependenceQuery(*sets, interventions=fixed)) == \
+                brute_force_dsep(parents, children, left, right, given_set)
+
+    def test_unknown_vertex_named_is_the_least(self):
+        # Not the first in a frozenset's iteration order, which moves with
+        # the string hash seed.
+        g = mar_graph()
+        for left in ({"Q7", "Q8", "Q9"}, {"Q9", "X1", "Q8"}):
+            with pytest.raises(GraphError, match=f"^unknown vertex {min(left - {'X1'})!r}$"):
+                d_separated(g, IndependenceQuery(left, {"X2"}))
+        with pytest.raises(GraphError, match="^can only intervene on indicators, got 'X1'$"):
+            d_separated(g, IndependenceQuery({"R1"}, {"R2"}, interventions={"X2", "X1*", "X1"}))
+
     def test_intervention_must_be_indicator(self):
         with pytest.raises(GraphError):
             d_separated(mar_graph(),
