@@ -111,7 +111,7 @@ def cmd_test(args):
         report = test_sequential_mnar(data, order, alpha=args.alpha)
     else:
         seed = _resolve_seed(args.seed)
-        report = test_block_parallel(data, alpha=args.alpha,
+        report = test_block_parallel(data.reorder(order), alpha=args.alpha,
                                      n_bootstrap=args.bootstrap, seed=seed)
 
     text = report.to_json(indent=2)

@@ -44,9 +44,9 @@ NO_VARIATION, NOT_CONVERGED = FAILURE_REASONS = (
 
 
 class EstimationError(ValueError):
-    """A quantity the data cannot give.  Raised by a cascade or a step's
-    test, it names in ``index`` the variable whose step, full-sample null
-    or weight-update fit failed."""
+    """A quantity the data cannot give.  Raised by a cascade, it names in
+    ``index`` the variable whose step (its fits or its test), full-sample
+    null or weight-update fit failed."""
     index = None
 
 
@@ -106,6 +106,9 @@ class CascadeStep:
     mask: np.ndarray
     clip_events: int            # clipped propensities in the weights, per row
     stabilized: bool            # see _fit_step
+    statistic: float            # 2 rho, twice the fits' loglik difference
+    df: int                     # columns of the tested block
+    p_value: float              # see robust_lr_pvalue
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,9 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     ``clipped`` counts the clipped propensities in each row's weights.  The
     masked null is the leading columns: intercept, R_j for j < k,
     ``null_proxies``.  The alternative starts from the null (see
-    WARM_START_BOUND).
+    WARM_START_BOUND).  The step is tested as it is fit: 2 rho is twice
+    the difference of the fits' weighted log-likelihoods, which the Newton
+    solve returned, and its p-value is :func:`robust_lr_pvalue`'s.
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
     w = weights[mask]
@@ -172,8 +177,8 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
             w *= stab.predict(lead)[mask]
         del lead
     masked = _leading(design, design.p, mask)
-    # The step keeps its masked design until it is tested; holding the
-    # full-row design through the masked fits as well would raise peak memory.
+    # The step keeps its masked design; holding the full-row design
+    # through the masked fits and the test as well would raise peak memory.
     del design
     y = data.r[mask, k]
     what = f"propensity fit for {data.names[k]}"
@@ -184,8 +189,12 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
         start = np.pad(null_fit.coefficients, (0, masked.p - p0))
     alt_fit = _converged(fit_weighted_logistic(masked, y, w, start=start), what)
     counts = counts[mask]
+    two_rho = 2.0 * (alt_fit.weighted_loglik - null_fit.weighted_loglik)
+    p = robust_lr_pvalue(max(two_rho, 0.0), null_fit, alt_fit, masked, y,
+                         w / counts, counts)
     return CascadeStep(k, null_fit, alt_fit, masked, w, counts, mask,
-                       int(clipped[mask] @ counts), stabilized)
+                       int(clipped[mask] @ counts), stabilized,
+                       two_rho, masked.p - p0, p)
 
 
 def mar_steps(data: ObservedDataset, counts=None):
@@ -290,33 +299,6 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
             del null
 
 
-def _nested_df(null_fit: PropensityFit, alt_fit: PropensityFit):
-    """Degrees of freedom of a nested likelihood-ratio test.  The
-    alternative's columns must be the null's, in order, then at least one
-    more: the tested block is the alternative's trailing columns."""
-    p0 = len(null_fit.column_names)
-    df = len(alt_fit.column_names) - p0
-    if df <= 0 or alt_fit.column_names[:p0] != null_fit.column_names:
-        raise EstimationError("alternative must strictly nest the null")
-    return df
-
-
-def weighted_lr_stat(null_fit: PropensityFit, alt_fit: PropensityFit):
-    """Inverse-weighted log-likelihood-ratio statistic of two fits under
-    the same weights on the same rows.
-
-    Returns (rho, 2*rho, df): rho is the difference of the fits' weighted
-    log-likelihoods at their maximizers, and df the column-count difference
-    between the alternative and the null, whose columns must lead the
-    alternative's.
-    """
-    if not (null_fit.converged and alt_fit.converged):
-        raise EstimationError("both fits must have converged")
-    df = _nested_df(null_fit, alt_fit)
-    rho = alt_fit.weighted_loglik - null_fit.weighted_loglik
-    return rho, 2.0 * rho, df
-
-
 def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
                      design: DesignMatrix, outcome, weights, counts=None):
     """P-value of a weighted likelihood-ratio statistic: P(chi2_df > 2rho / lam*).
@@ -335,10 +317,14 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     A singular A, or lam* <= 1e-12, raises EstimationError.  ``design`` is
     the alternative's, the null's columns leading.  Row i stands for
     ``counts[i]`` rows with weight ``weights[i]`` (by default, for itself),
-    so m scales its squared score by the count, not by its square.
+    so m scales its squared score by the count, not by its square.  The
+    alternative's columns must be the null's, in order, then the df >= 1
+    tested ones; any other pair of fits raises EstimationError.
     """
-    df = _nested_df(null_fit, alt_fit)
     p0 = len(null_fit.column_names)
+    df = len(alt_fit.column_names) - p0
+    if df <= 0 or alt_fit.column_names[:p0] != null_fit.column_names:
+        raise EstimationError("alternative must strictly nest the null")
     y = np.asarray(outcome, dtype=float)
     w = np.asarray(weights, dtype=float)
     c = np.ones_like(w) if counts is None else np.asarray(counts, dtype=float)
@@ -358,17 +344,6 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
         raise EstimationError(
             f"robust p-value: largest sandwich eigenvalue {lam:.3g} is not positive")
     return chisq_sf(two_rho / lam, df)
-
-
-def step_test(data: ObservedDataset, step: CascadeStep):
-    """(rho, 2*rho, df, p_value) of a cascade step with the robust
-    reference distribution, from its fits and the design they ran on."""
-    with _at_index(step.k):
-        rho, two_rho, df = weighted_lr_stat(step.null_fit, step.alt_fit)
-        p = robust_lr_pvalue(max(two_rho, 0.0), step.null_fit, step.alt_fit,
-                             step.design, data.r[step.mask, step.k],
-                             step.weights / step.counts, step.counts)
-    return rho, two_rho, df, p
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +400,19 @@ def _row_patterns(data: ObservedDataset):
             return patterns, np.bincount(ids, minlength=distinct.size).astype(float)
     # Counts of one as a read-only view: nothing n long is stored for them.
     return data, np.broadcast_to(1.0, n)
+
+
+def _sorted_patterns(data: ObservedDataset):
+    """:func:`_row_patterns` of ``data`` in an order that ``data``'s row
+    order does not set, so the bootstrap's row draws do not follow it:
+    rows that are each their own pattern are put in the lexicographic
+    order of their (R, X*) rows, as compressed patterns are.  Rows that
+    tie on every column are the same numbers."""
+    patterns, counts = _row_patterns(data)
+    if patterns is data:
+        rows = np.lexsort([*data.xstar.T[::-1], *data.r.T[::-1]])
+        patterns = ObservedDataset(data.names, data.r[rows], data.xstar[rows])
+    return patterns, counts
 
 
 def _numerator_cell(r, k, j):
@@ -570,9 +558,10 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     counts / n): the law of n row draws, so the estimate is that of
     refitting on drawn rows, at the cost of fitting on the distinct rows
     only.  Continuous data, every row its own pattern, still draw n rows
-    (see :func:`_resample_counts`).  The resamples' counts fill the rows of
-    a matrix of at most BOOTSTRAP_CHUNK_CELLS cells, whose fits run as one
-    batch.
+    (see :func:`_resample_counts`), from the rows sorted, so that the
+    estimate does not depend on their order.  The resamples' counts fill
+    the rows of a matrix of at most BOOTSTRAP_CHUNK_CELLS cells, whose fits
+    run as one batch.
 
     An empty numerator cell (no rows with R_k = R_j = 0 and every other
     indicator observed) raises: the estimate would be 0 with a degenerate
@@ -583,14 +572,14 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     check_pair(pair, data.K)
     if rng is None:
         rng = np.random.default_rng(0)
-    patterns, counts = _row_patterns(data)
+    patterns, counts = _sorted_patterns(data)
     return _pattern_odds_ratio(patterns, counts, data.n, pair, alpha,
                                n_bootstrap, rng)
 
 
 def _pattern_odds_ratio(patterns: ObservedDataset, counts, n, pair, alpha,
                         n_bootstrap, rng) -> OddsRatioEstimate:
-    """:func:`estimate_odds_ratio` of the n rows that :func:`_row_patterns`
+    """:func:`estimate_odds_ratio` of the n rows that :func:`_sorted_patterns`
     compressed to the distinct rows ``patterns`` with ``counts``, its
     arguments already checked."""
     k, j = pair

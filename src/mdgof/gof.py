@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 from .data import ObservedDataset
 from .estimation import (EstimationError, _pattern_odds_ratio, _row_patterns,
-                         check_alpha, check_n_bootstrap, mar_steps, mnar_steps,
-                         step_test)
+                         _sorted_patterns, check_alpha, check_n_bootstrap,
+                         mar_steps, mnar_steps)
 from .graph import MDag
 from .numerics import child_rng
 
@@ -70,8 +70,8 @@ def test_sequential_mnar(data: ObservedDataset, order, alpha=0.05,
 
 
 def _sequential_test(model, cascade_steps, data, order, alpha):
-    """One pass over the model's cascade: each step is tested as soon as it
-    is fit, and the first rejection ends the test, so nothing after it is
+    """One pass over the model's cascade: each step comes tested from its
+    fit, and the first rejection ends the test, so nothing after it is
     built or fit.  The cascade runs on the distinct (R, X*) rows with their
     counts, as the odds-ratio bootstrap does: every quantity it computes
     for a row depends only on the row's pattern.  A cascade that fails
@@ -88,10 +88,9 @@ def _sequential_test(model, cascade_steps, data, order, alpha):
         if not data.n:
             raise EstimationError("the dataset has no rows")
         for step in cascade_steps(patterns, counts):
-            rho, two_rho, df, p = step_test(patterns, step)
-            decision = "reject" if p < alpha else "accept"
-            steps.append(StepRecord(order[step.k], two_rho, df, p, decision,
-                                    _step_diag(step)))
+            decision = "reject" if step.p_value < alpha else "accept"
+            steps.append(StepRecord(order[step.k], step.statistic, step.df,
+                                    step.p_value, decision, _step_diag(step)))
             del step  # the cascade's next build and fits need not hold it
             if decision == "reject":
                 return TestReport(model, order, alpha, tuple(steps), REJECTED)
@@ -109,11 +108,12 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
 
     All pairs are evaluated (no early exit) so the report names every
     failing pair; a pair rejects when its bootstrap CI excludes 1.  The
-    data are compressed to distinct (R, X*) rows once, for every pair.
+    data are compressed to distinct (R, X*) rows, or sorted when they do
+    not compress, once for every pair.
     """
     check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
-    patterns, counts = _row_patterns(data)
+    patterns, counts = _sorted_patterns(data)
     steps = []
     for k in range(data.K):
         for j in range(k + 1, data.K):

@@ -602,8 +602,8 @@ def row_gather_odds_ratio(data, pair, alpha=0.05, n_bootstrap=200, rng=None):
     A resample draws its rows as the estimator's bootstrap does.  When the
     distinct (R, zero-imputed X*) rows, ranked as ``np.unique`` ranks them,
     are at most n / 2, it draws their counts from Multinomial(n, counts / n)
-    and repeats a row of each that many times; otherwise it draws n row
-    indices."""
+    and repeats a row of each that many times; otherwise it draws n indices
+    into the rows in that rank order, so their file order does not count."""
     k, j = pair
     if rng is None:
         rng = np.random.default_rng(0)
@@ -612,6 +612,7 @@ def row_gather_odds_ratio(data, pair, alpha=0.05, n_bootstrap=200, rng=None):
                                return_inverse=True, return_counts=True)
     row_of = np.empty(counts.size, dtype=np.intp)
     row_of[ids] = np.arange(data.n)
+    ranked = np.argsort(ids, kind="stable")
     theta, coefs = _row_gather_theta(data.r, xz, data.names, k, j)
     draws = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
@@ -619,7 +620,7 @@ def row_gather_odds_ratio(data, pair, alpha=0.05, n_bootstrap=200, rng=None):
         if counts.size <= data.n / 2:
             rows = np.repeat(row_of, rng.multinomial(data.n, counts / data.n))
         else:
-            rows = rng.integers(0, data.n, size=data.n)
+            rows = ranked[rng.integers(0, data.n, size=data.n)]
         try:
             draw, _ = _row_gather_theta(data.r[rows], xz[rows], data.names,
                                         k, j, warm=coefs)

@@ -206,6 +206,26 @@ class TestTestCommand:
                      "--output", str(tmp_path / "bp.json")])
         assert code in (0, 1, 2)
 
+    def test_block_parallel_follows_order(self, tmp_path):
+        # The pairs, their labels and their bootstrap streams follow
+        # --order: the report is the one of the file with its columns
+        # written in that order.
+        path = str(tmp_path / "bp.csv")
+        assert main(["simulate", "--scenario", "bp-null", "--dist", "gaussian",
+                     "--n", "1500", "--K", "4", "--seed", "5",
+                     "--emit-data", path]) == 0
+        moved = str(tmp_path / "moved.csv")
+        read_csv(path).reorder(("X2", "X1", "X3", "X4")).to_csv(moved)
+        reports = []
+        for source, order in ((path, ["--order", "X2,X1,X3,X4"]), (moved, [])):
+            out = tmp_path / "bp.json"
+            assert main(["test", "--input", source, "--model", "block-parallel",
+                         "--seed", "1", "--bootstrap", "30", *order,
+                         "--output", str(out)]) in (0, 1, 2)
+            reports.append(out.read_text())
+        assert json.loads(reports[0])["order"] == ["X2", "X1", "X3", "X4"]
+        assert reports[0] == reports[1]
+
 
 class TestSimulateCommand:
     def test_study_csv_shape(self, tmp_path):

@@ -1,6 +1,6 @@
 """Estimation layer: feature building, cascades, LR statistics, odds ratios."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -11,8 +11,7 @@ from mdgof import estimation, numerics
 from mdgof.data import ObservedDataset
 from mdgof.estimation import (FAILURE_REASONS, EstimationError, build_features,
                               estimate_odds_ratio, mar_steps, mnar_steps,
-                              population_odds_ratio, robust_lr_pvalue,
-                              step_test, weighted_lr_stat)
+                              population_odds_ratio, robust_lr_pvalue)
 from mdgof.graph import MDag
 from mdgof.numerics import (DesignMatrix, chisq_sf, expit,
                             fit_weighted_logistic)
@@ -34,6 +33,12 @@ def scenario_dataset(scenario, n, seed, dist="binary", K=4, rng_out=False,
 def cascade_steps(family, data):
     """The tested steps of ``data``'s sequential-MAR or -MNAR cascade."""
     return tuple(mar_steps(data) if family == "mar" else mnar_steps(data, None))
+
+
+def _two_rho(null_fit, alt_fit):
+    """The likelihood-ratio statistic of two fits under the same weights on
+    the same rows, as a cascade step computes it."""
+    return 2.0 * (alt_fit.weighted_loglik - null_fit.weighted_loglik)
 
 
 FIXTURE_R = np.array([[1, 1], [1, 0], [0, 1], [1, 1], [0, 0], [1, 1]],
@@ -168,10 +173,9 @@ class TestMarCascade:
         for seed in (0, 1, 2, 3, 4):
             data = scenario_dataset("mar-null", 3000, seed)
             for step in mar_steps(data):
-                rho, two_rho, df, p = step_test(data, step)
-                assert two_rho >= -1e-6
-                assert df >= 1
-                assert 0.0 <= p <= 1.0
+                assert step.statistic >= -1e-6
+                assert step.df >= 1
+                assert 0.0 <= step.p_value <= 1.0
 
 
 class TestMnarCascade:
@@ -180,10 +184,9 @@ class TestMnarCascade:
         steps = tuple(mnar_steps(data, None))
         assert [s.k for s in steps] == [3, 2, 1]
         for step in steps:
-            rho, two_rho, df, p = step_test(data, step)
             # The alternative adds one proxy product per earlier variable.
-            assert df == step.k
-            assert two_rho >= -1e-6
+            assert step.df == step.k
+            assert step.statistic >= -1e-6
 
     def test_clip_events_counted(self, monkeypatch):
         # A high clip floor clips many weight-update propensities; each later
@@ -215,11 +218,13 @@ class TestMnarCascade:
 
 
 @pytest.mark.parametrize("family", ["mar", "mnar"])
-def test_step_test_uses_the_cascade_designs(family, monkeypatch):
+def test_steps_use_the_cascade_designs(family):
     # Each step's design is the builder's one design on the step mask, its
     # null fit ran on the leading columns, and the columns are the ones the
     # test names here: MAR's null takes the earlier proxies and tests the
-    # later ones, MNAR's the reverse.  step_test builds nothing.
+    # later ones, MNAR's the reverse.  The step's test reads those fits and
+    # that design: 2 rho is the fits' loglik difference, and the p-value is
+    # the robust reference's on the step's rows, weights and counts.
     data = scenario_dataset(f"{family}-null", 3000, 1)
     steps = cascade_steps(family, data)
     assert steps
@@ -247,13 +252,11 @@ def test_step_test_uses_the_cascade_designs(family, monkeypatch):
             y, step.weights)
         assert np.array_equal(refit.coefficients, step.null_fit.coefficients)
         assert refit.weighted_loglik == step.null_fit.weighted_loglik
-
-    def no_rebuild(*args):
-        raise AssertionError("step_test rebuilt a design")
-
-    monkeypatch.setattr("mdgof.estimation.build_features", no_rebuild)
-    for step in steps:
-        step_test(data, step)
+        assert step.statistic == _two_rho(step.null_fit, step.alt_fit)
+        assert step.df == len(block)
+        assert step.p_value == robust_lr_pvalue(
+            max(step.statistic, 0.0), step.null_fit, step.alt_fit, step.design,
+            y, step.weights / step.counts, step.counts)
 
 
 @pytest.mark.parametrize("family, dist, n, seed, cold", [
@@ -318,9 +321,11 @@ def test_warm_alternative_matches_a_cold_refit(family, alt, dist, seed):
         assert cold.converged
         assert abs(cold.weighted_loglik - step.alt_fit.weighted_loglik) \
             <= WARM_COLD_LOGLIK_GAP
-        p_warm = step_test(data, step)[3]
-        p_cold = step_test(data, replace(step, alt_fit=cold))[3]
-        assert (p_warm < 0.05) == (p_cold < 0.05)
+        p_cold = robust_lr_pvalue(
+            max(_two_rho(step.null_fit, cold), 0.0), step.null_fit, cold,
+            step.design, data.r[step.mask, step.k], step.weights / step.counts,
+            step.counts)
+        assert (step.p_value < 0.05) == (p_cold < 0.05)
 
 
 class TestLrStatistic:
@@ -338,43 +343,38 @@ class TestLrStatistic:
 
     def test_nesting_nonnegative(self):
         nd, ad, nf, af, y, w = self._fits(0)
-        rho, two_rho, df = weighted_lr_stat(nf, af)
-        assert two_rho >= -1e-6
-        assert df == 1
+        assert _two_rho(nf, af) >= -1e-6
 
     def test_statistic_is_the_fits_loglik_difference(self):
         # rho is read from the fits; it equals the weighted log-likelihood
         # of each fit's coefficients, evaluated afresh.
         nd, ad, nf, af, y, w = self._fits(
             6, weights=lambda rng, n: rng.uniform(0.2, 5.0, size=n))
-        rho, two_rho, _ = weighted_lr_stat(nf, af)
         want = (weighted_bernoulli_loglik(af.coefficients, ad.values, y, w)
                 - weighted_bernoulli_loglik(nf.coefficients, nd.values, y, w))
-        assert rho == pytest.approx(want, rel=1e-9)
-        assert two_rho == 2.0 * rho
+        assert _two_rho(nf, af) / 2.0 == pytest.approx(want, rel=1e-9)
 
     def test_homogeneity_scales_statistic(self):
         # Refit under 5w: the maximizers stay, the statistic scales by 5.
-        rho, _, _ = weighted_lr_stat(*self._fits(4)[2:4])
-        rho5, _, _ = weighted_lr_stat(*self._fits(4, scale=5.0)[2:4])
-        assert rho5 == pytest.approx(5.0 * rho, rel=1e-9)
+        two_rho = _two_rho(*self._fits(4)[2:4])
+        two_rho5 = _two_rho(*self._fits(4, scale=5.0)[2:4])
+        assert two_rho5 == pytest.approx(5.0 * two_rho, rel=1e-9)
 
     def test_unit_weights_pvalue_near_classical(self):
         nd, ad, nf, af, y, w = self._fits(1)
-        _, two_rho, df = weighted_lr_stat(nf, af)
-        two_rho = max(two_rho, 0.0)
+        two_rho = max(_two_rho(nf, af), 0.0)
         p = robust_lr_pvalue(two_rho, nf, af, ad, y, w)
-        classical = chisq_sf(two_rho, df) if two_rho >= 0 else 1.0
+        classical = chisq_sf(two_rho, 1) if two_rho >= 0 else 1.0
         assert p >= classical - 1e-12
         assert p == pytest.approx(classical, abs=0.05)
 
     def test_weighted_pvalue_valid(self):
         nd, ad, nf, af, y, w = self._fits(
             2, weights=lambda rng, n: rng.uniform(0.2, 5.0, size=n))
-        _, two_rho, df = weighted_lr_stat(nf, af)
+        two_rho = _two_rho(nf, af)
         p = robust_lr_pvalue(max(two_rho, 0.0), nf, af, ad, y, w)
         assert 0.0 <= p <= 1.0
-        assert p >= chisq_sf(max(two_rho, 0.0), df) - 1e-12
+        assert p >= chisq_sf(max(two_rho, 0.0), 1) - 1e-12
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_counts_are_duplicated_rows(self, seed):
@@ -391,7 +391,7 @@ class TestLrStatistic:
         ad = DesignMatrix(("c", "a", "b"), x)
         nf = fit_weighted_logistic(nd, y, w * c)
         af = fit_weighted_logistic(ad, y, w * c)
-        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        two_rho = max(_two_rho(nf, af), 0.0)
         rows = np.repeat(np.arange(n), c.astype(int))
         want = robust_lr_pvalue(two_rho, nf, af, DesignMatrix(ad.names, x[rows]),
                                 y[rows], w[rows])
@@ -416,7 +416,7 @@ class TestLrStatistic:
         ad = DesignMatrix(("c", "a", "b", "d"), x)
         total = w if c is None else w * c
         nf, af = (fit_weighted_logistic(d, y, total) for d in (nd, ad))
-        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        two_rho = max(_two_rho(nf, af), 0.0)
         want = reference_robust_pvalue(two_rho, 2, x, y, w, af.coefficients, c)
         got = robust_lr_pvalue(two_rho, nf, af, ad, y, w, c)
         assert abs(got - want) <= 1e-12 * want
@@ -455,7 +455,7 @@ class TestLrStatistic:
         total = w if c is None else w * c
         nf, af = (fit_weighted_logistic(d, y, total) for d in (nd, ad))
         assume(nf.converged and af.converged)
-        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        two_rho = max(_two_rho(nf, af), 0.0)
         want = reference_robust_pvalue(two_rho, p - df, x, y, w, af.coefficients, c)
         got = robust_lr_pvalue(two_rho, nf, af, ad, y, w, c)
         assert got == pytest.approx(want, rel=1e-10)
@@ -477,14 +477,14 @@ class TestLrStatistic:
         ad = DesignMatrix(ad.names, x)
         nf, af = (fit_weighted_logistic(d, y, w) for d in (nd, ad))
         assert nf.converged and af.converged
-        two_rho = max(weighted_lr_stat(nf, af)[1], 0.0)
+        two_rho = max(_two_rho(nf, af), 0.0)
         with pytest.raises(EstimationError, match="^robust p-value: "):
             robust_lr_pvalue(two_rho, nf, af, ad, y, w)
 
     def test_non_nested_rejected(self):
         nd, ad, nf, af, y, w = self._fits(3)
-        with pytest.raises(EstimationError):
-            weighted_lr_stat(af, nf)
+        with pytest.raises(EstimationError, match="strictly nest"):
+            robust_lr_pvalue(1.0, af, nf, nd, y, w)
 
     def test_null_columns_must_lead(self):
         # The tested block is the alternative's trailing columns, so a null
@@ -494,8 +494,6 @@ class TestLrStatistic:
         moved_fit = fit_weighted_logistic(moved, y, w)
         with pytest.raises(EstimationError, match="strictly nest"):
             robust_lr_pvalue(1.0, moved_fit, af, ad, y, w)
-        with pytest.raises(EstimationError, match="strictly nest"):
-            weighted_lr_stat(moved_fit, af)
 
 
 class TestRowPatterns:
@@ -830,8 +828,8 @@ def test_cascade_weight_scale_invariance(seed, scale):
     assert np.allclose(refit.coefficients, step.alt_fit.coefficients, atol=1e-4)
     assert np.allclose(null_refit.coefficients, step.null_fit.coefficients,
                        atol=1e-4)
-    rho = weighted_lr_stat(step.null_fit, step.alt_fit)[0]
-    assert weighted_lr_stat(null_refit, refit)[0] == pytest.approx(
+    rho = step.statistic / 2.0
+    assert refit.weighted_loglik - null_refit.weighted_loglik == pytest.approx(
         scale * rho, rel=1e-6, abs=1e-9)
 
 
@@ -868,7 +866,6 @@ def test_duplicated_rows_double_the_statistic(family, seed, alt, dist):
             assert np.abs(b.coefficients - a.coefficients).max() <= 1e-8 * scale
             assert np.allclose(expit(x @ b.coefficients), expit(x @ a.coefficients),
                                rtol=0, atol=1e-12)
-        _, two_rho, df, _ = step_test(data, one)
-        _, two_rho2, df2, _ = step_test(doubled, two)
-        assert df2 == df
-        assert two_rho2 == pytest.approx(2.0 * two_rho, rel=1e-9, abs=1e-9)
+        assert two.df == one.df
+        assert two.statistic == pytest.approx(2.0 * one.statistic, rel=1e-9,
+                                              abs=1e-9)

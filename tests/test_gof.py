@@ -381,9 +381,9 @@ def _row_level_report(run, data, alpha=0.05):
              else estimation.mnar_steps(data, None))
     records = []
     for step in steps:
-        _, two_rho, df, p = estimation.step_test(data, step)
-        decision = "reject" if p < alpha else "accept"
-        records.append((data.names[step.k], two_rho, df, p, decision,
+        decision = "reject" if step.p_value < alpha else "accept"
+        records.append((data.names[step.k], step.statistic, step.df,
+                        step.p_value, decision,
                         int(step.mask.sum()), step.clip_events,
                         float(step.weights.max())))
         if decision == "reject":
@@ -608,3 +608,48 @@ class TestBlockParallel:
         report = run_block_parallel(data, seed=0, n_bootstrap=60)
         labels = {s.label for s in report.steps}
         assert "X1~X2" in labels and "X3~X4" in labels
+
+
+@pytest.mark.parametrize("decisions, verdict", [
+    (("reject", INCONCLUSIVE, "accept"), REJECTED),
+    ((INCONCLUSIVE, "accept", "reject"), REJECTED),
+    ((INCONCLUSIVE, "accept", "accept"), INCONCLUSIVE),
+    (("accept", "accept", "accept"), ACCEPTED)])
+def test_block_parallel_verdict_rule(decisions, verdict, monkeypatch):
+    # A rejecting pair rejects the model whatever the other pairs give;
+    # without one, an inconclusive pair makes the verdict inconclusive.
+    by_pair = dict(zip([(0, 1), (0, 2), (1, 2)], decisions))
+
+    def pair_estimate(patterns, counts, n, pair, alpha, n_bootstrap, rng):
+        if by_pair[pair] == INCONCLUSIVE:
+            raise EstimationError("forced")
+        ci = (1.5, 2.0) if by_pair[pair] == "reject" else (0.5, 2.0)
+        return estimation.OddsRatioEstimate(
+            1.7, ci, n_bootstrap, counts.size, 1,
+            dict.fromkeys(estimation.FAILURE_REASONS, 0))
+
+    monkeypatch.setattr(gof, "_pattern_odds_ratio", pair_estimate)
+    data = scenario_dataset("bp-null", 300, 0, K=3)
+    report = run_block_parallel(data, seed=0, n_bootstrap=10)
+    assert [s.decision for s in report.steps] == list(decisions)
+    assert report.verdict == verdict
+
+
+@functools.cache
+def _gaussian_bp_report():
+    data = scenario_dataset("bp-null", 400, 6, dist="gaussian", K=3)
+    return data, run_block_parallel(data, seed=2, n_bootstrap=30).to_json()
+
+
+@settings(max_examples=10, deadline=None)
+@given(perm_seed=st.integers(0, 2 ** 32 - 1))
+def test_block_parallel_report_invariant_to_row_order(perm_seed):
+    # Gaussian rows are each their own pattern; they are sorted before any
+    # pair reads them, so a seed draws the same resamples from permuted rows
+    # and the report is equal, bit for bit.
+    data, want = _gaussian_bp_report()
+    assert estimation._row_patterns(data)[0] is data
+    assert any(s["decision"] != INCONCLUSIVE for s in json.loads(want)["steps"])
+    perm = np.random.default_rng(perm_seed).permutation(data.n)
+    moved = ObservedDataset(data.names, data.r[perm], data.xstar[perm])
+    assert run_block_parallel(moved, seed=2, n_bootstrap=30).to_json() == want
