@@ -148,8 +148,10 @@ def cmd_simulate(args):
         else:
             res = run_study(config, n_jobs=n_jobs)
             if args.scenario.startswith("bp"):
+                # A replication has an estimate exactly when it is conclusive.
+                reps = [i for i, v in enumerate(res.verdicts) if v != INCONCLUSIVE]
                 print("rep,theta_hat,ci_lo,ci_hi", file=out)
-                for i, (th, ci) in enumerate(zip(res.thetas, res.theta_cis)):
+                for i, th, ci in zip(reps, res.thetas, res.theta_cis):
                     print(f"{i},{th:.6f},{ci[0]:.6f},{ci[1]:.6f}", file=out)
             print("n,acceptance_rate,complete_case_pct,inconclusive", file=out)
             print(f"{config.n},{res.acceptance_rate:.4f},"

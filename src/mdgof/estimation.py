@@ -190,8 +190,7 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     alt_fit = _converged(fit_weighted_logistic(masked, y, w, start=start), what)
     counts = counts[mask]
     two_rho = 2.0 * (alt_fit.weighted_loglik - null_fit.weighted_loglik)
-    p = robust_lr_pvalue(max(two_rho, 0.0), null_fit, alt_fit, masked, y,
-                         w / counts, counts)
+    p = robust_lr_pvalue(max(two_rho, 0.0), p0, alt_fit, masked, y, w, counts)
     return CascadeStep(k, null_fit, alt_fit, masked, w, counts, mask,
                        int(clipped[mask] @ counts), stabilized,
                        two_rho, masked.p - p0, p)
@@ -299,8 +298,8 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
             del null
 
 
-def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
-                     design: DesignMatrix, outcome, weights, counts=None):
+def robust_lr_pvalue(two_rho, p0, alt_fit: PropensityFit, design: DesignMatrix,
+                     outcome, weights, counts):
     """P-value of a weighted likelihood-ratio statistic: P(chi2_df > 2rho / lam*).
 
     Under weighting the statistic tends to sum_i lam_i Z_i^2 <= lam_max
@@ -315,26 +314,23 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     A and both V are :func:`weighted_gram` products, summed over row
     blocks; Z keeps its n x df form, and both V are one call on Z.
     A singular A, or lam* <= 1e-12, raises EstimationError.  ``design`` is
-    the alternative's, the null's columns leading.  Row i stands for
-    ``counts[i]`` rows with weight ``weights[i]`` (by default, for itself),
-    so m scales its squared score by the count, not by its square.  The
-    alternative's columns must be the null's, in order, then the df >= 1
-    tested ones; any other pair of fits raises EstimationError.
+    the alternative's; the null is its first ``p0`` columns, and the other
+    df = design.p - p0 >= 1 are tested (any other ``p0`` raises
+    EstimationError).  ``weights`` are the ones both fits ran with: row i
+    stands for ``counts[i]`` rows, and its weight is their common weight
+    times the count, so m scales its squared score by the count, not by
+    its square.
     """
-    p0 = len(null_fit.column_names)
-    df = len(alt_fit.column_names) - p0
-    if df <= 0 or alt_fit.column_names[:p0] != null_fit.column_names:
+    if not 0 < p0 < design.p:
         raise EstimationError("alternative must strictly nest the null")
-    y = np.asarray(outcome, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    c = np.ones_like(w) if counts is None else np.asarray(counts, dtype=float)
     x = design.values
     mu = alt_fit.predict(design)
-    a_mat = weighted_gram(x, (c * w * mu * (1.0 - mu))[None])[0]
+    a_mat = weighted_gram(x, (weights * mu * (1.0 - mu))[None])[0]
     try:
         t = np.linalg.solve(a_mat, np.eye(design.p)[:, p0:])
         z = x @ t
-        middles = np.stack((c * (w * (y - mu)) ** 2, c * w ** 2 * mu * (1.0 - mu)))
+        middles = np.stack(((weights * (outcome - mu)) ** 2,
+                            weights ** 2 * mu * (1.0 - mu))) / counts
         lam = max(float(np.linalg.eigvals(np.linalg.solve(t[p0:], v)).real.max())
                   for v in weighted_gram(z, middles))
     except np.linalg.LinAlgError as exc:
@@ -343,7 +339,7 @@ def robust_lr_pvalue(two_rho, null_fit: PropensityFit, alt_fit: PropensityFit,
     if not lam > 1e-12:
         raise EstimationError(
             f"robust p-value: largest sandwich eigenvalue {lam:.3g} is not positive")
-    return chisq_sf(two_rho / lam, df)
+    return chisq_sf(two_rho / lam, design.p - p0)
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,8 @@ def fit_weighted_logistic_batch(design: DesignMatrix, outcome, weights,
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or len(y) != x.shape[0] or w.shape[1] != x.shape[0]:
         raise ValueError("design, outcome, and weights lengths disagree")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("outcome must be binary")
     beta = np.zeros((w.shape[0], x.shape[1]))

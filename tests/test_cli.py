@@ -270,6 +270,19 @@ class TestSimulateCommand:
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "rep,theta_hat,ci_lo,ci_hi"
 
+    def test_bp_rows_are_numbered_by_replication(self, capsys):
+        # Replications 3 and 5-7 are inconclusive and have no estimate; the
+        # only rejection is replication 4's.
+        assert main(["simulate", "--scenario", "bp-null", "--K", "4", "--n", "60",
+                     "--reps", "8", "--seed", "1", "--bootstrap", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == ["rep,theta_hat,ci_lo,ci_hi",
+                             "0,3.407226,0.000000,32649.218817",
+                             "1,166665.861109,0.000000,539965.609355",
+                             "2,1.113873,0.000000,41910.130547",
+                             "4,8.431315,4.708006,110171.960364"]
+        assert lines[6] == "60,0.7500,0.6354,4"
+
     def test_bp_pair_outside_the_variables_is_usage_error(self, capsys):
         # The block-parallel pair (X1, X2) does not exist at K = 1.
         assert main(["simulate", "--scenario", "bp-null", "--K", "1",
@@ -333,6 +346,16 @@ class TestGraphCommand:
         code = main(["graph", "classify", "--graph", graph_json])
         assert code == 0
         assert "sequential-MAR" in capsys.readouterr().out
+
+    def test_classify_without_order_reads_the_variables_in_turn(self, tmp_path, capsys):
+        # Neither the graph file nor the flags give an order: the graph's
+        # variables are taken in the order they are listed.
+        path = tmp_path / "unordered.json"
+        path.write_text(json.dumps({"variables": ["X1", "X2"],
+                                    "edges": [["X1", "X2"], ["X1*", "R2"]]}))
+        assert main(["graph", "classify", "--graph", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "model": "sequential-MAR", "order": ["X1", "X2"]}
 
     def test_count_params(self, graph_json, capsys):
         code = main(["graph", "count-params", "--graph", graph_json, "--json"])

@@ -63,6 +63,26 @@ def test_infinite_proxy_rejected(value):
         ObservedDataset(("X1", "X2"), r, xs)
 
 
+@pytest.mark.parametrize("names, r, xstar", [
+    (("X1", "X2"), np.ones((3, 2)), np.ones((3, 3))),
+    (("X1", "X2"), np.ones(3), np.ones(3)),
+    (("X1",), np.ones((3, 2)), np.ones((3, 2)))],
+    ids=["proxy-wider", "one-dimensional", "names-short"])
+def test_shape_mismatch_rejected(names, r, xstar):
+    with pytest.raises(DataError, match=r"must be \(n, K\) with K names"):
+        ObservedDataset(names, r, xstar)
+
+
+@pytest.mark.parametrize("xstar", [[[0.0, 1.0], [np.nan, np.nan]],
+                                   [[0.0, 1.0], [3.0, 2.0]]],
+                         ids=["nan-observed", "value-missing"])
+def test_missing_cells_must_follow_the_indicator(xstar):
+    # Row 2 has X1 observed and X2 missing.
+    r = np.array([[1, 1], [1, 0]])
+    with pytest.raises(DataError, match="missing exactly where the indicator is 0"):
+        ObservedDataset(("X1", "X2"), r, np.array(xstar))
+
+
 @pytest.mark.parametrize("token", ["inf", "-Infinity", "NaN", "+inf"])
 def test_read_csv_names_line_and_column_of_non_finite_cell(tmp_path, token):
     path = tmp_path / "bad.csv"

@@ -255,8 +255,8 @@ def test_steps_use_the_cascade_designs(family):
         assert step.statistic == _two_rho(step.null_fit, step.alt_fit)
         assert step.df == len(block)
         assert step.p_value == robust_lr_pvalue(
-            max(step.statistic, 0.0), step.null_fit, step.alt_fit, step.design,
-            y, step.weights / step.counts, step.counts)
+            max(step.statistic, 0.0), len(null), step.alt_fit, step.design,
+            y, step.weights, step.counts)
 
 
 @pytest.mark.parametrize("family, dist, n, seed, cold", [
@@ -322,9 +322,9 @@ def test_warm_alternative_matches_a_cold_refit(family, alt, dist, seed):
         assert abs(cold.weighted_loglik - step.alt_fit.weighted_loglik) \
             <= WARM_COLD_LOGLIK_GAP
         p_cold = robust_lr_pvalue(
-            max(_two_rho(step.null_fit, cold), 0.0), step.null_fit, cold,
-            step.design, data.r[step.mask, step.k], step.weights / step.counts,
-            step.counts)
+            max(_two_rho(step.null_fit, cold), 0.0),
+            len(step.null_fit.column_names), cold, step.design,
+            data.r[step.mask, step.k], step.weights, step.counts)
         assert (step.p_value < 0.05) == (p_cold < 0.05)
 
 
@@ -363,7 +363,7 @@ class TestLrStatistic:
     def test_unit_weights_pvalue_near_classical(self):
         nd, ad, nf, af, y, w = self._fits(1)
         two_rho = max(_two_rho(nf, af), 0.0)
-        p = robust_lr_pvalue(two_rho, nf, af, ad, y, w)
+        p = robust_lr_pvalue(two_rho, nd.p, af, ad, y, w, np.ones_like(w))
         classical = chisq_sf(two_rho, 1) if two_rho >= 0 else 1.0
         assert p >= classical - 1e-12
         assert p == pytest.approx(classical, abs=0.05)
@@ -372,7 +372,7 @@ class TestLrStatistic:
         nd, ad, nf, af, y, w = self._fits(
             2, weights=lambda rng, n: rng.uniform(0.2, 5.0, size=n))
         two_rho = _two_rho(nf, af)
-        p = robust_lr_pvalue(max(two_rho, 0.0), nf, af, ad, y, w)
+        p = robust_lr_pvalue(max(two_rho, 0.0), nd.p, af, ad, y, w, np.ones_like(w))
         assert 0.0 <= p <= 1.0
         assert p >= chisq_sf(max(two_rho, 0.0), 1) - 1e-12
 
@@ -393,9 +393,9 @@ class TestLrStatistic:
         af = fit_weighted_logistic(ad, y, w * c)
         two_rho = max(_two_rho(nf, af), 0.0)
         rows = np.repeat(np.arange(n), c.astype(int))
-        want = robust_lr_pvalue(two_rho, nf, af, DesignMatrix(ad.names, x[rows]),
-                                y[rows], w[rows])
-        assert robust_lr_pvalue(two_rho, nf, af, ad, y, w, c) == pytest.approx(
+        want = robust_lr_pvalue(two_rho, nd.p, af, DesignMatrix(ad.names, x[rows]),
+                                y[rows], w[rows], np.ones(rows.size))
+        assert robust_lr_pvalue(two_rho, nd.p, af, ad, y, w * c, c) == pytest.approx(
             want, rel=1e-12, abs=1e-12)
         assert want > chisq_sf(two_rho, 1)  # lam* exceeds 1 here
 
@@ -418,7 +418,8 @@ class TestLrStatistic:
         nf, af = (fit_weighted_logistic(d, y, total) for d in (nd, ad))
         two_rho = max(_two_rho(nf, af), 0.0)
         want = reference_robust_pvalue(two_rho, 2, x, y, w, af.coefficients, c)
-        got = robust_lr_pvalue(two_rho, nf, af, ad, y, w, c)
+        got = robust_lr_pvalue(two_rho, 2, af, ad, y, total,
+                               np.ones(n) if c is None else c)
         assert abs(got - want) <= 1e-12 * want
         assert 0.0 < got < 1.0
 
@@ -457,7 +458,8 @@ class TestLrStatistic:
         assume(nf.converged and af.converged)
         two_rho = max(_two_rho(nf, af), 0.0)
         want = reference_robust_pvalue(two_rho, p - df, x, y, w, af.coefficients, c)
-        got = robust_lr_pvalue(two_rho, nf, af, ad, y, w, c)
+        got = robust_lr_pvalue(two_rho, p - df, af, ad, y, total,
+                               np.ones(n) if c is None else c)
         assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
@@ -479,21 +481,16 @@ class TestLrStatistic:
         assert nf.converged and af.converged
         two_rho = max(_two_rho(nf, af), 0.0)
         with pytest.raises(EstimationError, match="^robust p-value: "):
-            robust_lr_pvalue(two_rho, nf, af, ad, y, w)
+            robust_lr_pvalue(two_rho, nd.p, af, ad, y, w, np.ones_like(w))
 
-    def test_non_nested_rejected(self):
+    @pytest.mark.parametrize("p0", [0, 3, 4], ids=["no-null", "no-tested-block",
+                                                    "wider-than-design"])
+    def test_non_nested_rejected(self, p0):
+        # The null is the design's first p0 columns and the tested block the
+        # rest: both must be non-empty.
         nd, ad, nf, af, y, w = self._fits(3)
         with pytest.raises(EstimationError, match="strictly nest"):
-            robust_lr_pvalue(1.0, af, nf, nd, y, w)
-
-    def test_null_columns_must_lead(self):
-        # The tested block is the alternative's trailing columns, so a null
-        # whose columns are the alternative's in another place is refused.
-        nd, ad, nf, af, y, w = self._fits(5)
-        moved = DesignMatrix(("c", "b"), ad.values[:, [0, 2]])
-        moved_fit = fit_weighted_logistic(moved, y, w)
-        with pytest.raises(EstimationError, match="strictly nest"):
-            robust_lr_pvalue(1.0, moved_fit, af, ad, y, w)
+            robust_lr_pvalue(1.0, p0, af, ad, y, w, np.ones_like(w))
 
 
 class TestRowPatterns:
@@ -529,6 +526,28 @@ class TestRowPatterns:
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(
             np.column_stack([patterns.r, np.nan_to_num(patterns.xstar)]), want)
+
+    def test_distinct_wide_rows_stop_at_the_ranking(self, monkeypatch):
+        # 300 distinct rows over 70 indicators: the key ranked after 62 of
+        # them already has more than n / 2 values, so no later column is
+        # read and every row is its own pattern.
+        rng = np.random.default_rng(4)
+        r = (rng.random((300, 70)) < 0.7).astype(np.int8)
+        x = np.where(r == 1, rng.integers(0, 2, size=r.shape), np.nan)
+        data = ObservedDataset(tuple(f"X{i}" for i in range(70)), r, x)
+        read = []
+        column_codes = estimation._column_codes
+
+        def reading(d):
+            for base, codes in column_codes(d):
+                read.append(base)
+                yield base, codes
+
+        monkeypatch.setattr(estimation, "_column_codes", reading)
+        patterns, counts = estimation._row_patterns(data)
+        assert patterns is data
+        assert np.array_equal(counts, np.ones(300))
+        assert len(read) == 63
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
@@ -588,6 +607,15 @@ class TestResampleCounts:
 
 
 class TestOddsRatio:
+    def test_collapsed_bootstrap_is_an_error(self):
+        # n = 20, K = 3: the point estimate exists, but 13 of 20 resamples
+        # lose an indicator's variation or a fit, fewer than the 10 needed.
+        data = scenario_dataset("bp-null", 20, 33, K=3)
+        with pytest.raises(EstimationError,
+                           match=r"^bootstrap collapsed: only 7/20 resamples usable$"):
+            estimate_odds_ratio(data, (0, 1), n_bootstrap=20,
+                                rng=np.random.default_rng(0))
+
     def test_symmetry_exact(self):
         data = scenario_dataset("bp-null", 3000, 8)
         assert _pairwise_theta(data, 0, 1) == pytest.approx(

@@ -552,6 +552,22 @@ class TestBlockParallel:
         assert "empty numerator cell" in first.diagnostics["error"]
         assert report.verdict == INCONCLUSIVE
 
+    def test_point_estimate_without_variation_inconclusive(self):
+        # X1 and X2 are never observed together: the numerator cell (both
+        # missing) has rows, but every row with X2 observed misses X1, so
+        # X1's propensity has a one-class outcome.
+        rng = np.random.default_rng(2)
+        r = np.array([[0, 0], [0, 1], [1, 0]] * 40, dtype=np.int8)
+        data = ObservedDataset(("X1", "X2"), r,
+                               np.where(r == 1, rng.normal(size=r.shape), np.nan))
+        report = run_block_parallel(data, seed=0, n_bootstrap=20)
+        assert report.verdict == INCONCLUSIVE
+        assert [s.to_dict() for s in report.steps] == [
+            {"k": "X1~X2", "statistic": None, "df": None, "p_value": None,
+             "decision": INCONCLUSIVE,
+             "diagnostics": {"error": "no variation in X1 among rows with all "
+                                      "other indicators observed"}}]
+
     def test_empty_dataset_inconclusive(self):
         data = ObservedDataset(("X1", "X2", "X3"), np.zeros((0, 3)),
                                np.zeros((0, 3)))
