@@ -56,14 +56,15 @@ class ObservedDataset:
     def reorder(self, order):
         """Columns permuted to ``order`` (a permutation of the names).  The
         dataset is immutable, so an order it already has returns it as is."""
+        order = tuple(order)
         defects = permutation_defects(order, self.names)
         if defects:
             raise DataError("order must be a permutation of the dataset "
                             f"variables: {defects}")
-        if tuple(order) == self.names:
+        if order == self.names:
             return self
         idx = [self.names.index(v) for v in order]
-        return ObservedDataset(tuple(order), self.r[:, idx], self.xstar[:, idx])
+        return ObservedDataset(order, self.r[:, idx], self.xstar[:, idx])
 
     def complete_case_proportion(self):
         return float(np.mean(np.all(self.r == 1, axis=1)))

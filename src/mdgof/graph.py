@@ -247,7 +247,8 @@ def validate_mdag(graph: MDag):
 # ---------------------------------------------------------------------------
 
 def dsep_digraph(parents, children, left, right, given):
-    """d-separation on a plain digraph via active-trail reachability.
+    """d-separation on a plain digraph via active-trail reachability
+    (Shachter's Bayes-ball, 1998).
 
     ``parents``/``children`` map each node to an iterable of neighbors.
     """
@@ -262,29 +263,32 @@ def dsep_digraph(parents, children, left, right, given):
                 anc.add(p)
                 stack.append(p)
 
-    # States: (node, "up") trail leaves through parents/children freely,
-    # (node, "down") trail arrived along an edge into the node.
-    visited = set()
-    frontier = [(v, "up") for v in left]
-    while frontier:
-        v, d = frontier.pop()
-        if (v, d) in visited:
-            continue
-        visited.add((v, d))
-        if v not in given and v in right:
-            return False
-        if d == "up" and v not in given:
-            for p in parents.get(v, ()):
-                frontier.append((p, "up"))
-            for c in children.get(v, ()):
-                frontier.append((c, "down"))
-        elif d == "down":
+    # A node is reached "up" when the trail may leave it through parents and
+    # children alike, and "down" when the trail arrived along an edge into it;
+    # each direction has its own stack and its own visited set.
+    up, up_seen = list(left), set()
+    down, down_seen = [], set()
+    while up or down:
+        if up:
+            v = up.pop()
+            if v in up_seen or v in given:
+                continue  # a conditioned node blocks a trail arriving from below
+            up_seen.add(v)
+            if v in right:
+                return False
+            up.extend(parents.get(v, ()))
+            down.extend(children.get(v, ()))
+        else:
+            v = down.pop()
+            if v in down_seen:
+                continue
+            down_seen.add(v)
             if v not in given:
-                for c in children.get(v, ()):
-                    frontier.append((c, "down"))
+                if v in right:
+                    return False
+                down.extend(children.get(v, ()))
             if v in anc:
-                for p in parents.get(v, ()):
-                    frontier.append((p, "up"))
+                up.extend(parents.get(v, ()))
     return True
 
 
@@ -367,49 +371,49 @@ def d_separated(graph: MDag, query: IndependenceQuery):
 # Model classification
 # ---------------------------------------------------------------------------
 
+# The defining independence of each model class at position k of an order,
+# most specific class first: (right, given) for the left set {R_k}, from the
+# order's variables X, indicators R and proxies P.
+_DEFINING = {
+    SEQ_MAR: lambda k, X, R, P: (set(X), set(R[:k]) | set(P[:k])),
+    SEQ_MNAR: lambda k, X, R, P: (set(X[:k + 1]) | set(P[:k]), set(R[:k]) | set(X[k + 1:])),
+    BLOCK_PARALLEL: lambda k, X, R, P: ((set(R) - {R[k]}) | {X[k]}, set(X) - {X[k]}),
+    PERMUTATION: lambda k, X, R, P: (set(X[:k + 1]), set(R[:k]) | set(P[:k]) | set(X[k + 1:])),
+    NO_SELF_CENSORING: lambda k, X, R, P: ({X[k]}, (set(R) - {R[k]}) | (set(X) - {X[k]})),
+}
+
+
 def _class_queries(graph: MDag, order):
-    """Defining independence sets of each model class under ``order``, most
-    specific class first."""
+    """Defining independences of each model class under ``order`` (any
+    iterable), most specific class first: one iterator per class, which
+    builds each query only when it is asked for.  A bad order raises here,
+    before any query is built."""
+    order = tuple(order)
     defects = permutation_defects(order, graph.substantive)
     if defects:
         raise GraphError(f"order must be a permutation of the graph variables: {defects}")
-    order = tuple(order)
-    K = len(order)
     R = [graph.indicator_of[v] for v in order]
     P = [proxy_name(v) for v in order]
-    X = list(order)
+    return {name: _defining_queries(spec, order, R, P) for name, spec in _DEFINING.items()}
 
-    queries = {SEQ_MAR: [], SEQ_MNAR: [], BLOCK_PARALLEL: [],
-               PERMUTATION: [], NO_SELF_CENSORING: []}
-    for k in range(K):
-        pre_r = set(R[:k])
-        pre_p = set(P[:k])
-        pre_x = set(X[:k])
-        post_x = set(X[k + 1:])
-        queries[SEQ_MAR].append(
-            IndependenceQuery({R[k]}, set(X), pre_r | pre_p))
-        queries[SEQ_MNAR].append(
-            IndependenceQuery({R[k]}, pre_x | {X[k]} | pre_p, pre_r | post_x))
-        queries[BLOCK_PARALLEL].append(
-            IndependenceQuery({R[k]}, (set(R) - {R[k]}) | {X[k]},
-                              set(X) - {X[k]}))
-        queries[PERMUTATION].append(
-            IndependenceQuery({R[k]}, pre_x | {X[k]}, pre_r | pre_p | post_x))
-        queries[NO_SELF_CENSORING].append(
-            IndependenceQuery({R[k]}, {X[k]},
-                              (set(R) - {R[k]}) | (set(X) - {X[k]})))
-    return queries
+
+def _defining_queries(spec, X, R, P):
+    for k in range(len(X)):
+        yield IndependenceQuery({R[k]}, *spec(k, X, R, P))
 
 
 def satisfied_model_classes(graph: MDag, order):
-    """Set of model classes whose defining d-separations all hold."""
+    """Set of model classes whose defining d-separations all hold.  Each
+    class's are asked in order, and the class is dropped at the first that
+    fails."""
     return {name for name, qs in _class_queries(graph, order).items()
             if all(d_separated(graph, q) for q in qs)}
 
 
 def classify_model(graph: MDag, order):
     """The most specific model class whose defining d-separations all hold
-    (the first in :func:`_class_queries` order), or ``OTHER``.  Assumes a
+    (the first in :func:`_class_queries` order), or ``OTHER``.  Each class's
+    d-separations are asked in order, up to the first that fails.  Assumes a
     valid graph (see the module docstring)."""
     for name, qs in _class_queries(graph, order).items():
         if all(d_separated(graph, q) for q in qs):

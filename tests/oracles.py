@@ -14,7 +14,9 @@ The Newton kernel is also kept in its earlier form (a masked logistic, a
 ``logaddexp`` loglik and a second linear predictor per iteration), as the
 reference the fused kernel must reproduce bit for bit, and CSV read and
 write in their cell-by-cell form, which the blocked writer and the
-``np.loadtxt`` reader must match byte for byte and error for error.
+``np.loadtxt`` reader must match byte for byte and error for error, and
+the model classes' defining queries as eager lists, which the lazy ones
+that classification asks must match query for query.
 
 Two helpers at the end are not independent: the weighted Bernoulli loglik
 and a pair's odds-ratio point estimate, which only the tests call, built on
@@ -31,11 +33,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
-from mdgof.data import MISSING_TOKEN, DataError, ObservedDataset
+from mdgof.data import (MISSING_TOKEN, DataError, ObservedDataset,
+                        permutation_defects)
 from mdgof.estimation import (FAILURE_REASONS, NO_VARIATION, NOT_CONVERGED,
                               PROPENSITY_CLIP, EstimationError,
                               OddsRatioEstimate, _PairEquation, _row_patterns)
-from mdgof.graph import MDag, indicator_name, proxy_name, validate_mdag
+from mdgof.graph import (BLOCK_PARALLEL, NO_SELF_CENSORING, PERMUTATION, SEQ_MAR,
+                         SEQ_MNAR, GraphError, IndependenceQuery, MDag,
+                         indicator_name, proxy_name, validate_mdag)
 from mdgof.numerics import (MAX_ITER, SCORE_TOL, SEPARATION_BOUND,
                             DesignMatrix, PropensityFit, _weighted_loglik,
                             fit_weighted_logistic)
@@ -335,6 +340,44 @@ def surgered_digraph(graph: MDag, fixed):
     parents = {v: {s for s, t in edges if t == v and s != v} for v in nodes}
     children = {v: {t for s, t in edges if s == v and t != v} for v in nodes}
     return parents, children, rename
+
+
+# ---------------------------------------------------------------------------
+# model classes' defining queries, every one built up front
+# ---------------------------------------------------------------------------
+
+def reference_class_queries(graph: MDag, order):
+    """Defining independence sets of each model class under ``order``, most
+    specific class first."""
+    defects = permutation_defects(order, graph.substantive)
+    if defects:
+        raise GraphError(f"order must be a permutation of the graph variables: {defects}")
+    order = tuple(order)
+    K = len(order)
+    R = [graph.indicator_of[v] for v in order]
+    P = [proxy_name(v) for v in order]
+    X = list(order)
+
+    queries = {SEQ_MAR: [], SEQ_MNAR: [], BLOCK_PARALLEL: [],
+               PERMUTATION: [], NO_SELF_CENSORING: []}
+    for k in range(K):
+        pre_r = set(R[:k])
+        pre_p = set(P[:k])
+        pre_x = set(X[:k])
+        post_x = set(X[k + 1:])
+        queries[SEQ_MAR].append(
+            IndependenceQuery({R[k]}, set(X), pre_r | pre_p))
+        queries[SEQ_MNAR].append(
+            IndependenceQuery({R[k]}, pre_x | {X[k]} | pre_p, pre_r | post_x))
+        queries[BLOCK_PARALLEL].append(
+            IndependenceQuery({R[k]}, (set(R) - {R[k]}) | {X[k]},
+                              set(X) - {X[k]}))
+        queries[PERMUTATION].append(
+            IndependenceQuery({R[k]}, pre_x | {X[k]}, pre_r | pre_p | post_x))
+        queries[NO_SELF_CENSORING].append(
+            IndependenceQuery({R[k]}, {X[k]},
+                              (set(R) - {R[k]}) | (set(X) - {X[k]})))
+    return queries
 
 
 # ---------------------------------------------------------------------------

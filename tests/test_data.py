@@ -114,6 +114,17 @@ class TestReorder:
         assert e.names == ("X3", "X1", "X2")
         assert e.r.tolist() == [[0, 1, 1]]
 
+    def test_one_shot_order(self):
+        # An iterator order is read once; before, the permutation check
+        # consumed it and a dataset with no columns came back.
+        d = dataset([[1.0, 2.0, np.nan]])
+        e = d.reorder(iter(("X3", "X1", "X2")))
+        assert e.names == ("X3", "X1", "X2")
+        assert e.r.tolist() == [[0, 1, 1]]
+        assert d.reorder(iter(d.names)) is d
+        with pytest.raises(DataError, match="missing X3$"):
+            d.reorder(iter(("X1", "X2")))
+
 
 class TestWriterMatchesCellwise:
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])

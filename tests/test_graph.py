@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from mdgof.graph import testability_verdict as verdict_for
 
 from oracles import (brute_force_dsep, enumerated_no_self_censoring_counts,
                      enumerated_parent_configs, random_digraph_instance,
-                     random_mdag, random_mixed_graph, reference_colluding_paths,
-                     scanned_validate_mdag, scanned_vertex, surgered_digraph)
+                     random_mdag, random_mixed_graph, reference_class_queries,
+                     reference_colluding_paths, scanned_validate_mdag,
+                     scanned_vertex, surgered_digraph)
 
 
 def mar_graph():
@@ -429,6 +431,44 @@ class TestClassification:
         satisfied = satisfied_model_classes(g, order)
         first = [c for c in _class_queries(g, order) if c in satisfied]
         assert classify_model(g, order) == (first[0] if first else "other")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_classification_asks_the_reference_queries_it_builds(self, seed):
+        # Classification asks the eager reference's queries in the
+        # reference's order, class by class up to the first that fails,
+        # and builds a query only when it asks it.
+        rng = np.random.default_rng(seed)
+        g, _ = random_mdag(rng, max_k=5, max_card=2)
+        order = tuple(rng.permutation(g.substantive))
+        reference = reference_class_queries(g, order)
+        holds = {name: [d_separated(g, q) for q in qs] for name, qs in reference.items()}
+        satisfied = [name for name, h in holds.items() if all(h)]
+        assert satisfied_model_classes(g, order) == set(satisfied)
+        expected = []
+        for name, qs in reference.items():
+            if name in satisfied:
+                expected += qs
+                break
+            expected += qs[:holds[name].index(False) + 1]
+        built = mock.Mock(wraps=IndependenceQuery)
+        asked = mock.Mock(wraps=d_separated)
+        with mock.patch.object(graph_module, "IndependenceQuery", built), \
+                mock.patch.object(graph_module, "d_separated", asked):
+            got = classify_model(g, order)
+        assert got == (satisfied[0] if satisfied else "other")
+        assert [c.args[1] for c in asked.call_args_list] == expected
+        assert built.call_count == asked.call_count == len(expected)
+
+    def test_one_shot_order(self):
+        # A generator order is read once; before, the permutation check
+        # consumed it and the empty rest was classified.
+        g = MDag.create(("X1", "X2"), edges=[("X1", "R1")])
+        assert classify_model(g, (v for v in ("X1", "X2"))) == "other"
+        assert (satisfied_model_classes(g, iter(("X1", "X2")))
+                == satisfied_model_classes(g, ("X1", "X2")))
+        with pytest.raises(GraphError, match="missing X2$"):
+            classify_model(g, iter(("X1",)))
 
     def test_order_must_cover_variables(self):
         with pytest.raises(GraphError, match="missing X2$"):
