@@ -33,7 +33,10 @@ class ObservedDataset:
 
     def __post_init__(self):
         names = tuple(self.names)
-        r = np.asarray(self.r, dtype=np.int8)
+        r = np.asarray(self.r)
+        if not ((r == 0) | (r == 1)).all():
+            raise DataError("indicators must be 0 or 1")
+        r = r.astype(np.int8, copy=False)
         xs = np.asarray(self.xstar, dtype=float)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "r", r)

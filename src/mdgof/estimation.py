@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import ObservedDataset, permutation_defects
 from .graph import GraphError, MDag, identification_blockers
-from .numerics import (DEGENERATE, DesignMatrix, PropensityFit, chisq_sf, expit,
+from .numerics import (DEGENERATE, DesignMatrix, PropensityFit, chisq_sf,
                        fit_weighted_logistic, fit_weighted_logistic_batch,
                        weighted_gram)
 
@@ -138,12 +138,11 @@ def _converged(fit: PropensityFit, what):
     return fit
 
 
-def _divide_weights(weights, clipped, fit: PropensityFit, design: DesignMatrix,
-                    rows=slice(None)):
-    """Divide the running ``weights`` on ``rows`` by ``fit``'s propensities on
-    ``design`` (those rows), clipped below at PROPENSITY_CLIP, and add each
-    row's clipped propensity to its count in ``clipped``."""
-    probs = np.maximum(fit.predict(design), PROPENSITY_CLIP)
+def _divide_weights(weights, clipped, fit: PropensityFit, rows=slice(None)):
+    """Divide the running ``weights`` on ``rows``, the rows ``fit`` ran on,
+    by its fitted propensities, clipped below at PROPENSITY_CLIP, and add
+    each row's clipped propensity to its count in ``clipped``."""
+    probs = np.maximum(fit.fitted, PROPENSITY_CLIP)
     weights[rows] /= probs
     clipped[rows] += probs <= PROPENSITY_CLIP
 
@@ -170,12 +169,13 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     w = weights[mask]
     stabilized = True  # a mask that keeps every row has probability 1
     if not mask.all():
-        lead = _leading(design, 1 + k + sum(j < k for j in null_proxies))
-        stab = fit_weighted_logistic(lead, mask.astype(np.int8), counts)
+        stab = fit_weighted_logistic(
+            _leading(design, 1 + k + sum(j < k for j in null_proxies)),
+            mask.astype(np.int8), counts)
         stabilized = stab.converged
         if stabilized:
-            w *= stab.predict(lead)[mask]
-        del lead
+            w *= stab.fitted[mask]
+        del stab  # its n fitted values need not outlive the product
     masked = _leading(design, design.p, mask)
     # The step keeps its masked design; holding the full-row design
     # through the masked fits and the test as well would raise peak memory.
@@ -237,12 +237,12 @@ def mar_steps(data: ObservedDataset, counts=None):
                                 weights, clipped, counts)
             if k > partial[0]:
                 # The full-sample null: R_k given the earlier indicators and
-                # proxies, each row weighted by its count alone.
-                design = build_features(data, k, range(k), ())[0]
-                fit = _converged(fit_weighted_logistic(design, data.r[:, k], counts),
-                                 f"null propensity fit for {data.names[k]}")
-                _divide_weights(weights, clipped, fit, design)
-                del design  # the next step's fits need not hold it
+                # proxies, each row weighted by its count alone.  Neither its
+                # design nor its fit outlives the division.
+                _divide_weights(weights, clipped, _converged(
+                    fit_weighted_logistic(build_features(data, k, range(k), ())[0],
+                                          data.r[:, k], counts),
+                    f"null propensity fit for {data.names[k]}"))
 
 
 def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
@@ -288,14 +288,14 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
             # requires R_k = 1 and lies inside this one, so no other row is
             # read again.  Weights without a fitted stabilizer are those raw
             # weights, so the step's null fit is that fit.
-            mask, update_fit, stabilized = step.mask, step.null_fit, step.stabilized
-            null = _leading(step.design, len(update_fit.column_names))
-            del step  # the next step's build and fits need not hold it
-            if not mask.all() and stabilized:
+            mask, update_fit = step.mask, step.null_fit
+            if not mask.all() and step.stabilized:
+                null = _leading(step.design, step.design.p - step.df)
+                step = update_fit = None  # the refit need not hold the step's arrays
                 update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
             _converged(update_fit, f"weight-update fit for {data.names[k]}")
-            _divide_weights(omega, clipped, update_fit, null, mask)
-            del null
+            _divide_weights(omega, clipped, update_fit, mask)
+            step = update_fit = null = None  # nor need the next step's build and fits
 
 
 def robust_lr_pvalue(two_rho, p0, alt_fit: PropensityFit, design: DesignMatrix,
@@ -324,7 +324,7 @@ def robust_lr_pvalue(two_rho, p0, alt_fit: PropensityFit, design: DesignMatrix,
     if not 0 < p0 < design.p:
         raise EstimationError("alternative must strictly nest the null")
     x = design.values
-    mu = alt_fit.predict(design)
+    mu = alt_fit.fitted
     a_mat = weighted_gram(x, (weights * mu * (1.0 - mu))[None])[0]
     try:
         t = np.linalg.solve(a_mat, np.eye(design.p)[:, p0:])
@@ -423,14 +423,14 @@ class _PairEquation:
 
     The designs take the proxies zero-imputed; rows entering each propensity
     fit have the needed variables observed, so the imputation never leaks in.
-    What depends only on the rows -- the row subsets, each target's design
-    on its conditioning rows and that design's complete-case rows -- is
-    built once; a bootstrap resample changes only the counts, which enter
-    the fits as frequency weights, and every row of counts is fit in one
-    batched Newton solve.  A row with a zero count stays in each fit at
-    weight 0: on continuous data about a third of the rows are absent from
-    a resample, yet gathering the present rows for every fit measured
-    slower than carrying them.
+    What depends only on the rows -- the row subsets and each target's
+    design on its conditioning rows -- is built once; a bootstrap resample
+    changes only the counts, which enter the fits as frequency weights, and
+    every row of counts is fit in one batched Newton solve, whose fitted
+    probabilities on the complete rows give the odds factors.  A row with a
+    zero count stays in each fit at weight 0: on continuous data about a
+    third of the rows are absent from a resample, yet gathering the present
+    rows for every fit measured slower than carrying them.
     """
 
     def __init__(self, patterns: ObservedDataset, k, j):
@@ -448,12 +448,7 @@ class _PairEquation:
             columns = ("intercept",) + tuple(f"X[{self.names[i]}]" for i in rest)
             design = DesignMatrix(
                 columns, np.column_stack([np.ones(cond.size), xz[cond][:, rest]]))
-            # Among the conditioning rows, the complete ones are those with
-            # R_target = 1; their covariates are kept transposed, as the odds
-            # factors read them.
-            y = r[cond, target]
-            cc_xt = design.values.T.compress(y == 1, axis=1)
-            self.targets.append((target, cond, y, design, cc_xt))
+            self.targets.append((target, cond, r[cond, target], design))
 
     def theta(self, counts, warm=None):
         """(theta, failure, coefficients) of every row of the counts
@@ -465,7 +460,7 @@ class _PairEquation:
         failure = [None] * counts.shape[0]
         ratio = np.take(counts, self.complete, axis=1)
         coefs = {}
-        for target, cond, y, design, cc_xt in self.targets:
+        for target, cond, y, design in self.targets:
             w = np.take(counts, cond, axis=1)
             name = self.names[target]
             tol = None if warm is None else 1e-5 * np.maximum(1.0, w.sum(axis=1))
@@ -481,7 +476,9 @@ class _PairEquation:
                         (NOT_CONVERGED, f"propensity fit for {name} failed: "
                                         f"{fit.messages[b]}"))
             coefs[target] = fit.coefficients
-            p = np.clip(expit(fit.coefficients @ cc_xt),
+            # Among the conditioning rows, the complete ones are those with
+            # R_target = 1.
+            p = np.clip(fit.fitted.compress(y == 1, axis=1),
                         PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
             ratio *= (1.0 - p) / p
         # The clipped odds factors are positive, and a resample without a
@@ -531,6 +528,8 @@ def check_alpha(alpha):
 def check_n_bootstrap(n_bootstrap):
     """A percentile CI needs max(MIN_BOOTSTRAP, B // 2) usable resamples, so
     fewer than MIN_BOOTSTRAP resamples can never give one."""
+    if not isinstance(n_bootstrap, (int, np.integer)):
+        raise ValueError(f"n_bootstrap must be an integer, got {n_bootstrap!r}")
     if n_bootstrap < MIN_BOOTSTRAP:
         raise ValueError(
             f"n_bootstrap must be at least {MIN_BOOTSTRAP}, got {n_bootstrap}")

@@ -590,7 +590,7 @@ def count_parameters(graph: MDag, cardinalities):
     cards = dict(cardinalities)
     for v in graph.substantive:
         c = cards.get(v)
-        if c is None or c < 2 or c != int(c):
+        if c is None or not 2 <= c < math.inf or c != int(c):
             raise GraphError(f"need a finite cardinality >= 2 for {v}")
 
     full = sum((cards[x] - 1) * _valid_parent_configs(graph, graph.parents(x), cards)

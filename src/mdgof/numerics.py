@@ -159,12 +159,8 @@ class PropensityFit:
     converged: bool
     iterations: int
     weighted_loglik: float      # at ``coefficients``
-    column_names: tuple = ()
+    fitted: np.ndarray          # P(outcome = 1) at ``coefficients``, per row
     message: str = ""
-
-    def predict(self, design: DesignMatrix):
-        """Fitted P(outcome = 1) for each row of ``design``."""
-        return expit(design.values @ self.coefficients)
 
 
 DEGENERATE = "degenerate outcome: one class has zero total weight"
@@ -200,10 +196,12 @@ def _newton(x, y, w, beta, tol):
     arrays compacted, so a batch where every fit is active and takes its
     full step does no gather.  Each Hessian is :func:`weighted_gram`'s
     blocked sum, which at the paper's size is one product.
-    Returns (coefficients (B, p), converged, iterations, loglik, messages).
+    Returns (coefficients (B, p), converged, iterations, loglik, fitted
+    probabilities (B, m), messages), each fit's at its exit.
     """
     B = w.shape[0]
     coef = np.empty_like(beta)
+    fitted = np.empty_like(w)
     loglik = np.empty(B)
     iterations = np.empty(B, dtype=np.intp)
     messages = [""] * B
@@ -228,6 +226,7 @@ def _newton(x, y, w, beta, tol):
         if done.any():
             rows = idx[done]
             coef[rows], loglik[rows], iterations[rows] = beta[done], ll[done], it - 1
+            fitted[rows] = mu[done]
             for i, f in zip(rows, first[done]):
                 messages[i] = why if f else otherwise
             if done.all():
@@ -258,7 +257,7 @@ def _newton(x, y, w, beta, tol):
             pending = pending[~ok]
         beta, ll = cand, ll_cand
     converged = np.array([not m for m in messages])
-    return coef, converged, iterations, loglik, tuple(messages)
+    return coef, converged, iterations, loglik, fitted, tuple(messages)
 
 
 @dataclass(frozen=True)
@@ -269,6 +268,7 @@ class BatchFit:
     converged: np.ndarray       # (B,) bool
     iterations: np.ndarray      # (B,) int
     weighted_loglik: np.ndarray  # (B,)
+    fitted: np.ndarray          # (B, m)
     messages: tuple             # (B,) str, "" when converged
 
 
@@ -321,4 +321,4 @@ def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
     fit = fit_weighted_logistic_batch(design, y, w[None, :], start, tol)
     return PropensityFit(fit.coefficients[0], bool(fit.converged[0]),
                          int(fit.iterations[0]), float(fit.weighted_loglik[0]),
-                         design.names, fit.messages[0])
+                         fit.fitted[0], fit.messages[0])

@@ -57,6 +57,9 @@ class ScenarioConfig:
                              f"width, got {self.param_range}")
         if not lo < hi:
             raise ValueError("param_range must be (lo, hi) with lo < hi")
+        for name in ("n", "reps", "K", "n_bootstrap", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.reps < 1 or self.K < 1:
             raise ValueError("n, reps, and K must be positive")
         check_alpha(self.alpha)

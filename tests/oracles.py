@@ -43,7 +43,7 @@ from mdgof.graph import (BLOCK_PARALLEL, NO_SELF_CENSORING, PERMUTATION, SEQ_MAR
                          indicator_name, proxy_name, validate_mdag)
 from mdgof.numerics import (MAX_ITER, SCORE_TOL, SEPARATION_BOUND,
                             DesignMatrix, PropensityFit, _weighted_loglik,
-                            fit_weighted_logistic)
+                            expit, fit_weighted_logistic)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ def reference_fit_weighted_logistic(design, outcome, weights=None, start=None,
 
     if w[y == 1].sum() == 0 or w[y == 0].sum() == 0:
         ll = logaddexp_loglik(beta, x, y, w)
-        return PropensityFit(beta, False, 0, ll, design.names,
+        return PropensityFit(beta, False, 0, ll, masked_expit(x @ beta),
                              "degenerate outcome: one class has zero total weight")
 
     if tol is None:
@@ -464,7 +464,7 @@ def reference_fit_weighted_logistic(design, outcome, weights=None, start=None,
         resid = w * (y - mu)
         score = x.T @ resid
         if np.max(np.abs(score)) < tol:
-            return PropensityFit(beta, True, it - 1, ll, design.names)
+            return PropensityFit(beta, True, it - 1, ll, mu)
         wvar = w * mu * (1.0 - mu)
         hess = x.T @ (wvar[:, None] * x)
         try:
@@ -483,9 +483,9 @@ def reference_fit_weighted_logistic(design, outcome, weights=None, start=None,
             beta = beta + scale * step
             ll = logaddexp_loglik(beta, x, y, w)
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
-            return PropensityFit(beta, False, it, ll, design.names,
+            return PropensityFit(beta, False, it, ll, masked_expit(x @ beta),
                                  "complete separation suspected (coefficients diverging)")
-    return PropensityFit(beta, False, MAX_ITER, ll, design.names,
+    return PropensityFit(beta, False, MAX_ITER, ll, masked_expit(x @ beta),
                          "maximum iterations reached")
 
 
@@ -629,7 +629,8 @@ def _row_gather_theta(r, xz, names, k, j, warm=None):
         cc_design = DesignMatrix(
             design.names,
             np.column_stack([np.ones(ratio.size), xz[complete][:, rest]]))
-        p = np.clip(fit.predict(cc_design), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+        p = np.clip(expit(cc_design.values @ fit.coefficients),
+                    PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
         ratio *= (1.0 - p) / p
     den = float(ratio.sum()) / n
     if den <= 0:

@@ -83,6 +83,20 @@ def test_missing_cells_must_follow_the_indicator(xstar):
         ObservedDataset(("X1", "X2"), r, np.array(xstar))
 
 
+@pytest.mark.parametrize("bad", [2, 1.5, -1, np.nan])
+def test_indicator_values_other_than_0_and_1_rejected(bad):
+    # Every r == 1 test would read a 2 as missing, and the int8 cast would
+    # turn 1.5 into 1: both are refused before the cast.
+    r = np.array([[bad, 1], [1, 0], [0, 1], [1, 1]])
+    xs = np.where(r == 0, np.nan, 1.0)
+    with pytest.raises(DataError, match="^indicators must be 0 or 1$"):
+        ObservedDataset(("A", "B"), r, xs)
+    r[0, 0] = 1
+    data = ObservedDataset(("A", "B"), r, np.where(r == 0, np.nan, 1.0))
+    assert data.r.dtype == np.int8
+    assert data.complete_case_proportion() == 0.5
+
+
 @pytest.mark.parametrize("token", ["inf", "-Infinity", "NaN", "+inf"])
 def test_read_csv_names_line_and_column_of_non_finite_cell(tmp_path, token):
     path = tmp_path / "bad.csv"

@@ -1,6 +1,6 @@
 """Estimation layer: feature building, cascades, LR statistics, odds ratios."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -123,8 +123,7 @@ class TestMarCascade:
         # alternative fit are zero in population.
         data = scenario_dataset("mar-null", 40_000, 17)
         for step in mar_steps(data):
-            for name, coef in zip(step.alt_fit.column_names,
-                                  step.alt_fit.coefficients):
+            for name, coef in zip(step.design.names, step.alt_fit.coefficients):
                 if name.startswith("X["):
                     assert abs(coef) < 0.15
 
@@ -239,9 +238,9 @@ def test_steps_use_the_cascade_designs(family):
                    else (range(k + 1, data.K), range(k)))
         full, mask = build_features(data, k, *proxies)
         assert np.array_equal(mask, step.mask)
-        assert step.null_fit.column_names == null
-        assert step.alt_fit.column_names == step.design.names == full.names \
-            == null + block
+        assert step.design.names == full.names == null + block
+        assert len(step.null_fit.coefficients) == len(null)
+        assert len(step.alt_fit.coefficients) == step.design.p
         assert np.array_equal(step.design.values, full.values[mask])
         assert step.design.values.flags.f_contiguous
         # Refit on a column-major copy of the builder's leading columns, the
@@ -290,7 +289,7 @@ def test_alternative_starts_from_its_null(family, dist, n, seed, cold,
             assert start is None
             continue
         warm += 1
-        df = len(step.alt_fit.column_names) - len(step.null_fit.column_names)
+        df = len(step.alt_fit.coefficients) - len(step.null_fit.coefficients)
         assert np.array_equal(
             start, np.concatenate([step.null_fit.coefficients, np.zeros(df)]))
     assert len(steps) - warm == cold
@@ -323,7 +322,7 @@ def test_warm_alternative_matches_a_cold_refit(family, alt, dist, seed):
             <= WARM_COLD_LOGLIK_GAP
         p_cold = robust_lr_pvalue(
             max(_two_rho(step.null_fit, cold), 0.0),
-            len(step.null_fit.column_names), cold, step.design,
+            step.design.p - step.df, cold, step.design,
             data.r[step.mask, step.k], step.weights, step.counts)
         assert (step.p_value < 0.05) == (p_cold < 0.05)
 
@@ -393,7 +392,8 @@ class TestLrStatistic:
         af = fit_weighted_logistic(ad, y, w * c)
         two_rho = max(_two_rho(nf, af), 0.0)
         rows = np.repeat(np.arange(n), c.astype(int))
-        want = robust_lr_pvalue(two_rho, nd.p, af, DesignMatrix(ad.names, x[rows]),
+        want = robust_lr_pvalue(two_rho, nd.p, replace(af, fitted=af.fitted[rows]),
+                                DesignMatrix(ad.names, x[rows]),
                                 y[rows], w[rows], np.ones(rows.size))
         assert robust_lr_pvalue(two_rho, nd.p, af, ad, y, w * c, c) == pytest.approx(
             want, rel=1e-12, abs=1e-12)
@@ -715,6 +715,14 @@ class TestOddsRatio:
             estimate_odds_ratio(data, (0, 1), n_bootstrap=n_bootstrap)
         assert not isinstance(info.value, EstimationError)
 
+    @pytest.mark.parametrize("n_bootstrap", [20.5, 20.0])
+    def test_non_integer_bootstrap_count_refused(self, n_bootstrap):
+        data = scenario_dataset("bp-null", 500, 1)
+        with pytest.raises(ValueError,
+                           match="^n_bootstrap must be an integer, got ") as info:
+            estimate_odds_ratio(data, (0, 1), n_bootstrap=n_bootstrap)
+        assert not isinstance(info.value, EstimationError)
+
     def test_alpha_outside_the_unit_interval_refused(self):
         # 1.5 would put the CI's lower quantile above its upper one.
         data = scenario_dataset("bp-null", 500, 1)
@@ -844,8 +852,8 @@ def test_cascade_weight_scale_invariance(seed, scale):
         assume(False)
     step = steps[0]
     y = data.r[step.mask, step.k]
-    p0 = len(step.null_fit.column_names)
-    null = DesignMatrix(step.null_fit.column_names,
+    p0 = step.design.p - step.df
+    null = DesignMatrix(step.design.names[:p0],
                         np.ascontiguousarray(step.design.values[:, :p0]))
     null_refit = fit_weighted_logistic(null, y, scale * step.weights)
     start = None
@@ -887,7 +895,7 @@ def test_duplicated_rows_double_the_statistic(family, seed, alt, dist):
     twice = cascade_steps(family, doubled)
     assert [s.k for s in twice] == [s.k for s in steps]
     for one, two in zip(steps, twice):
-        p0 = len(one.null_fit.column_names)
+        p0 = one.design.p - one.df
         for a, b, x in ((one.null_fit, two.null_fit, one.design.values[:, :p0]),
                         (one.alt_fit, two.alt_fit, one.design.values)):
             scale = max(1.0, np.abs(a.coefficients).max())

@@ -691,9 +691,11 @@ class TestParameterCounting:
         with pytest.raises(GraphError):
             count_parameters(g, {"X1": 2, "X2": 2})
 
-    def test_cardinality_validation(self):
-        with pytest.raises(GraphError):
-            count_parameters(mar_graph(), {"X1": 2, "X2": 1})
+    # int(inf) would raise OverflowError and int(nan) a bare ValueError.
+    @pytest.mark.parametrize("bad", [1, 2.5, float("inf"), float("-inf"), float("nan")])
+    def test_cardinality_validation(self, bad):
+        with pytest.raises(GraphError, match="^need a finite cardinality >= 2 for X2$"):
+            count_parameters(mar_graph(), {"X1": 2, "X2": bad})
 
 
 class TestSerialization:

@@ -201,11 +201,12 @@ def _kernel_cases():
 def test_kernel_matches_unfused_reference(case):
     """The fused Newton kernel takes the same path as the kernel that
     recomputed x @ beta for mu: bit-identical coefficients, iteration
-    counts, flags and messages."""
+    counts, flags and messages, and the same fitted probabilities."""
     _, design, y, w, start, tol = case
     got = fit_weighted_logistic(design, y, w, start=start, tol=tol)
     want = reference_fit_weighted_logistic(design, y, w, start=start, tol=tol)
     assert np.array_equal(got.coefficients, want.coefficients)
+    np.testing.assert_allclose(got.fitted, want.fitted, rtol=0, atol=1e-15)
     assert (got.iterations, got.converged, got.message) == (
         want.iterations, want.converged, want.message)
     assert got.weighted_loglik == pytest.approx(want.weighted_loglik, rel=1e-12)
@@ -239,12 +240,14 @@ def test_kernel_cases_reach_every_exit(monkeypatch):
 
 def _assert_batch_matches_single_fits(design, y, rows):
     """Fit every (weights, start, tol) of ``rows`` in one batch: each fit
-    must equal the one-row fit of its weights, start and tolerance."""
+    must equal the one-row fit of its weights, start and tolerance, its
+    fitted probabilities among them."""
     weights = np.array([w for w, _, _ in rows])
     start = np.array([np.zeros(design.p) if s is None else s for _, s, _ in rows])
     tol = np.array([SCORE_TOL * max(1.0, w.sum()) if t is None else t
                     for w, _, t in rows])
     batch = fit_weighted_logistic_batch(design, y, weights, start=start, tol=tol)
+    row_norm = np.abs(design.values).sum(axis=1).max()
     for b, (w, s, t) in enumerate(rows):
         one = fit_weighted_logistic(design, y, w, start=s, tol=t)
         scale = max(1.0, float(np.max(np.abs(one.coefficients))))
@@ -252,6 +255,10 @@ def _assert_batch_matches_single_fits(design, y, rows):
                                    rtol=1e-12, atol=1e-12 * scale)
         assert (int(batch.iterations[b]), bool(batch.converged[b]),
                 batch.messages[b]) == (one.iterations, one.converged, one.message)
+        # Coefficients within 2e-12 x scale move each row's expit, whose
+        # slope is at most 1/4, by at most 0.5e-12 x scale x |x_i|_1.
+        np.testing.assert_allclose(batch.fitted[b], one.fitted, rtol=0,
+                                   atol=0.5e-12 * scale * row_norm)
     return batch
 
 
@@ -300,7 +307,8 @@ def test_mixed_batch_exits_fit_by_fit():
 def test_fit_matches_reference_on_random_designs(seed, p, binary, weighted,
                                                  start, tol):
     """On random binary or gaussian designs, weights, starts and
-    tolerances, the kernel takes the reference's path bit for bit."""
+    tolerances, the kernel takes the reference's path bit for bit and
+    returns its fitted probabilities."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 60))
     cols = (rng.integers(0, 2, size=(n, p - 1)) if binary
@@ -314,6 +322,7 @@ def test_fit_matches_reference_on_random_designs(seed, p, binary, weighted,
     got = fit_weighted_logistic(design, y, w, start=beta0, tol=tol)
     want = reference_fit_weighted_logistic(design, y, w, start=beta0, tol=tol)
     assert np.array_equal(got.coefficients, want.coefficients)
+    np.testing.assert_allclose(got.fitted, want.fitted, rtol=0, atol=1e-15)
     assert (got.iterations, got.converged, got.message) == (
         want.iterations, want.converged, want.message)
 

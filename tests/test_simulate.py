@@ -158,6 +158,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="mar-null", n=0)
 
+    @pytest.mark.parametrize("field", ["n", "reps", "K", "n_bootstrap", "seed"])
+    @pytest.mark.parametrize("value", [500.5, 500.0, "500"])
+    def test_non_integer_sizes(self, field, value):
+        # A float size would end in range(), and a float seed in
+        # SeedSequence, with a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ScenarioConfig(scenario="bp-null", **{field: value})
+
     def test_bootstrap_below_minimum(self):
         with pytest.raises(ValueError, match="at least 10"):
             ScenarioConfig(scenario="bp-null", n_bootstrap=9)
