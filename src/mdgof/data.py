@@ -32,7 +32,7 @@ class ObservedDataset:
     xstar: np.ndarray  # (n, K) float, NaN where r == 0
 
     def __post_init__(self):
-        names = tuple(self.names)
+        names = check_names(tuple(self.names), "a dataset")
         r = np.asarray(self.r)
         if not ((r == 0) | (r == 1)).all():
             raise DataError("indicators must be 0 or 1")
@@ -161,9 +161,13 @@ def _read_header(fh):
         raise DataError("empty CSV") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable CSV: {exc}") from exc
-    names = tuple(h.strip() for h in header)
+    return check_names(tuple(h.strip() for h in header), "header")
+
+
+def check_names(names, holder):
+    """``names``, unless one repeats or is empty: a DataError names ``holder``."""
     if len(set(names)) != len(names) or any(not n for n in names):
-        raise DataError("header must contain unique, nonempty variable names")
+        raise DataError(f"{holder} must contain unique, nonempty variable names")
     return names
 
 

@@ -398,106 +398,86 @@ def _row_patterns(data: ObservedDataset):
     return data, np.broadcast_to(1.0, n)
 
 
-def _sorted_patterns(data: ObservedDataset):
-    """:func:`_row_patterns` of ``data`` in an order that ``data``'s row
-    order does not set, so the bootstrap's row draws do not follow it:
-    rows that are each their own pattern are put in the lexicographic
-    order of their (R, X*) rows, as compressed patterns are.  Rows that
-    tie on every column are the same numbers."""
-    patterns, counts = _row_patterns(data)
-    if patterns is data:
-        rows = np.lexsort([*data.xstar.T[::-1], *data.r.T[::-1]])
-        patterns = ObservedDataset(data.names, data.r[rows], data.xstar[rows])
-    return patterns, counts
-
-
 def _numerator_cell(r, k, j):
     """Rows with every indicator but k and j observed and both k, j missing."""
     others = [i for i in range(r.shape[1]) if i not in (k, j)]
     return np.all(r[:, others] == 1, axis=1) & (r[:, k] == 0) & (r[:, j] == 0)
 
 
-class _PairEquation:
-    """Estimating equation of OR(R_k=0, R_j=0 | X_{-kj}, R_{-kj}=1) on the
-    fixed distinct rows ``patterns``, evaluated for a matrix of their counts.
+class _OddsRatioEquation:
+    """Estimating equations of OR(R_k=0, R_j=0 | X_{-kj}, R_{-kj}=1) for
+    every pair (k, j) of the tuple ``targets``, k before j, on the fixed
+    distinct rows ``patterns``, evaluated for a matrix of their counts.
 
-    The designs take the proxies zero-imputed; rows entering each propensity
-    fit have the needed variables observed, so the imputation never leaks in.
-    What depends only on the rows -- the row subsets and each target's
-    design on its conditioning rows -- is built once; a bootstrap resample
-    changes only the counts, which enter the fits as frequency weights, and
-    every row of counts is fit in one batched Newton solve, whose fitted
-    probabilities on the complete rows give the odds factors.  A row with a
-    zero count stays in each fit at weight 0: on continuous data about a
-    third of the rows are absent from a resample, yet gathering the present
-    rows for every fit measured slower than carrying them.
+    The propensity p(R_t = 1 | R_{-t} = 1, X_{-t}) depends on the target t
+    alone, so each target's design, on its conditioning rows with the
+    proxies zero-imputed (they are observed there), is built once and fit
+    once for every pair.  A resample changes only the counts, which enter
+    the fits as frequency weights; every row of counts is fit in one batched
+    Newton solve per target, whose fitted probabilities on the complete rows
+    give the odds factors.  A row with a zero count stays in each fit at
+    weight 0: on continuous data about a third of the rows are absent from a
+    resample, yet gathering the present rows for every fit measured slower
+    than carrying them.
     """
 
-    def __init__(self, patterns: ObservedDataset, k, j):
+    def __init__(self, patterns: ObservedDataset, targets):
         r, xz = patterns.r, np.nan_to_num(patterns.xstar, nan=0.0)
-        K = patterns.K
         self.names = patterns.names
         # Row subsets are index arrays: np.take of columns is the cheapest
         # gather from a matrix of counts.
         self.complete = np.flatnonzero(np.all(r == 1, axis=1))
-        self.numerator = _numerator_cell(r, k, j)
-        self.targets = []
-        for target in (k, j):
-            rest = [i for i in range(K) if i != target]
+        self.numerators = {(k, j): _numerator_cell(r, k, j)
+                           for i, k in enumerate(targets) for j in targets[i + 1:]}
+        self.targets = {}
+        for target in targets:
+            rest = [i for i in range(patterns.K) if i != target]
             cond = np.flatnonzero(np.all(r[:, rest] == 1, axis=1))
             columns = ("intercept",) + tuple(f"X[{self.names[i]}]" for i in rest)
             design = DesignMatrix(
                 columns, np.column_stack([np.ones(cond.size), xz[cond][:, rest]]))
-            self.targets.append((target, cond, r[cond, target], design))
+            self.targets[target] = (cond, r[cond, target], design)
 
-    def theta(self, counts, warm=None):
-        """(theta, failure, coefficients) of every row of the counts
-        ``counts`` (B, m).  ``failure[b]`` is None or (reason, message), the
-        first of: no variation in k, k's fit, no variation in j, j's fit;
-        theta[b] is then NaN.  ``coefficients`` maps each target to its
-        (B, p) fits.  Bootstrap refits warm start from the point-estimate
-        coefficients ``warm`` at a looser tolerance."""
-        failure = [None] * counts.shape[0]
-        ratio = np.take(counts, self.complete, axis=1)
-        coefs = {}
-        for target, cond, y, design in self.targets:
+    def theta(self, counts, pairs, warm=None):
+        """(theta (B, P), failure, coefficients) of the P pairs ``pairs`` at
+        each row b of the counts ``counts`` (B, m).  ``failure[i][b]`` is None
+        or pair i's (reason, message), the first of: no variation in k, k's
+        fit, no variation in j, j's fit; theta[b, i] is then NaN.
+        ``coefficients`` maps each target to its (B, p) fits: bootstrap
+        refits start from the point estimate's, ``warm``, at a looser tolerance."""
+        complete = np.take(counts, self.complete, axis=1)
+        odds, failed, coefs = {}, {}, {}
+        for target in dict.fromkeys(t for pair in pairs for t in pair):
+            cond, y, design = self.targets[target]
             w = np.take(counts, cond, axis=1)
             name = self.names[target]
             tol = None if warm is None else 1e-5 * np.maximum(1.0, w.sum(axis=1))
             fit = fit_weighted_logistic_batch(
-                design, y, w, start=None if warm is None else warm[target], tol=tol)
-            for b in np.flatnonzero(~fit.converged):
-                # A one-class outcome is exactly a resample without variation.
-                if failure[b] is None:
-                    failure[b] = (
-                        (NO_VARIATION, f"no variation in {name} among rows with "
-                                       "all other indicators observed")
-                        if fit.messages[b] == DEGENERATE else
-                        (NOT_CONVERGED, f"propensity fit for {name} failed: "
-                                        f"{fit.messages[b]}"))
+                design, y, w, start=None if warm is None else warm[target][0], tol=tol)
+            # A one-class outcome is exactly a resample without variation.
+            failed[target] = [
+                None if not message else
+                (NO_VARIATION, f"no variation in {name} among rows with all "
+                               "other indicators observed") if message == DEGENERATE else
+                (NOT_CONVERGED, f"propensity fit for {name} failed: {message}")
+                for message in fit.messages]
             coefs[target] = fit.coefficients
             # Among the conditioning rows, the complete ones are those with
             # R_target = 1.
             p = np.clip(fit.fitted.compress(y == 1, axis=1),
                         PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
-            ratio *= (1.0 - p) / p
+            odds[target] = (1.0 - p) / p
         # The clipped odds factors are positive, and a resample without a
-        # complete case has no variation in target k, so every denominator
+        # complete case has no variation in any target, so every denominator
         # left is positive.
         n = counts.sum(axis=1)
-        den = ratio.sum(axis=1) / n
-        ok = np.array([f is None for f in failure], dtype=bool)
-        theta = np.full(counts.shape[0], np.nan)
-        theta[ok] = ((counts @ self.numerator)[ok] / n[ok]) / den[ok]
+        theta = np.full((counts.shape[0], len(pairs)), np.nan)
+        failure = [[fk or fj for fk, fj in zip(failed[k], failed[j])] for k, j in pairs]
+        for i, (k, j) in enumerate(pairs):
+            ok = np.array([f is None for f in failure[i]], dtype=bool)
+            den = (complete * odds[k] * odds[j]).sum(axis=1) / n
+            theta[ok, i] = ((counts @ self.numerators[k, j])[ok] / n[ok]) / den[ok]
         return theta, failure, coefs
-
-    def point_estimate(self, counts):
-        """(theta, coefficient per target) at the counts vector ``counts``;
-        raises the failure of the estimating equation."""
-        theta, failure, coefs = self.theta(counts[None, :])
-        if failure[0] is not None:
-            raise EstimationError(failure[0][1])
-        return float(theta[0]), {t: c[0] for t, c in coefs.items()}
 
 
 def _resample_counts(rng, counts, n, size):
@@ -536,9 +516,10 @@ def check_n_bootstrap(n_bootstrap):
 
 
 def check_pair(pair, K):
-    """A block-parallel pair is two distinct indices of the K variables."""
+    """A block-parallel pair is two distinct integer indices of the K variables."""
     k, j = pair
-    if k == j or not (0 <= k < K and 0 <= j < K):
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               and 0 <= i < K for i in pair) or k == j:
         raise ValueError(f"pair must be two distinct indices in 0..{K - 1}, got {pair}")
 
 
@@ -562,45 +543,62 @@ def estimate_odds_ratio(data: ObservedDataset, pair, alpha=0.05,
     indicator observed) raises: the estimate would be 0 with a degenerate
     CI (0, 0), which says nothing about the odds ratio.
     """
+    check_pair(pair, data.K)
+    (estimate,) = _odds_ratios(data, tuple(pair), alpha, n_bootstrap,
+                               np.random.default_rng(0) if rng is None else rng).values()
+    if isinstance(estimate, EstimationError):
+        raise estimate
+    return estimate
+
+
+def _odds_ratios(data: ObservedDataset, targets, alpha, n_bootstrap, rng):
+    """:func:`estimate_odds_ratio` of every pair (k, j) of the tuple
+    ``targets``, k before j: a dict from each pair, in that order, to its
+    OddsRatioEstimate or to the EstimationError it raises alone.  The data
+    are compressed once, every pair reads one stream of resamples drawn
+    from ``rng``, and each target is fit once per chunk of them."""
     check_alpha(alpha)
     check_n_bootstrap(n_bootstrap)
-    check_pair(pair, data.K)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    patterns, counts = _sorted_patterns(data)
-    return _pattern_odds_ratio(patterns, counts, data.n, pair, alpha,
-                               n_bootstrap, rng)
-
-
-def _pattern_odds_ratio(patterns: ObservedDataset, counts, n, pair, alpha,
-                        n_bootstrap, rng) -> OddsRatioEstimate:
-    """:func:`estimate_odds_ratio` of the n rows that :func:`_sorted_patterns`
-    compressed to the distinct rows ``patterns`` with ``counts``, its
-    arguments already checked."""
-    k, j = pair
-    equation = _PairEquation(patterns, k, j)
-    numerator_cell = int(counts @ equation.numerator)
-    if numerator_cell == 0:
-        raise EstimationError(
-            f"empty numerator cell: no rows with {patterns.names[k]} and "
-            f"{patterns.names[j]} both missing and every other variable observed")
-    theta, coefs = equation.point_estimate(counts)
-    draws = []
-    failed = dict.fromkeys(FAILURE_REASONS, 0)
-    chunk = max(1, BOOTSTRAP_CHUNK_CELLS // counts.size)
-    for first in range(0, n_bootstrap, chunk):
-        resamples = _resample_counts(rng, counts, n, min(chunk, n_bootstrap - first))
-        thetas, failure, _ = equation.theta(resamples, warm=coefs)
-        draws.extend(thetas[~np.isnan(thetas)])
-        for f in failure:
-            if f is not None:
-                failed[f[0]] += 1
-    if len(draws) < max(MIN_BOOTSTRAP, n_bootstrap // 2):
-        raise EstimationError(
-            f"bootstrap collapsed: only {len(draws)}/{n_bootstrap} resamples usable")
-    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return OddsRatioEstimate(theta, (float(lo), float(hi)), n_bootstrap,
-                             counts.size, numerator_cell, failed)
+    patterns, counts = _row_patterns(data)
+    if patterns is data:
+        # Rows that are each their own pattern are put in the lexicographic
+        # order of their (R, X*) rows, as compressed patterns are, so that the
+        # resamples' row draws do not follow the data's row order.  Rows that
+        # tie on every column are the same numbers.
+        rows = np.lexsort([*data.xstar.T[::-1], *data.r.T[::-1]])
+        patterns = ObservedDataset(data.names, data.r[rows], data.xstar[rows])
+    equation = _OddsRatioEquation(patterns, targets)
+    cells = {pair: int(counts @ cell) for pair, cell in equation.numerators.items()}
+    pairs = [pair for pair, cell in cells.items() if cell]
+    theta, failure, coefs = equation.theta(counts[None, :], pairs)
+    point = dict(zip(pairs, theta[0]))
+    errors = {pair: f[0][1] for pair, f in zip(pairs, failure) if f[0] is not None}
+    live = [pair for pair in pairs if pair not in errors]
+    draws, reasons = {pair: [] for pair in live}, {pair: [] for pair in live}
+    chunk = max(1, BOOTSTRAP_CHUNK_CELLS // max(1, counts.size))
+    for first in range(0, n_bootstrap if live else 0, chunk):
+        resamples = _resample_counts(rng, counts, data.n, min(chunk, n_bootstrap - first))
+        thetas, failures, _ = equation.theta(resamples, live, warm=coefs)
+        for pair, column, fails in zip(live, thetas.T, failures):
+            draws[pair].extend(column[~np.isnan(column)])
+            reasons[pair].extend(f[0] for f in fails if f is not None)
+    results = {}
+    for (k, j), cell in cells.items():
+        if not cell:
+            results[k, j] = EstimationError(
+                f"empty numerator cell: no rows with {data.names[k]} and "
+                f"{data.names[j]} both missing and every other variable observed")
+        elif (k, j) in errors:
+            results[k, j] = EstimationError(errors[k, j])
+        elif len(draws[k, j]) < max(MIN_BOOTSTRAP, n_bootstrap // 2):
+            results[k, j] = EstimationError(f"bootstrap collapsed: only {len(draws[k, j])}"
+                                            f"/{n_bootstrap} resamples usable")
+        else:
+            lo, hi = np.quantile(draws[k, j], [alpha / 2.0, 1.0 - alpha / 2.0])
+            failed = {reason: reasons[k, j].count(reason) for reason in FAILURE_REASONS}
+            results[k, j] = OddsRatioEstimate(float(point[k, j]), (float(lo), float(hi)),
+                                              n_bootstrap, counts.size, cell, failed)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .data import ObservedDataset
-from .estimation import (EstimationError, _pattern_odds_ratio, _row_patterns,
-                         _sorted_patterns, check_alpha, check_n_bootstrap,
+from .estimation import (EstimationError, _odds_ratios, _row_patterns, check_alpha,
                          mar_steps, mnar_steps)
 from .graph import MDag
 from .numerics import child_rng
@@ -109,30 +108,26 @@ def test_block_parallel(data: ObservedDataset, alpha=0.05, n_bootstrap=200,
     All pairs are evaluated (no early exit) so the report names every
     failing pair; a pair rejects when its bootstrap CI excludes 1.  The
     data are compressed to distinct (R, X*) rows, or sorted when they do
-    not compress, once for every pair.
+    not compress, once for every pair; every pair reads one stream of
+    resamples drawn from ``seed``, and each variable's propensity is fit
+    once for all pairs.
     """
-    check_alpha(alpha)
-    check_n_bootstrap(n_bootstrap)
-    patterns, counts = _sorted_patterns(data)
     steps = []
-    for k in range(data.K):
-        for j in range(k + 1, data.K):
-            label = f"{data.names[k]}~{data.names[j]}"
-            try:
-                est = _pattern_odds_ratio(patterns, counts, data.n, (k, j),
-                                          alpha, n_bootstrap, child_rng(seed, k, j))
-            except EstimationError as exc:
-                steps.append(StepRecord(label, None, None, None, INCONCLUSIVE,
-                                        {"error": str(exc)}))
-                continue
-            decision = "reject" if est.ci_excludes_one else "accept"
-            steps.append(StepRecord(label, est.theta_hat, None, None, decision,
-                                    {"ci": list(est.bootstrap_ci),
-                                     "n_bootstrap": est.n_bootstrap,
-                                     "failed_resamples": est.n_failed_resamples,
-                                     "failed_resamples_by_reason": est.failed_by_reason,
-                                     "n_patterns": est.n_patterns,
-                                     "numerator_cell": est.numerator_cell}))
+    for (k, j), est in _odds_ratios(data, tuple(range(data.K)), alpha, n_bootstrap,
+                                    child_rng(seed)).items():
+        label = f"{data.names[k]}~{data.names[j]}"
+        if isinstance(est, EstimationError):
+            steps.append(StepRecord(label, None, None, None, INCONCLUSIVE,
+                                    {"error": str(est)}))
+            continue
+        decision = "reject" if est.ci_excludes_one else "accept"
+        steps.append(StepRecord(label, est.theta_hat, None, None, decision,
+                                {"ci": list(est.bootstrap_ci),
+                                 "n_bootstrap": est.n_bootstrap,
+                                 "failed_resamples": est.n_failed_resamples,
+                                 "failed_resamples_by_reason": est.failed_by_reason,
+                                 "n_patterns": est.n_patterns,
+                                 "numerator_cell": est.numerator_cell}))
     decisions = {s.decision for s in steps}
     verdict = (REJECTED if "reject" in decisions else
                INCONCLUSIVE if INCONCLUSIVE in decisions else ACCEPTED)

@@ -28,8 +28,8 @@ GRAM_BLOCK_CELLS = 1 << 17
 
 
 def _logistic(eta, e):
-    """expit(eta) from eta and e = exp(-|eta|), with no masked copies."""
-    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    """expit(eta) from eta and e = exp(-|eta|): exp(min(eta, 0)) is 1 or e."""
+    return np.exp(np.minimum(eta, 0.0)) / (1.0 + e)
 
 
 def _weighted_loglik(eta, y, w):

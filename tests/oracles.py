@@ -37,7 +37,7 @@ from mdgof.data import (MISSING_TOKEN, DataError, ObservedDataset,
                         permutation_defects)
 from mdgof.estimation import (FAILURE_REASONS, NO_VARIATION, NOT_CONVERGED,
                               PROPENSITY_CLIP, EstimationError,
-                              OddsRatioEstimate, _PairEquation, _row_patterns)
+                              OddsRatioEstimate, _OddsRatioEquation, _row_patterns)
 from mdgof.graph import (BLOCK_PARALLEL, NO_SELF_CENSORING, PERMUTATION, SEQ_MAR,
                          SEQ_MNAR, GraphError, IndependenceQuery, MDag,
                          indicator_name, proxy_name, validate_mdag)
@@ -765,4 +765,7 @@ def weighted_bernoulli_loglik(beta, x, y, w):
 def _pairwise_theta(data: ObservedDataset, k, j):
     """Point estimate of the pairwise conditional odds ratio."""
     patterns, counts = _row_patterns(data)
-    return _PairEquation(patterns, k, j).point_estimate(counts)[0]
+    theta, failure, _ = _OddsRatioEquation(patterns, (k, j)).theta(counts[None, :], [(k, j)])
+    if failure[0][0] is not None:
+        raise EstimationError(failure[0][0][1])
+    return float(theta[0, 0])

@@ -73,6 +73,14 @@ def test_shape_mismatch_rejected(names, r, xstar):
         ObservedDataset(names, r, xstar)
 
 
+@pytest.mark.parametrize("names", [("A", "A"), ("A", "")], ids=["repeated", "empty"])
+def test_repeated_or_empty_names_rejected(names):
+    # Such a dataset would write a CSV whose header read_csv refuses.
+    with pytest.raises(DataError,
+                       match="^a dataset must contain unique, nonempty variable names$"):
+        ObservedDataset(names, [[1, 1]], [[1.0, 2.0]])
+
+
 @pytest.mark.parametrize("xstar", [[[0.0, 1.0], [np.nan, np.nan]],
                                    [[0.0, 1.0], [3.0, 2.0]]],
                          ids=["nan-observed", "value-missing"])

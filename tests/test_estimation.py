@@ -697,12 +697,12 @@ class TestOddsRatio:
         data = scenario_dataset("bp-null", 400, 1, K=3)
         patterns, counts = estimation._row_patterns(data)
         r = patterns.r
-        equation = estimation._PairEquation(patterns, 0, 1)
+        equation = estimation._OddsRatioEquation(patterns, (0, 1))
         no_k = counts * (r[:, 0] == 1)      # every row left has R1 = 1
         no_j = counts * (r[:, 1] == 1)
-        theta, failure, _ = equation.theta(
-            np.array([counts, no_k, no_j, no_k * (r[:, 1] == 1)]))
-        assert failure[0] is None and np.isfinite(theta[0])
+        theta, (failure,), _ = equation.theta(
+            np.array([counts, no_k, no_j, no_k * (r[:, 1] == 1)]), [(0, 1)])
+        assert failure[0] is None and np.isfinite(theta[0, 0])
         assert [f[0] for f in failure[1:]] == ["no variation"] * 3
         # Without variation in both, the first target checked is named.
         assert [f[1].split(" ")[3] for f in failure[1:]] == ["X1", "X2", "X1"]
@@ -730,13 +730,19 @@ class TestOddsRatio:
             estimate_odds_ratio(data, (0, 1), alpha=1.5, n_bootstrap=10)
         assert not isinstance(info.value, EstimationError)
 
-    @pytest.mark.parametrize("pair", [(1, 1), (0, 4), (-1, 2)])
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 4), (-1, 2), (0.5, 1), (True, 2)])
     def test_pair_must_be_two_distinct_indices(self, pair):
-        # K = 4: a repeated index, one past the last, and a negative one.
+        # K = 4: a repeated index, one past the last, a negative one, one
+        # that is not an integer and a bool.
         data = scenario_dataset("bp-alt", 300, 0)
         with pytest.raises(ValueError, match=r"two distinct indices in 0\.\.3") as info:
             estimate_odds_ratio(data, pair, n_bootstrap=10)
         assert not isinstance(info.value, EstimationError)
+
+    def test_numpy_integer_pair_accepted(self):
+        data = scenario_dataset("bp-alt", 300, 0)
+        est = estimate_odds_ratio(data, (np.int64(0), np.int8(2)), n_bootstrap=10)
+        assert est == estimate_odds_ratio(data, (0, 2), n_bootstrap=10)
 
     def test_duplicated_rows_leave_theta_unchanged(self):
         data = scenario_dataset("bp-alt", 2000, 6)

@@ -601,17 +601,39 @@ class TestBlockParallel:
 
         monkeypatch.setattr(gof, "_row_patterns", row_patterns)
         monkeypatch.setattr(estimation, "_row_patterns", row_patterns)
-        report = run_block_parallel(data, alpha=0.1, seed=5, n_bootstrap=30)
+        run_block_parallel(data, alpha=0.1, seed=5, n_bootstrap=30)
         assert len(calls) == 1
-        # The report is that of estimating each pair on the data alone,
-        # compressed anew for every pair.
-        monkeypatch.setattr(
-            gof, "_pattern_odds_ratio",
-            lambda patterns, counts, n, pair, alpha, n_bootstrap, rng:
-                estimation.estimate_odds_ratio(data, pair, alpha, n_bootstrap, rng))
-        per_pair = run_block_parallel(data, alpha=0.1, seed=5, n_bootstrap=30)
-        assert len(calls) == 2 + len(report.steps)
-        assert report.to_json() == per_pair.to_json()
+
+    @pytest.mark.parametrize("scenario, dist, K", [
+        ("bp-alt", "binary", 3), ("bp-null", "binary", 5),
+        ("bp-alt", "gaussian", 3), ("bp-null", "gaussian", 5)])
+    def test_pair_estimates_are_the_pairs_own(self, scenario, dist, K):
+        # Each target is fit once for every pair, and each pair's point
+        # estimate is the one its own equation gives, bit for bit.
+        data = scenario_dataset(scenario, 1500, 3, dist=dist, K=K)
+        report = run_block_parallel(data, seed=5, n_bootstrap=20)
+        assert len(report.steps) == K * (K - 1) // 2
+        pairs = [(k, j) for k in range(K) for j in range(k + 1, K)]
+        for (k, j), step in zip(pairs, report.steps):
+            assert step.decision != INCONCLUSIVE
+            est = estimation.estimate_odds_ratio(data, (k, j), n_bootstrap=20)
+            assert step.statistic == est.theta_hat
+            assert step.diagnostics["n_patterns"] == est.n_patterns
+            assert step.diagnostics["numerator_cell"] == est.numerator_cell
+
+    def test_failed_target_fails_every_pair_that_has_it(self):
+        # No row has X1 missing with X2 and X3 observed, so X1's propensity
+        # has a one-class outcome; X2 and X3 vary, and X2~X3 is estimated.
+        rng = np.random.default_rng(4)
+        r = np.array([[1, 1, 1]] * 150 + [[0, 0, 1], [0, 1, 0], [1, 0, 0],
+                                          [1, 0, 1], [1, 1, 0]] * 30, dtype=np.int8)
+        data = ObservedDataset(("X1", "X2", "X3"), r,
+                               np.where(r == 1, rng.normal(size=r.shape), np.nan))
+        report = run_block_parallel(data, seed=0, n_bootstrap=30)
+        message = "no variation in X1 among rows with all other indicators observed"
+        assert [(s.label, s.diagnostics.get("error")) for s in report.steps] == [
+            ("X1~X2", message), ("X1~X3", message), ("X2~X3", None)]
+        assert report.steps[2].decision in ("accept", "reject")
 
     def test_seed_determinism(self):
         data = scenario_dataset("bp-null", 3000, 2)
@@ -634,17 +656,15 @@ class TestBlockParallel:
 def test_block_parallel_verdict_rule(decisions, verdict, monkeypatch):
     # A rejecting pair rejects the model whatever the other pairs give;
     # without one, an inconclusive pair makes the verdict inconclusive.
-    by_pair = dict(zip([(0, 1), (0, 2), (1, 2)], decisions))
+    def pair_estimates(data, targets, alpha, n_bootstrap, rng):
+        assert targets == (0, 1, 2)
+        return {pair: EstimationError("forced") if decision == INCONCLUSIVE else
+                estimation.OddsRatioEstimate(
+                    1.7, (1.5, 2.0) if decision == "reject" else (0.5, 2.0),
+                    n_bootstrap, data.n, 1, dict.fromkeys(estimation.FAILURE_REASONS, 0))
+                for pair, decision in zip([(0, 1), (0, 2), (1, 2)], decisions)}
 
-    def pair_estimate(patterns, counts, n, pair, alpha, n_bootstrap, rng):
-        if by_pair[pair] == INCONCLUSIVE:
-            raise EstimationError("forced")
-        ci = (1.5, 2.0) if by_pair[pair] == "reject" else (0.5, 2.0)
-        return estimation.OddsRatioEstimate(
-            1.7, ci, n_bootstrap, counts.size, 1,
-            dict.fromkeys(estimation.FAILURE_REASONS, 0))
-
-    monkeypatch.setattr(gof, "_pattern_odds_ratio", pair_estimate)
+    monkeypatch.setattr(gof, "_odds_ratios", pair_estimates)
     data = scenario_dataset("bp-null", 300, 0, K=3)
     report = run_block_parallel(data, seed=0, n_bootstrap=10)
     assert [s.decision for s in report.steps] == list(decisions)
