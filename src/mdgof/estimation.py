@@ -14,7 +14,7 @@ why a step's row mask keeps the rows where every later proxy is observed.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .data import ObservedDataset, permutation_defects
 from .graph import GraphError, MDag, identification_blockers
 from .numerics import (DEGENERATE, DesignMatrix, PropensityFit, chisq_sf,
                        fit_weighted_logistic, fit_weighted_logistic_batch,
-                       weighted_gram)
+                       gram_sum)
 
 PROPENSITY_CLIP = 1e-6
 # A step's alternative starts from its null's coefficients, the tested block
@@ -73,10 +73,11 @@ def build_features(data: ObservedDataset, k, null_proxies, tested_proxies):
     if not mask.any():
         raise EstimationError(
             "no rows left after restricting to observed counterfactual columns")
-    values = np.empty((data.n, 1 + k + len(proxies)), order="F")
+    values = np.zeros((data.n, 1 + k + len(proxies)), order="F")
     values[:, 0] = 1.0
     values[:, 1:k + 1] = data.r[:, :k]
-    values[:, k + 1:] = np.nan_to_num(data.xstar[:, proxies], nan=0.0, copy=False)
+    for column, j in zip(values.T[k + 1:], proxies):
+        np.copyto(column, data.xstar[:, j], where=data.r[:, j] == 1)
     names = (("intercept",) + tuple(f"R[{data.names[j]}]" for j in range(k))
              + tuple(f"R*Xs[{data.names[j]}]" if j < k else f"X[{data.names[j]}]"
                      for j in proxies))
@@ -97,8 +98,8 @@ def _leading(design: DesignMatrix, p, rows=None):
 @dataclass(frozen=True)
 class CascadeStep:
     k: int                      # 0-based index into the ordering
-    null_fit: PropensityFit     # the likelihood-ratio fits under weights;
-    alt_fit: PropensityFit      # the null's columns lead the alternative's
+    null_fit: PropensityFit     # the likelihood-ratio fits under weights: the
+    alt_fit: PropensityFit      # null's columns lead, its fitted None unless read
     design: DesignMatrix        # the alternative's, on the masked rows
     weights: np.ndarray         # the fits' weights on masked rows: each
                                 # row's inverse-propensity weight x count
@@ -148,7 +149,7 @@ def _divide_weights(weights, clipped, fit: PropensityFit, rows=slice(None)):
 
 
 def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
-              weights, clipped, counts):
+              weights, clipped, counts, reads_null=False):
     """Tested cascade step ``k``.
 
     The stabilizer, the fitted probability of the row mask, multiplies the
@@ -163,12 +164,14 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     ``null_proxies``.  The alternative starts from the null (see
     WARM_START_BOUND).  The step is tested as it is fit: 2 rho is twice
     the difference of the fits' weighted log-likelihoods, which the Newton
-    solve returned, and its p-value is :func:`robust_lr_pvalue`'s.
+    solve returned, and its p-value is :func:`robust_lr_pvalue`'s.  Only
+    if ``reads_null`` and the fits ran under the raw weights (the caller's
+    weight update is then the null) does the null keep its fitted values.
     """
     design, mask = build_features(data, k, null_proxies, tested_proxies)
     w = weights[mask]
-    stabilized = True  # a mask that keeps every row has probability 1
-    if not mask.all():
+    every = stabilized = bool(mask.all())  # a mask keeping every row has probability 1
+    if not every:
         stab = fit_weighted_logistic(
             _leading(design, 1 + k + sum(j < k for j in null_proxies)),
             mask.astype(np.int8), counts)
@@ -176,7 +179,7 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
         if stabilized:
             w *= stab.fitted[mask]
         del stab  # its n fitted values need not outlive the product
-    masked = _leading(design, design.p, mask)
+    masked = design if every else _leading(design, design.p, mask)
     # The step keeps its masked design; holding the full-row design
     # through the masked fits and the test as well would raise peak memory.
     del design
@@ -184,6 +187,8 @@ def _fit_step(data: ObservedDataset, k, null_proxies, tested_proxies,
     what = f"propensity fit for {data.names[k]}"
     p0 = 1 + k + len(null_proxies)
     null_fit = _converged(fit_weighted_logistic(_leading(masked, p0), y, w), what)
+    if not (reads_null and (every or not stabilized)):
+        null_fit = replace(null_fit, fitted=None)
     start = None
     if np.abs(null_fit.coefficients).max() <= WARM_START_BOUND:
         start = np.pad(null_fit.coefficients, (0, masked.p - p0))
@@ -229,7 +234,7 @@ def mar_steps(data: ObservedDataset, counts=None):
     counts = np.ones(data.n) if counts is None else counts
     partial = [k for k in range(K) if not np.all(data.r[:, k] == 1)]
     weights = counts.copy()  # count / prod of the later full-sample nulls
-    clipped = np.zeros(data.n, dtype=int)  # clipped propensities in weights
+    clipped = np.zeros(data.n, dtype=np.int32)  # clipped propensities in weights
     for k in reversed(partial):
         with _at_index(k):
             if k < K - 1:
@@ -271,13 +276,14 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
     counts = np.ones(data.n) if counts is None else counts
     tested = [k for k in range(K - 1, 0, -1) if not np.all(data.r[:, k] == 1)]
     omega = counts.copy()  # count / prod of accepted nulls, on the rows read next
-    clipped = np.zeros(data.n, dtype=int)  # clipped propensities in omega
+    clipped = np.zeros(data.n, dtype=np.int32)  # clipped propensities in omega
     for k in tested:
         with _at_index(k):
             # The likelihood-ratio fits use stabilized weights: omega times
             # the fitted mask probability given the past indicators (the only
             # null features available on every row).  See mar_steps.
-            step = _fit_step(data, k, range(k + 1, K), range(k), omega, clipped, counts)
+            step = _fit_step(data, k, range(k + 1, K), range(k), omega, clipped,
+                             counts, reads_null=k != tested[-1])
             yield step
             if k == tested[-1]:
                 return  # no later step reads the weights
@@ -287,9 +293,9 @@ def mnar_steps(data: ObservedDataset, graph: MDag | None, counts=None):
             # step's rows by its fitted propensity.  Every later step's mask
             # requires R_k = 1 and lies inside this one, so no other row is
             # read again.  Weights without a fitted stabilizer are those raw
-            # weights, so the step's null fit is that fit.
+            # weights: the null fit, fitted probabilities kept, is that fit.
             mask, update_fit = step.mask, step.null_fit
-            if not mask.all() and step.stabilized:
+            if update_fit.fitted is None:
                 null = _leading(step.design, step.design.p - step.df)
                 step = update_fit = None  # the refit need not hold the step's arrays
                 update_fit = fit_weighted_logistic(null, data.r[mask, k], omega[mask])
@@ -311,8 +317,8 @@ def robust_lr_pvalue(two_rho, p0, alt_fit: PropensityFit, design: DesignMatrix,
     B = X' diag(m) X, so only df x df matrices are formed.  lam* is the
     larger lam_max of two middle factors m, from squared residuals and from
     the Bernoulli variance (with unit weights the latter's lam are all 1).
-    A and both V are :func:`weighted_gram` products, summed over row
-    blocks; Z keeps its n x df form, and both V are one call on Z.
+    A and both V are :func:`gram_sum` products, their rows formed block by
+    block: no n x df (Z) or 2 x n (middle) array is held.
     A singular A, or lam* <= 1e-12, raises EstimationError.  ``design`` is
     the alternative's; the null is its first ``p0`` columns, and the other
     df = design.p - p0 >= 1 are tested (any other ``p0`` raises
@@ -323,16 +329,17 @@ def robust_lr_pvalue(two_rho, p0, alt_fit: PropensityFit, design: DesignMatrix,
     """
     if not 0 < p0 < design.p:
         raise EstimationError("alternative must strictly nest the null")
-    x = design.values
-    mu = alt_fit.fitted
-    a_mat = weighted_gram(x, (weights * mu * (1.0 - mu))[None])[0]
+    x, mu = design.values, alt_fit.fitted
+    a_mat = gram_sum(design.n, design.p, lambda b: (
+        x[b], (weights[b] * mu[b] * (1.0 - mu[b]))[None]))[0]
     try:
         t = np.linalg.solve(a_mat, np.eye(design.p)[:, p0:])
-        z = x @ t
-        middles = np.stack(((weights * (outcome - mu)) ** 2,
-                            weights ** 2 * mu * (1.0 - mu))) / counts
+
+        def z_middles(b):  # a row block of Z and of both middle factors
+            return x[b] @ t, np.stack(((weights[b] * (outcome[b] - mu[b])) ** 2,
+                                       weights[b] ** 2 * mu[b] * (1.0 - mu[b]))) / counts[b]
         lam = max(float(np.linalg.eigvals(np.linalg.solve(t[p0:], v)).real.max())
-                  for v in weighted_gram(z, middles))
+                  for v in gram_sum(design.n, design.p - p0, z_middles))
     except np.linalg.LinAlgError as exc:
         raise EstimationError(
             f"robust p-value: singular information matrix ({exc})") from exc

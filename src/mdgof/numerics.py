@@ -21,50 +21,60 @@ MAX_ITER = 100
 MAX_HALVINGS = 30
 SEPARATION_BOUND = 30.0
 # Cells (rows x columns) of one row block of a weighted Gram product.  A
-# block's scaled copy of the design, 1 MB, stays in a 2 MB L2 cache instead
-# of streaming n x p cells back through the product, while every design of
-# the paper's size (n = 10 000, p <= 7) is one block.
+# block's scaled copy of the design, 1 MB, stays in a 2 MB L2 cache, while
+# every design of the paper's size (n = 10 000, p <= 7) is one block.  The
+# robust p-value forms its products' rows block by block, none n long.
 GRAM_BLOCK_CELLS = 1 << 17
 
 
-def _logistic(eta, e):
-    """expit(eta) from eta and e = exp(-|eta|): exp(min(eta, 0)) is 1 or e."""
-    return np.exp(np.minimum(eta, 0.0)) / (1.0 + e)
+def _logistic(eta, e, out, scratch):
+    """expit(eta) = exp(min(eta, 0)) / (1 + e) for e = exp(-|eta|), into ``out``."""
+    np.exp(np.minimum(eta, 0.0, out=out), out=out)
+    return np.divide(out, np.add(1.0, e, out=scratch), out=out)
 
 
-def _weighted_loglik(eta, y, w):
-    """(weighted Bernoulli log-likelihood along the last axis, e =
-    exp(-|eta|) for :func:`_logistic`) at linear predictor ``eta``.
-    softplus(eta) = log(1 + exp(eta)) is evaluated as max(eta, 0) +
+def _weighted_loglik(eta, y, w, e=None, work=None, scratch=None):
+    """Weighted Bernoulli log-likelihood along the last axis at linear
+    predictor ``eta``, leaving e = exp(-|eta|) for :func:`_logistic` in
+    ``e``.  softplus(eta) = log(1 + exp(eta)) is evaluated as max(eta, 0) +
     log1p(e), so no exponential overflows.  The sum stays elementwise: as
     two dot products it loses precision to cancellation, enough to fail the
-    step-halving test near convergence."""
-    e = np.exp(-np.abs(eta))
-    terms = y * eta - (np.maximum(eta, 0.0) + np.log1p(e))
-    return (w * terms).sum(axis=-1), e
+    step-halving test near convergence.  Steps write into the arrays given."""
+    e = np.exp(np.negative(np.abs(eta, out=e), out=e), out=e)
+    work = np.maximum(eta, 0.0, out=work)
+    work += np.log1p(e, out=scratch)
+    work = np.subtract(np.multiply(y, eta, out=scratch), work, out=work)
+    work *= w
+    return work.sum(axis=-1)
+
+
+def gram_sum(n, p, block):
+    """sum_i d[b, i] x_i x_i' over n rows of p columns, summed block after
+    block of GRAM_BLOCK_CELLS // p rows: ``block(rows)`` gives a slice's
+    (x (m, p), d (B, m)), so only a block of each is formed at a time."""
+    size = max(1, GRAM_BLOCK_CELLS // p)
+    xb, db = block(slice(0, size))
+    gram = xb.T @ (db[:, :, None] * xb)
+    for first in range(size, n, size):
+        xb, db = block(slice(first, first + size))
+        gram += xb.T @ (db[:, :, None] * xb)
+    return gram
 
 
 def weighted_gram(x, d):
     """sum_i d[b, i] x_i x_i' for every row b of ``d`` (B, n): (B, p, p).
 
-    The sum runs over blocks of GRAM_BLOCK_CELLS // p rows, so the rows per
-    block do not depend on B; a design that fits in one block is the one
-    product x' (d x)."""
-    rows = max(1, GRAM_BLOCK_CELLS // x.shape[1])
-    gram = x[:rows].T @ (d[:, :rows, None] * x[:rows])
-    for first in range(rows, x.shape[0], rows):
-        xb = x[first:first + rows]
-        gram += xb.T @ (d[:, first:first + rows, None] * xb)
-    return gram
+    The sum runs over :func:`gram_sum`'s blocks, so the rows per block do
+    not depend on B; a design that fits in one block is the one product
+    x' (d x)."""
+    return gram_sum(*x.shape, lambda rows: (x[rows], d[:, rows]))
 
 
 def expit(x):
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=float)
-    out = _logistic(x, np.exp(-np.abs(x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _logistic(x, np.exp(-np.abs(x)), np.empty_like(x), np.empty_like(x))
+    return float(out) if out.ndim == 0 else out
 
 
 # A series term this small against the sum ends the series.
@@ -195,24 +205,25 @@ def _newton(x, y, w, beta, tol):
     iteration limit, a score below tolerance.  Only then are the active
     arrays compacted, so a batch where every fit is active and takes its
     full step does no gather.  Each Hessian is :func:`weighted_gram`'s
-    blocked sum, which at the paper's size is one product.
+    blocked sum, which at the paper's size is one product.  Its (B, m) arrays
+    eta, e = exp(-|eta|), work and residual are allocated once, written in
+    expression order (same bits); fits exiting together return the last mu.
     Returns (coefficients (B, p), converged, iterations, loglik, fitted
     probabilities (B, m), messages), each fit's at its exit.
     """
-    B = w.shape[0]
+    B, m = w.shape
     coef = np.empty_like(beta)
-    fitted = np.empty_like(w)
     loglik = np.empty(B)
     iterations = np.empty(B, dtype=np.intp)
-    messages = [""] * B
+    messages, fitted = [""] * B, None
     idx = np.arange(B)
+    eta, e, work, resid = buffers = [np.empty((B, m)) for _ in range(4)]
     # eta = beta x' and e = exp(-|eta|) are computed once per candidate
     # step; the accepted candidate's pair gives the next iteration's mu.
-    eta = beta @ x.T
-    ll, e = _weighted_loglik(eta, y, w)
+    ll = _weighted_loglik(np.matmul(beta, x.T, out=eta), y, w, e, work, resid)
     for it in range(1, MAX_ITER + 2):
-        mu = _logistic(eta, e)
-        score = (w * (y - mu)) @ x
+        mu = _logistic(eta, e, work, resid)
+        score = np.multiply(w, np.subtract(y, mu, out=resid), out=resid) @ x
         # Every exit is decided here.  A one-class outcome under positive
         # weight (its MLE runs off to infinity) can only be met at the
         # start, separation only after a step; either beats the iteration
@@ -226,37 +237,47 @@ def _newton(x, y, w, beta, tol):
         if done.any():
             rows = idx[done]
             coef[rows], loglik[rows], iterations[rows] = beta[done], ll[done], it - 1
-            fitted[rows] = mu[done]
             for i, f in zip(rows, first[done]):
                 messages[i] = why if f else otherwise
+            if fitted is None:
+                fitted = mu if done.all() else np.empty((B, m))
+            if fitted is not mu:
+                fitted[rows] = mu[done]
             if done.all():
                 break
             keep = ~done
-            idx, w, tol, beta, ll, mu, score = (
-                a[keep] for a in (idx, w, tol, beta, ll, mu, score))
-        step = _solve(weighted_gram(x, w * mu * (1.0 - mu)), score)
+            idx, w, tol, beta, ll, score = (
+                a[keep] for a in (idx, w, tol, beta, ll, score))
+            mu[:len(idx)] = mu[keep]  # eta and e are written before they are read
+            eta, e, work, resid = (buffer[:len(idx)] for buffer in buffers)
+            mu = work
+        np.subtract(1.0, mu, out=resid)
+        np.multiply(np.multiply(w, mu, out=work), resid, out=work)  # w mu (1 - mu)
+        step = _solve(weighted_gram(x, work), score)
         # Step halving: never accept a move that lowers the weighted loglik,
         # except the last halving, which is taken whatever its loglik.  A
         # NaN loglik fails the test and halves.  Fits still halving share
         # one scale: they all started at 1.
         cand = beta + step
-        eta = cand @ x.T
-        ll_cand, e = _weighted_loglik(eta, y, w)
+        ll_cand = _weighted_loglik(np.matmul(cand, x.T, out=eta), y, w, e, work, resid)
         pending = np.flatnonzero(~(ll_cand >= ll - 1e-12))
         for halving in range(1, MAX_HALVINGS + 1):
             if not pending.size:
                 break
             scale = 0.5 ** halving
             c = beta[pending] + scale * step[pending]
-            ce = c @ x.T
-            cl, cexp = _weighted_loglik(ce, y, w[pending])
+            every = pending.size == len(beta)  # then overwrite eta and e in place
+            ce, cexp = (eta, e) if every else np.empty((2, pending.size, m))
+            cl = _weighted_loglik(np.matmul(c, x.T, out=ce), y, w if every else w[pending],
+                                  cexp, work[:pending.size], resid[:pending.size])
             ok = (cl >= ll[pending] - 1e-12) | (halving == MAX_HALVINGS)
             rows = pending[ok]
-            cand[rows], eta[rows] = c[ok], ce[ok]
-            ll_cand[rows], e[rows] = cl[ok], cexp[ok]
+            cand[rows], ll_cand[rows] = c[ok], cl[ok]
+            if not every:
+                eta[rows], e[rows] = ce[ok], cexp[ok]
             pending = pending[~ok]
         beta, ll = cand, ll_cand
-    converged = np.array([not m for m in messages])
+    converged = np.array([not message for message in messages])
     return coef, converged, iterations, loglik, fitted, tuple(messages)
 
 
@@ -282,7 +303,7 @@ def fit_weighted_logistic_batch(design: DesignMatrix, outcome, weights,
     is its score tolerance, by default SCORE_TOL times its total weight.
     """
     x = design.values
-    y = np.asarray(outcome, dtype=float)
+    y = np.asarray(outcome)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or len(y) != x.shape[0] or w.shape[1] != x.shape[0]:
         raise ValueError("design, outcome, and weights lengths disagree")
@@ -303,6 +324,8 @@ def fit_weighted_logistic_batch(design: DesignMatrix, outcome, weights,
         beta[:] = start
     tol = (SCORE_TOL * np.maximum(1.0, w.sum(axis=1)) if tol is None
            else np.full(w.shape[0], tol, dtype=float))
+    if not np.all((tol >= 0) & (tol < np.inf)):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     return BatchFit(*_newton(x, y, w, beta, tol))
 
 
@@ -316,8 +339,8 @@ def fit_weighted_logistic(design: DesignMatrix, outcome, weights=None,
     are flagged, never raised.  ``start`` warm-starts the iteration.  This
     is :func:`fit_weighted_logistic_batch` with one row of weights.
     """
-    y = np.asarray(outcome, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    y = np.asarray(outcome)
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
     fit = fit_weighted_logistic_batch(design, y, w[None, :], start, tol)
     return PropensityFit(fit.coefficients[0], bool(fit.converged[0]),
                          int(fit.iterations[0]), float(fit.weighted_loglik[0]),

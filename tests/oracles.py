@@ -21,6 +21,7 @@ that classification asks must match query for query.
 Two helpers at the end are not independent: the weighted Bernoulli loglik
 and a pair's odds-ratio point estimate, which only the tests call, built on
 the library's own kernels so that exact comparisons with it stay exact.
+The last one measures the memory a call holds at once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
@@ -759,7 +761,7 @@ def cellwise_read_csv(path):
 # ---------------------------------------------------------------------------
 
 def weighted_bernoulli_loglik(beta, x, y, w):
-    return float(_weighted_loglik(x @ beta, y, w)[0])
+    return float(_weighted_loglik(x @ beta, y, w))
 
 
 def _pairwise_theta(data: ObservedDataset, k, j):
@@ -769,3 +771,16 @@ def _pairwise_theta(data: ObservedDataset, k, j):
     if failure[0][0] is not None:
         raise EstimationError(failure[0][0][1])
     return float(theta[0, 0])
+
+
+def traced_peak(call):
+    """(call(), the most bytes it held at once beyond what was allocated
+    when it started), as tracemalloc counts them: numpy reports its array
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

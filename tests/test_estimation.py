@@ -19,7 +19,7 @@ from mdgof.simulate import ScenarioConfig, simulate_dataset
 
 from oracles import (_pairwise_theta, direct_or_functional, homogeneous_or_law,
                      reference_robust_pvalue, row_gather_odds_ratio,
-                     weighted_bernoulli_loglik)
+                     traced_peak, weighted_bernoulli_loglik)
 
 
 def scenario_dataset(scenario, n, seed, dist="binary", K=4, rng_out=False,
@@ -80,6 +80,16 @@ class TestBuildFeatures:
         assert design.names == ("intercept", "R[X1]", "R[X2]", "X[X4]",
                                 "R*Xs[X1]", "R*Xs[X2]")
         assert design.values.flags.f_contiguous
+
+    def test_holds_its_output_and_at_most_one_column(self):
+        # Each zero-imputed proxy is copied straight into its column.  A
+        # fancy-indexed copy of the proxies and nan_to_num's masks held 4.9
+        # n-long columns beyond the design and the mask.
+        data = scenario_dataset("mar-null", 100_000, 3, dist="gaussian")
+        (design, mask), peak = traced_peak(
+            lambda: build_features(data, 1, range(1), range(2, 4)))
+        assert design.p == 5
+        assert peak - design.values.nbytes - mask.nbytes <= 8 * data.n
 
     def test_empty_mask_rejected(self):
         r = np.array([[1, 0], [0, 0], [1, 0]], dtype=np.int8)
@@ -168,6 +178,13 @@ class TestMarCascade:
         assert all(fit.converged for fit in fits)
         assert [s.k for s in steps] == [1, 0]
 
+    def test_null_fitted_probabilities_are_not_kept(self):
+        # Nothing reads a MAR step's null fitted probabilities, which were
+        # held through the alternative's fit and the p-value.
+        steps = tuple(mar_steps(scenario_dataset("mar-null", 4000, 3)))
+        assert not all(step.mask.all() for step in steps)
+        assert all(step.null_fit.fitted is None for step in steps)
+
     def test_nonnegative_statistic(self):
         for seed in (0, 1, 2, 3, 4):
             data = scenario_dataset("mar-null", 3000, seed)
@@ -186,6 +203,16 @@ class TestMnarCascade:
             # The alternative adds one proxy product per earlier variable.
             assert step.df == step.k
             assert step.statistic >= -1e-6
+
+    def test_null_fitted_probabilities_kept_for_the_weight_update_alone(self):
+        # The first step's mask keeps every row, so its null fit is the
+        # weight update; the second's stabilized weights are refit, and no
+        # update follows the last.
+        data = scenario_dataset("mnar-null", 5000, 2)
+        first, second, last = mnar_steps(data, None)
+        assert first.mask.all() and first.null_fit.fitted.shape == (data.n,)
+        assert not second.mask.all() and second.stabilized
+        assert second.null_fit.fitted is None and last.null_fit.fitted is None
 
     def test_clip_events_counted(self, monkeypatch):
         # A high clip floor clips many weight-update propensities; each later
@@ -461,6 +488,24 @@ class TestLrStatistic:
         got = robust_lr_pvalue(two_rho, p - df, af, ad, y, total,
                                np.ones(n) if c is None else c)
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_pvalue_holds_no_n_long_array(self):
+        # X T and both middle factors exist block by block: on blocks of
+        # 2^12 cells the p-value at n = 100 000 holds less than one n-long
+        # array beyond its inputs.  Formed n x df and 2 x n, they held 6.
+        n, p0 = 100_000, 3
+        rng = np.random.default_rng(5)
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, 4))])
+        y = (rng.random(n) < expit(x @ rng.normal(0.0, 0.5, size=5))).astype(np.int8)
+        w = rng.uniform(0.5, 2.0, size=n)
+        design = DesignMatrix(tuple("abcde"), np.asfortranarray(x))
+        alt = fit_weighted_logistic(design, y, w)
+        counts = np.ones(n)
+        with mock.patch.object(numerics, "GRAM_BLOCK_CELLS", 1 << 12):
+            p_value, peak = traced_peak(
+                lambda: robust_lr_pvalue(1.0, p0, alt, design, y, w, counts))
+        assert 0.0 < p_value < 1.0
+        assert peak < 8 * n
 
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
     def test_singular_information_is_an_error(self, column):

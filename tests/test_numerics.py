@@ -15,7 +15,8 @@ from mdgof.numerics import (SCORE_TOL, DesignMatrix, chisq_sf, child_rng,
 
 import oracles
 from oracles import (chisq_sf_quadrature, grid_search_logistic, masked_expit,
-                     reference_fit_weighted_logistic, weighted_bernoulli_loglik)
+                     reference_fit_weighted_logistic, traced_peak,
+                     weighted_bernoulli_loglik)
 
 
 class TestExpit:
@@ -371,6 +372,50 @@ def test_batch_refuses_a_bad_start(start, match):
     if np.ndim(start) == 1:
         with pytest.raises(ValueError, match=r"start (contains|must have)"):
             fit_weighted_logistic(design, y, start=start)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+def test_fit_refuses_an_unusable_tolerance(tol):
+    # Unchecked, a NaN or negative tolerance runs all 100 iterations and
+    # blames the data, and an infinite one returns the start as converged.
+    x, y = _logistic_data(np.random.default_rng(3), 50, np.array([0.2, 0.5]))
+    design = DesignMatrix(("c", "a"), x)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        fit_weighted_logistic(design, y, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        fit_weighted_logistic_batch(design, y, np.ones((3, 50)),
+                                    tol=np.array([1e-8, tol, 1e-8]))
+
+
+@pytest.mark.parametrize("case", _kernel_cases(), ids=lambda c: c[0])
+def test_outcome_dtype_leaves_the_fit_bit_for_bit(case):
+    """An int8 or bool outcome is read as the 0/1 column it is, and gives
+    the float outcome's fit: coefficients, loglik, fitted values and
+    iterations, bit for bit."""
+    _, design, y, w, start, tol = case
+    want = fit_weighted_logistic(design, y, w, start=start, tol=tol)
+    for dtype in (np.int8, bool):
+        got = fit_weighted_logistic(design, y.astype(dtype), w, start=start, tol=tol)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert np.array_equal(got.fitted, want.fitted)
+        assert (got.weighted_loglik, got.iterations, got.message) == (
+            want.weighted_loglik, want.iterations, want.message)
+
+
+def test_fit_allocates_its_n_long_arrays_once():
+    """A fit at n = 100 000 and p = 5 with an int8 outcome holds its four
+    n-long arrays (eta, e, a work and a residual array, the fitted values
+    being the last mu) and one 1 MB block of a Hessian's Gram product:
+    at most 5.5 n-long float arrays beyond its inputs.  With a float copy
+    of the outcome and every elementwise step in a new array, it held 9."""
+    n, p = 100_000, 5
+    rng = np.random.default_rng(11)
+    x, y = _logistic_data(rng, n, rng.normal(0.0, 0.5, size=p))
+    design = DesignMatrix(tuple("abcde"), np.asfortranarray(x))
+    w, y = rng.uniform(0.5, 2.0, size=n), y.astype(np.int8)
+    fit, peak = traced_peak(lambda: fit_weighted_logistic(design, y, w))
+    assert fit.converged and fit.iterations > 1
+    assert peak <= 5.5 * 8 * n
 
 
 @settings(max_examples=100, deadline=None)
